@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Replay the bundled demo match into out/demo and summarize what happened."""
+"""Replay the bundled demo match into a fresh out/demo and summarize what happened.
+
+The old out/demo is removed first, so the directory holds exactly this run.
+"""
 
 from __future__ import annotations
 
+import shutil
 import sys
 from collections import Counter
 from pathlib import Path
@@ -16,6 +20,8 @@ DEMO = REPO / "fixtures" / "demo"
 OUT = REPO / "out" / "demo"
 
 if __name__ == "__main__":
+    if OUT.exists():
+        shutil.rmtree(OUT)
     code = run_replay(
         DEMO / "game.log", DEMO / "announcer.profile", DEMO / "announcer.style", OUT
     )

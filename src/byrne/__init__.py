@@ -2,75 +2,14 @@
 
 Feeds pre-analysed game fact logs through a declarative character profile and
 emits, per utterance, a SABLE speech script and a timed FACS/viseme facial
-timeline. See the README for file formats and the `commentate` CLI.
+timeline. See the README for file formats and the `commentate` CLI. The names
+below are the public API; everything else lives in the layer modules.
 """
 
-from .behaviors import (
-    ActionUnitDirective,
-    ActivatedBehavior,
-    AuralEventDirective,
-    BehaviorSpec,
-    FacialExpressionDirective,
-    MarkupDirective,
-    MotivationPattern,
-    Scope,
-    SpeechTagDirective,
-    activate_behaviors,
-    arbitrate,
-    expand,
-)
-from .emotions import (
-    EMOTION_TYPES,
-    DecayFunction,
-    EmotionPool,
-    EmotionRule,
-    EmotionSchema,
-    EmotionStructure,
-    apply_rules,
-    decay_pool,
-    intensity_at,
-    match_rule,
-)
 from .errors import ByrneError
-from .facts import (
-    FactBoard,
-    GameFact,
-    TickUpdate,
-    apply_tick,
-    parse_game_log,
-    select_fact,
-    should_interrupt,
-)
-from .pipeline import CommentaryEvent, PipelineState, initial_state, run_replay, step
-from .profile import CharacterProfile, ProfileError, dump_profile, load_profile
-from .seeml import (
-    EXPRESSION_NAMES,
-    Element,
-    FacsEvent,
-    OutputBundle,
-    SeemlDocument,
-    SeemlError,
-    Text,
-    TimedWord,
-    VerifyError,
-    VisemeEvent,
-    apply_directives,
-    format_face_timeline,
-    lip_sync,
-    merge_tags,
-    parse_seeml,
-    serialize_seeml,
-    strip_text,
-    verify_and_split,
-)
-from .style import StyleFile, load_style
-from .textgen import (
-    CoverageError,
-    Template,
-    UsageHistory,
-    instantiate,
-    record_usage,
-    select_template,
-)
+from .facts import parse_game_log
+from .pipeline import initial_state, run_replay, step
+from .profile import load_profile
+from .style import load_style
 
 __version__ = "0.1.0"

@@ -168,7 +168,9 @@ def expand(
 
     def walk(spec: BehaviorSpec, path: tuple[str, ...]) -> None:
         if spec.id in path:
-            raise BehaviorError(f"behavior cycle involving '{spec.id}'")
+            # named by its sorted members, so every entry point reports one message
+            members = "', '".join(sorted(path[path.index(spec.id) :]))
+            raise BehaviorError(f"behavior cycle involving '{members}'")
         if spec.directives:
             out.extend(spec.directives)
             return

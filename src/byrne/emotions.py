@@ -128,15 +128,6 @@ def rule_universe(
     return [*facts, *statics, *(e.view() for e in pool.structures)]
 
 
-def match_rule(
-    rule: EmotionRule,
-    board: FactBoard,
-    statics: Iterable[Sexpr],
-    pool: EmotionPool,
-) -> list[Binding]:
-    return match_all(rule.preconditions, rule_universe(board, statics, pool))
-
-
 def _instantiate(schema: EmotionSchema, binding: Binding, now: float) -> EmotionStructure:
     target = None
     if schema.target is not None:

@@ -15,7 +15,7 @@ extensions but nothing consumes it yet.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -73,20 +73,11 @@ class PipelineState:
     pool: EmotionPool
     history: UsageHistory
     in_progress: Optional[InProgress]
-    clock: float
-    rng_seed: int = 0
     utterance_count: int = 0
 
 
-def initial_state(seed: int = 0) -> PipelineState:
-    return PipelineState(
-        board=FactBoard(),
-        pool=EmotionPool(),
-        history=UsageHistory(),
-        in_progress=None,
-        clock=float("-inf"),
-        rng_seed=seed,
-    )
+def initial_state() -> PipelineState:
+    return PipelineState(FactBoard(), EmotionPool(), UsageHistory(), None)
 
 
 def _begin_utterance(
@@ -175,16 +166,7 @@ def step(
         )
         events.extend(started)
 
-    new_state = replace(
-        state,
-        board=board,
-        pool=pool,
-        history=history,
-        in_progress=current,
-        clock=now,
-        utterance_count=count,
-    )
-    return new_state, events
+    return PipelineState(board, pool, history, current, count), events
 
 
 def driver_ticks(updates: tuple[TickUpdate, ...], tick_seconds: float) -> list[TickUpdate]:
@@ -243,7 +225,7 @@ def run_replay(
         print(f"commentate: load error: {e}", file=sys.stderr)
         return 1
 
-    state = initial_state(seed)
+    state = initial_state()
     commentary_lines = [f"# commentary-trace v1 seed={seed}"]
     emotion_lines = ["# emotions-trace v1"]
     bundles: list[tuple[int, OutputBundle]] = []
@@ -258,7 +240,7 @@ def run_replay(
                     print(line)
                 if ev.bundle is not None:
                     bundles.append((ev.utterance, ev.bundle))
-            emotion_lines.extend(_emotion_lines(state.pool, state.clock))
+            emotion_lines.extend(_emotion_lines(state.pool, state.board.clock))
         if state.in_progress is not None:
             final = state.in_progress
             commentary_lines.append(

@@ -8,12 +8,14 @@ diagnostic naming the offending rule, behavior, template, or variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Collection, Optional, Sequence
 
 from .behaviors import (
     ActionUnitDirective,
+    ActivatedBehavior,
     AuralEventDirective,
+    BehaviorError,
     BehaviorSpec,
     EVERY_PHRASE,
     FacialExpressionDirective,
@@ -23,6 +25,7 @@ from .behaviors import (
     SpeechTagDirective,
     UTTERANCE,
     at_point,
+    expand,
     word_trigger,
 )
 from .emotions import (
@@ -45,7 +48,7 @@ from .sexpr import (
     read_top_level,
     to_text,
 )
-from .seeml import EXPRESSION_NAMES, SeemlDocument, SeemlError, parse_seeml
+from .seeml import EXPRESSION_NAMES, SeemlDocument, SeemlError, element, parse_seeml
 from .textgen import Template, _VAR_RE
 
 
@@ -67,36 +70,41 @@ class CharacterProfile:
     def name_table(self) -> dict[str, str]:
         return dict(self.names)
 
-    def behavior_index(self) -> dict[str, BehaviorSpec]:
-        return {b.id: b for b in self.behaviors}
 
+def _split_form(
+    items: Sequence[Sexpr], keys: Optional[Collection[str]], subforms: Collection[str]
+) -> tuple[dict[str, Sexpr], dict[str, tuple]]:
+    """Split one body into `key: value` pairs and (sub ...) forms by head.
 
-def _split_form(items: Iterable[Sexpr]) -> tuple[dict[str, Sexpr], list[tuple]]:
-    """Separate `key: value` pairs from (sub ...) forms inside one body."""
+    Only the named keys (any key when `keys` is None) and subforms are
+    accepted, each at most once, so no part of a form is silently dropped.
+    """
     pairs: dict[str, Sexpr] = {}
-    subforms: list[tuple] = []
-    items = list(items)
+    subs: dict[str, tuple] = {}
     i = 0
     while i < len(items):
         item = items[i]
         if is_keyword(item):
             if i + 1 >= len(items):
                 raise SexprError(f"keyword {item} has no value")
-            pairs[keyword_name(item)] = items[i + 1]
+            name = keyword_name(item)
+            if keys is not None and name not in keys:
+                raise SexprError(f"unknown key {item}")
+            if name in pairs:
+                raise SexprError(f"repeated key {item}")
+            pairs[name] = items[i + 1]
             i += 2
-        elif isinstance(item, tuple):
-            subforms.append(item)
+        elif isinstance(item, tuple) and item and isinstance(item[0], Symbol):
+            head = str(item[0])
+            if head not in subforms:
+                raise SexprError(f"unknown form ({head} ...)")
+            if head in subs:
+                raise SexprError(f"repeated form ({head} ...)")
+            subs[head] = item
             i += 1
         else:
             raise SexprError(f"unexpected item {to_text(item)}")
-    return pairs, subforms
-
-
-def _sub(subforms: list[tuple], head: str) -> Optional[tuple]:
-    for form in subforms:
-        if form and isinstance(form[0], Symbol) and str(form[0]) == head:
-            return form
-    return None
+    return pairs, subs
 
 
 def _parse_scope(form: Sexpr) -> Scope:
@@ -144,10 +152,9 @@ def _parse_directive(form: tuple) -> MarkupDirective:
     if head == "speech":
         if len(form) < 3 or not isinstance(form[1], Symbol):
             raise SexprError("expected (speech <TAG> <scope> [ATTR: <value> ...])")
-        attrs, subforms = _split_form(form[3:])
-        if subforms:
-            raise SexprError("speech directive attributes must be ATTR: value pairs")
+        attrs, _ = _split_form(form[3:], None, ())
         pairs = tuple((name, str(value)) for name, value in attrs.items())
+        element(str(form[1]), pairs)  # the markup's own tag and attribute checks, at load time
         return SpeechTagDirective(str(form[1]), pairs, _parse_scope(form[2]))
     raise SexprError(f"unknown directive ({head} ...)")
 
@@ -173,17 +180,9 @@ def _parse_motivations(form: tuple) -> tuple[MotivationPattern, ...]:
 
 
 def _parse_schema(form: Sexpr) -> EmotionSchema:
-    pairs, subforms = (None, None)
-    if isinstance(form, tuple):
-        try:
-            pairs, subforms = _split_form(form)
-        except SexprError:
-            pairs = None
-    if pairs is None or subforms:
+    if not isinstance(form, tuple):
         raise SexprError(f"bad emotion schema {to_text(form)}")
-    unknown = set(pairs) - {"type", "intensity", "target", "cause", "decay"}
-    if unknown:
-        raise SexprError(f"emotion schema has unknown keys {sorted(unknown)}")
+    pairs, _ = _split_form(form, ("type", "intensity", "target", "cause", "decay"), ())
     for required in ("type", "intensity", "cause", "decay"):
         if required not in pairs:
             raise SexprError(f"emotion schema missing {required}:")
@@ -259,10 +258,7 @@ def load_profile(text: str) -> CharacterProfile:
                         raise SexprError(f"expected (<id> \"<display>\"), got {to_text(entry)}")
                     names.append((str(entry[0]), str(entry[1])))
             elif head == "params":
-                pairs, _ = _split_form(form[1:])
-                lam = pairs.pop("lambda", None)
-                if pairs:
-                    raise SexprError(f"unknown params {sorted(pairs)}")
+                lam = _split_form(form[1:], ("lambda",), ())[0].get("lambda")
                 if lam is not None:
                     if not isinstance(lam, (int, float)) or float(lam) < 0:
                         raise SexprError("lambda: must be a non-negative number of seconds")
@@ -303,10 +299,8 @@ def load_profile(text: str) -> CharacterProfile:
 
 
 def _load_rule(form: tuple, line: int, diags: list[str]) -> EmotionRule:
-    _, subforms = _split_form(form[1:])
-    pre = _sub(subforms, "pre")
-    add = _sub(subforms, "add")
-    dele = _sub(subforms, "del")
+    _, subs = _split_form(form[1:], (), ("pre", "add", "del"))
+    pre, add, dele = subs.get("pre"), subs.get("add"), subs.get("del")
     preconditions = tuple(pre[1:]) if pre else ()
     additions = tuple(_parse_schema(s) for s in (add[1:] if add else ()))
     deletions = tuple(dele[1:]) if dele else ()
@@ -326,15 +320,15 @@ def _load_rule(form: tuple, line: int, diags: list[str]) -> EmotionRule:
 
 
 def _load_behavior(form: tuple, line: int, diags: list[str]) -> Optional[BehaviorSpec]:
-    pairs, subforms = _split_form(form[1:])
+    pairs, subs = _split_form(
+        form[1:], ("id", "group"), ("motivated-by", "pre", "children", "directives")
+    )
     bid, group = pairs.get("id"), pairs.get("group")
     if not isinstance(bid, Symbol) or not isinstance(group, Symbol):
         diags.append(f"line {line}: behavior needs id: and group: symbols")
         return None
-    motivated = _sub(subforms, "motivated-by")
-    pre = _sub(subforms, "pre")
-    children = _sub(subforms, "children")
-    directives = _sub(subforms, "directives")
+    motivated, pre = subs.get("motivated-by"), subs.get("pre")
+    children, directives = subs.get("children"), subs.get("directives")
     if (children is None) == (directives is None):
         diags.append(f"line {line}: behavior '{bid}' needs (children ...) xor (directives ...)")
         return None
@@ -360,13 +354,12 @@ def _load_behavior(form: tuple, line: int, diags: list[str]) -> Optional[Behavio
 
 
 def _load_template(form: tuple, line: int, diags: list[str]) -> Optional[Template]:
-    pairs, subforms = _split_form(form[1:])
+    pairs, subs = _split_form(form[1:], ("id",), ("pre", "text"))
     tid = pairs.get("id")
     if not isinstance(tid, Symbol):
         diags.append(f"line {line}: template needs an id: symbol")
         return None
-    pre = _sub(subforms, "pre")
-    text_form = _sub(subforms, "text")
+    pre, text_form = subs.get("pre"), subs.get("text")
     if text_form is None or len(text_form) != 2 or not isinstance(text_form[1], str):
         diags.append(f"line {line}: template '{tid}' needs (text \"...\")")
         return None
@@ -387,29 +380,14 @@ def _load_template(form: tuple, line: int, diags: list[str]) -> Optional[Templat
 
 
 def _check_behavior_graph(behaviors: list[BehaviorSpec], diags: list[str]) -> None:
-    index = {b.id: b for b in behaviors}
+    """Expand every spec with the replay's own walk, so cycles and dangling
+    children have one definition; each distinct failure is reported once."""
     for b in behaviors:
-        for child in b.children:
-            if child not in index:
-                diags.append(f"behavior '{b.id}' names unknown child '{child}'")
-
-    # white/grey/black walk over the child graph
-    state: dict[str, int] = {}
-
-    def visit(bid: str, path: tuple[str, ...]) -> None:
-        if state.get(bid) == 2:
-            return
-        if state.get(bid) == 1:
-            diags.append(f"behavior cycle involving '{bid}'")
-            return
-        state[bid] = 1
-        for child in index[bid].children if bid in index else ():
-            if child in index:
-                visit(child, path + (bid,))
-        state[bid] = 2
-
-    for b in behaviors:
-        visit(b.id, ())
+        try:
+            expand([ActivatedBehavior(b, 0.0, ())], behaviors)
+        except BehaviorError as e:
+            if str(e) not in diags:
+                diags.append(str(e))
 
 
 # --- canonical dump ----------------------------------------------------------

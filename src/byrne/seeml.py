@@ -105,7 +105,8 @@ def _normalize(children: Iterable[Node]) -> tuple[Node, ...]:
     return tuple(out)
 
 
-_SIGNED = re.compile(r"^[+-](?:\d+\.?\d*|\.\d+)%?$")
+# A signed relative value ("delta"): merge_tags sums these instead of nesting them.
+_DELTA_RE = re.compile(r"^([+-](?:\d+\.?\d*|\.\d+))(%?)$")
 
 
 def _validate(tag: str, attrs: dict[str, str]) -> None:
@@ -123,9 +124,13 @@ def _validate(tag: str, attrs: dict[str, str]) -> None:
         raise SeemlError("AURAL needs a NAME attribute")
     if tag == "AUDIO" and not attrs.get("SRC"):
         raise SeemlError("AUDIO needs a SRC attribute")
-    if tag in ("EXPR", "AU", "AFFECT"):
-        level = attrs.get("LEVEL")
-        if level is not None and not _SIGNED.match(level):
+    if tag in ("EXPR", "AU", "AFFECT") and "LEVEL" in attrs:
+        level = attrs["LEVEL"]
+        delta = _DELTA_RE.match(level)
+        # verify_and_split reads EXPR/AU levels as plain numbers
+        if delta and delta.group(2) and tag != "AFFECT":
+            raise SeemlError(f"{tag} LEVEL delta cannot be a percentage, got {level!r}")
+        if not delta:
             try:
                 value = float(level)
             except ValueError:
@@ -364,8 +369,6 @@ def apply_directives(doc: SeemlDocument, directives: Sequence[MarkupDirective]) 
 
 # --- merge algebra ----------------------------------------------------------
 
-_DELTA_RE = re.compile(r"^([+-](?:\d+\.?\d*|\.\d+))(%?)$")
-
 
 def _split_attrs(el: Element) -> tuple[tuple[tuple[str, str], ...], dict[str, tuple[float, str]]]:
     """Separate absolute attributes from signed relative ("delta") ones."""
@@ -534,6 +537,11 @@ def _timeline_key(ev: Union[FacsEvent, VisemeEvent]) -> tuple:
     return (ev.onset_ms, 1, 0, ev.duration_ms, ev.viseme)
 
 
+def _unit(intensity: float) -> float:
+    # merged signed LEVELs can sum past either end of the scale
+    return min(1.0, max(0.0, intensity))
+
+
 def verify_and_split(doc: SeemlDocument, style: "StyleFile") -> OutputBundle:
     """Assign word timings, resolve facial markup through the style file, and
     split the document into a speech script plus a facial/viseme timeline."""
@@ -578,14 +586,14 @@ def verify_and_split(doc: SeemlDocument, style: "StyleFile") -> OutputBundle:
         duration = max(0.0, min(end, total) - start)
         level = float(el.attr("LEVEL", "1.0"))
         if el.tag == "AU":
-            facs.append(FacsEvent(start, int(el.attr("NUM")), level, duration))
+            facs.append(FacsEvent(start, int(el.attr("NUM")), _unit(level), duration))
         else:
             name = el.attr("NAME")
             weights = style.expressions.get(name)
             if weights is None:
                 raise VerifyError(f"expression '{name}' missing from style")
             facs.extend(
-                FacsEvent(start, au, min(1.0, weight * level), duration) for au, weight in weights
+                FacsEvent(start, au, _unit(weight * level), duration) for au, weight in weights
             )
 
     def project(node: Node) -> list[Node]:

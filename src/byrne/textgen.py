@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional
 from .errors import ByrneError
 from .facts import GameFact
 from .patterns import Binding, match_all
-from .seeml import SeemlDocument, parse_seeml
+from .seeml import SeemlDocument, _escape_text, parse_seeml
 from .sexpr import Sexpr, Symbol, to_text
 
 
@@ -96,10 +96,6 @@ def render_term(term: Sexpr, names: Mapping[str, str] | None = None) -> str:
     return to_text(term)
 
 
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
 def instantiate(
     template: Template, binding: Binding, names: Mapping[str, str] | None = None
 ) -> SeemlDocument:
@@ -109,7 +105,7 @@ def instantiate(
         var = Symbol(m.group(0))
         if var not in binding:
             raise InstantiationError(f"template '{template.id}': unbound variable {var}")
-        return _escape(render_term(binding[var], names))
+        return _escape_text(render_term(binding[var], names))
 
     return parse_seeml(_VAR_RE.sub(replace, template.body))
 

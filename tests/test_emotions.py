@@ -18,11 +18,10 @@ from byrne.emotions import (
     apply_rules,
     decay_pool,
     intensity_at,
-    match_rule,
     rule_universe,
 )
 from byrne.facts import FactBoard
-from byrne.patterns import is_variable, parse_keyed, substitute, variables_in
+from byrne.patterns import is_variable, match_all, parse_keyed, substitute, variables_in
 from byrne.sexpr import Symbol, read_one, to_text
 
 RECIPROCAL = DecayFunction("reciprocal")
@@ -99,19 +98,19 @@ class TestMatchRule:
     def test_worked_scoring_rule(self):
         statics = [read_one("(supports team: a)")]
         board = board_of(fact_of("(scores team: a time: 125)", 10))
-        bindings = match_rule(SCORING_RULE, board, statics, EmotionPool())
+        bindings = match_all(SCORING_RULE.preconditions, rule_universe(board, statics, EmotionPool()))
         assert bindings == [{Symbol("?team"): Symbol("a")}]
 
     def test_unification_failure(self):
         statics = [read_one("(supports team: a)")]
         board = board_of(fact_of("(scores team: b time: 125)", 10))
-        assert match_rule(SCORING_RULE, board, statics, EmotionPool()) == []
+        assert match_all(SCORING_RULE.preconditions, rule_universe(board, statics, EmotionPool())) == []
 
     def test_precondition_on_active_emotion(self):
         rule = EmotionRule(preconditions=(read_one("(type: sadness)"),))
         pool = EmotionPool((sadness10(),))
-        assert match_rule(rule, FactBoard(), [], pool) == [{}]
-        assert match_rule(rule, FactBoard(), [], EmotionPool()) == []
+        assert match_all(rule.preconditions, rule_universe(FactBoard(), [], pool)) == [{}]
+        assert match_all(rule.preconditions, rule_universe(FactBoard(), [], EmotionPool())) == []
 
     def test_bindings_match_bruteforce_substitution_oracle(self):
         rng = Random(31)
@@ -128,7 +127,7 @@ class TestMatchRule:
             board = board_of(*(random_fact(rng) for _ in range(5)))
             chosen = tuple(rng.sample(patterns, rng.randrange(1, 3)))
             rule = EmotionRule(preconditions=chosen)
-            got = match_rule(rule, board, [], EmotionPool())
+            got = match_all(rule.preconditions, rule_universe(board, [], EmotionPool()))
             got_keys = {tuple(sorted((str(k), to_text(v)) for k, v in b.items())) for b in got}
 
             # oracle: try every assignment of variables to terms seen in the universe

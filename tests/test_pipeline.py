@@ -194,6 +194,22 @@ class TestRunReplay:
         assert code == 2
         assert "klaxon" in capsys.readouterr().err
 
+    def test_percent_facial_level_in_template_exits_1(self, tmp_path, capsys):
+        # verify_and_split reads EXPR/AU levels as plain numbers, so the loader rejects "%"
+        profile = tmp_path / "p.profile"
+        profile.write_text(
+            '(template id: grinner (pre (move player: ?p))'
+            ' (text "<su><seg><AU NUM=\\"12\\" LEVEL=\\"+10%\\">?p</AU> runs</seg></su>"))\n'
+        )
+        style = tmp_path / "s.style"
+        style.write_text(MINIMAL_STYLE)
+        log = tmp_path / "g.log"
+        log.write_text("(tick 1)\n(fact (move player: a1) relevance: 5)\n")
+        code = run_replay(log, profile, style, tmp_path / "o")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "grinner" in err and "Traceback" not in err
+
     def test_trace_files_and_utterance_outputs_written(self, tmp_path):
         out = tmp_path / "out"
         assert run_replay(

@@ -29,6 +29,7 @@ from byrne.seeml import (
     apply_directives,
     document,
     element,
+    format_face_timeline,
     lip_sync,
     merge_tags,
     parse_seeml,
@@ -84,6 +85,14 @@ class TestParse:
             parse_seeml(f'<EXPR NAME="{name}">x</EXPR>')
         with pytest.raises(SeemlError, match="happiness"):
             parse_seeml('<EXPR NAME="happiness">x</EXPR>')
+
+    def test_facial_level_delta_must_be_a_plain_number(self):
+        parse_seeml('<AU LEVEL="+0.8" NUM="12">x</AU>')
+        parse_seeml('<AFFECT LEVEL="+10%" TYPE="interest">x</AFFECT>')
+        with pytest.raises(SeemlError, match="percentage"):
+            parse_seeml('<AU LEVEL="+10%" NUM="12">x</AU>')
+        with pytest.raises(SeemlError, match="percentage"):
+            parse_seeml('<EXPR LEVEL="-5%" NAME="smile">x</EXPR>')
 
     def test_childless_tags_do_not_enclose_text(self):
         parse_seeml('<BREAK/> and <AURAL NAME="hiccup"/>')
@@ -486,6 +495,46 @@ class TestVerifyAndSplit:
             for ev in bundle.timeline:
                 assert -1e-9 <= ev.onset_ms <= bundle.total_duration_ms + 1e-9
                 assert ev.onset_ms + ev.duration_ms <= bundle.total_duration_ms + 1e-6
+            checked += 1
+        assert checked > 60
+
+    def test_summed_au_deltas_clamp_to_one(self, minimal_style):
+        doc = parse_seeml('<AU LEVEL="+0.8" NUM="12">so <AU LEVEL="+0.8" NUM="12">good</AU></AU>')
+        bundle = verify_and_split(merge_tags(doc), minimal_style)
+        rows = [line.split("\t") for line in format_face_timeline(bundle).splitlines()[1:]]
+        assert [row[3] for row in rows if row[1] == "AU"] == ["1.000"]
+
+    def test_negative_level_clamps_to_zero(self, minimal_style):
+        for text in ('<AU LEVEL="-0.5" NUM="12">good</AU>', '<EXPR LEVEL="-0.5" NAME="smile">good</EXPR>'):
+            bundle = verify_and_split(parse_seeml(text), minimal_style)
+            facs = [ev for ev in bundle.timeline if isinstance(ev, FacsEvent)]
+            assert facs and all(ev.intensity == 0.0 for ev in facs)
+            assert "-0.500" not in format_face_timeline(bundle)
+
+    def test_facs_rows_in_unit_range_and_sorted_on_corpus(self, minimal_style):
+        # stacks of signed facial levels around random documents push merged sums past [0,1]
+        rng = Random(47)
+        levels = ["+0.8", "-0.5", "+0.3", "0.6", "1.0"]
+        checked = 0
+        for _ in range(120):
+            node = document(random_document(rng).children)
+            for _ in range(rng.randrange(1, 4)):
+                if rng.random() < 0.5:
+                    attrs = {"NUM": str(rng.choice((4, 12))), "LEVEL": rng.choice(levels)}
+                    node = document([element("AU", attrs, node.children)])
+                else:
+                    attrs = {"NAME": rng.choice(("smile", "fear")), "LEVEL": rng.choice(levels)}
+                    node = document([element("EXPR", attrs, node.children)])
+            if not strip_text(node).split():
+                continue
+            try:
+                bundle = verify_and_split(merge_tags(node), minimal_style)
+            except VerifyError:
+                continue
+            rows = [line.split("\t") for line in format_face_timeline(bundle).splitlines()[1:]]
+            onsets = [int(row[0]) for row in rows]
+            assert onsets == sorted(onsets)
+            assert all(0.0 <= float(row[3]) <= 1.0 for row in rows)
             checked += 1
         assert checked > 60
 

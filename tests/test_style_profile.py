@@ -228,3 +228,54 @@ class TestProfileValidation:
         with pytest.raises(ProfileError) as err:
             load_profile(text)
         assert len(err.value.diagnostics) >= 2
+
+    def test_unknown_rule_subform_named(self):
+        _expect_diagnostic(
+            "(emotion-rule (pre (x y: 1))"
+            " (ad (type: fear intensity: 5 target: nil cause: (x y: 1) decay: 1/t)))",
+            "(ad ...)",
+        )
+
+    def test_unknown_template_key_named(self):
+        _expect_diagnostic(
+            '(template id: t colour: red (pre (x y: ?q)) (text "<su><seg>?q</seg></su>"))',
+            "colour:",
+        )
+
+    def test_repeated_template_text_named(self):
+        _expect_diagnostic(
+            '(template id: t (pre (x y: ?q)) (text "<su><seg>?q</seg></su>")'
+            ' (text "<su><seg>again</seg></su>"))',
+            "repeated form (text ...)",
+        )
+
+    def test_repeated_speech_attribute_named(self):
+        _expect_diagnostic(
+            "(behavior id: hurry group: voice (motivated-by fear)"
+            ' (directives (speech RATE utterance SPEED: "+5%" SPEED: "+10%")))',
+            "repeated key SPEED:",
+        )
+
+    def test_speech_directive_markup_checked_at_load(self):
+        _expect_diagnostic(
+            "(behavior id: blinker group: face (motivated-by fear)"
+            " (directives (speech BLINK utterance)))",
+            "BLINK",
+        )
+
+    def test_cycle_reported_once(self):
+        with pytest.raises(ProfileError) as err:
+            load_profile(
+                "(behavior id: spin group: g (motivated-by fear) (children whirl))\n"
+                "(behavior id: whirl group: g (children spin))\n"
+                "(behavior id: top group: h (motivated-by anger) (children spin))\n"
+            )
+        assert err.value.diagnostics == ["behavior cycle involving 'spin', 'whirl'"]
+
+    def test_dangling_child_reported_once(self):
+        with pytest.raises(ProfileError) as err:
+            load_profile(
+                "(behavior id: top group: g (motivated-by fear) (children mid))\n"
+                "(behavior id: mid group: g (children ghost))\n"
+            )
+        assert err.value.diagnostics == ["behavior 'mid' expands to unknown child 'ghost'"]
