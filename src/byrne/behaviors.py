@@ -14,7 +14,7 @@ from typing import Iterable, Sequence, Union
 
 from .emotions import EmotionPool, EmotionStructure, NIL, intensity_at
 from .errors import ByrneError
-from .patterns import match_all, unify
+from .patterns import Binding, match_all, unify
 from .sexpr import Sexpr
 
 
@@ -106,27 +106,39 @@ class ActivatedBehavior:
     motivating: tuple[EmotionStructure, ...]
 
 
-def _target_matches(pattern: Sexpr, structure: EmotionStructure, static_bindings) -> bool:
-    actual = structure.target if structure.target is not None else NIL
-    return any(unify(pattern, actual, dict(b)) is not None for b in static_bindings)
+# A spec that can activate, with the bindings under which its static preconditions hold.
+BoundSpec = tuple[BehaviorSpec, tuple[Binding, ...]]
 
 
-def activate_behaviors(
-    specs: Sequence[BehaviorSpec],
-    pool: EmotionPool,
-    statics: Iterable[Sexpr],
-    now: float,
-) -> list[ActivatedBehavior]:
-    """Specs whose static preconditions hold and whose every motivation pattern
-    matches at least one pool structure; activation sums the matched intensities."""
+def bind_statics(specs: Iterable[BehaviorSpec], statics: Iterable[Sexpr]) -> tuple[BoundSpec, ...]:
+    """The motivated specs whose static preconditions hold, with their bindings.
+
+    This depends on the profile alone, so it is computed once when the profile
+    is built rather than on every utterance.
+    """
     statics = list(statics)
-    out: list[ActivatedBehavior] = []
+    out: list[BoundSpec] = []
     for spec in specs:
         if not spec.motivated_by:
             continue
         static_bindings = match_all(spec.preconditions, statics)
-        if not static_bindings:
-            continue
+        if static_bindings:
+            out.append((spec, tuple(static_bindings)))
+    return tuple(out)
+
+
+def _target_matches(pattern: Sexpr, structure: EmotionStructure, static_bindings) -> bool:
+    actual = structure.target if structure.target is not None else NIL
+    return any(unify(pattern, actual, b) is not None for b in static_bindings)
+
+
+def activate_behaviors(
+    bound: Sequence[BoundSpec], pool: EmotionPool, now: float
+) -> list[ActivatedBehavior]:
+    """Specs (from `bind_statics`) whose every motivation pattern matches at
+    least one pool structure; activation sums the matched intensities."""
+    out: list[ActivatedBehavior] = []
+    for spec, static_bindings in bound:
         motivating: list[EmotionStructure] = []
         satisfied = True
         for pattern in spec.motivated_by:

@@ -15,6 +15,7 @@ extensions but nothing consumes it yet.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -31,7 +32,7 @@ from .facts import (
     select_fact,
     should_interrupt,
 )
-from .profile import CharacterProfile, load_profile
+from .profile import CharacterProfile, check_against_style, load_profile
 from .seeml import OutputBundle, apply_directives, format_face_timeline, merge_tags, verify_and_split
 from .sexpr import to_text
 from .style import StyleFile, load_style
@@ -44,6 +45,8 @@ UTTERANCE_END = "end"
 INTERRUPTED = "interrupted"
 
 _TRACE_KIND = {UTTERANCE_START: "START", UTTERANCE_END: "END", INTERRUPTED: "INTERRUPT"}
+
+_UTTERANCE_FILE = re.compile(r"utt-\d+\.(sable|facs)")
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,7 @@ def _begin_utterance(
         try:
             template, binding = select_template(
                 fact,
-                profile.templates,
+                profile.templates_for(fact.predicate),
                 history,
                 now,
                 statics=profile.statics,
@@ -113,7 +116,7 @@ def _begin_utterance(
             skipped.add(fact.identity)
             continue
         doc = instantiate(template, binding, names)
-        winners = arbitrate(activate_behaviors(profile.behaviors, pool, profile.statics, now))
+        winners = arbitrate(activate_behaviors(profile.bound_behaviors, pool, now))
         doc = merge_tags(apply_directives(doc, expand(winners, profile.behaviors)))
         bundle = verify_and_split(doc, style)
         history = record_usage(history, template.id, now)
@@ -213,7 +216,9 @@ def run_replay(
 
     Exit 0 on success, 1 when an input fails to load, 2 on a runtime error.
     Outputs: per-utterance `utt-<n>.sable` and `utt-<n>.facs`, plus
-    `commentary.trace` and `emotions.trace`.
+    `commentary.trace` and `emotions.trace`. Utterance files in `out_dir` that
+    this run does not write are deleted, so the directory holds one run; any
+    other file there is left alone.
     """
     import sys
 
@@ -221,6 +226,7 @@ def run_replay(
         updates = parse_game_log(Path(log_path).read_text(encoding="utf-8"))
         profile = load_profile(Path(profile_path).read_text(encoding="utf-8"))
         style = load_style(Path(style_path).read_text(encoding="utf-8"))
+        check_against_style(profile, style)
     except (OSError, ByrneError) as e:
         print(f"commentate: load error: {e}", file=sys.stderr)
         return 1
@@ -257,6 +263,10 @@ def run_replay(
         with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)
 
+    written = {f"utt-{index}.{ext}" for index, _ in bundles for ext in ("sable", "facs")}
+    for path in out.iterdir():
+        if path.name not in written and _UTTERANCE_FILE.fullmatch(path.name) and path.is_file():
+            path.unlink()
     for index, bundle in bundles:
         write(f"utt-{index}.sable", bundle.speech_script + "\n")
         write(f"utt-{index}.facs", format_face_timeline(bundle))

@@ -8,7 +8,7 @@ diagnostic naming the offending rule, behavior, template, or variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Optional, Sequence
 
 from .behaviors import (
@@ -17,6 +17,7 @@ from .behaviors import (
     AuralEventDirective,
     BehaviorError,
     BehaviorSpec,
+    BoundSpec,
     EVERY_PHRASE,
     FacialExpressionDirective,
     MarkupDirective,
@@ -25,6 +26,7 @@ from .behaviors import (
     SpeechTagDirective,
     UTTERANCE,
     at_point,
+    bind_statics,
     expand,
     word_trigger,
 )
@@ -48,8 +50,17 @@ from .sexpr import (
     read_top_level,
     to_text,
 )
-from .seeml import EXPRESSION_NAMES, SeemlDocument, SeemlError, element, parse_seeml
-from .textgen import Template, _VAR_RE
+from .seeml import (
+    EXPRESSION_NAMES,
+    Element,
+    Node,
+    SeemlDocument,
+    SeemlError,
+    directive_element,
+    parse_seeml,
+)
+from .style import StyleFile
+from .textgen import Template, _VAR_RE, index_templates
 
 
 class ProfileError(ByrneError):
@@ -66,9 +77,24 @@ class CharacterProfile:
     behaviors: tuple[BehaviorSpec, ...] = ()
     templates: tuple[Template, ...] = ()
     lambda_use_penalty: float = 5.0
+    # (AURAL or EXPR, name, user) for each style name the markup uses, collected
+    # while loading; `check_against_style` looks them up.
+    style_names: tuple[tuple[str, str, str], ...] = field(default=(), repr=False, compare=False)
+    # Derived from the fields above when the profile is built; no tick changes them.
+    bound_behaviors: tuple[BoundSpec, ...] = field(init=False, repr=False, compare=False)
+    _template_index: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bound_behaviors", bind_statics(self.behaviors, self.statics))
+        object.__setattr__(self, "_template_index", index_templates(self.templates, self.statics))
 
     def name_table(self) -> dict[str, str]:
         return dict(self.names)
+
+    def templates_for(self, predicate: str) -> tuple[Template, ...]:
+        """The templates that can match a fact with this predicate, in profile order."""
+        by_head, anywhere = self._template_index
+        return by_head.get(str(predicate), anywhere)
 
 
 def _split_form(
@@ -154,7 +180,6 @@ def _parse_directive(form: tuple) -> MarkupDirective:
             raise SexprError("expected (speech <TAG> <scope> [ATTR: <value> ...])")
         attrs, _ = _split_form(form[3:], None, ())
         pairs = tuple((name, str(value)) for name, value in attrs.items())
-        element(str(form[1]), pairs)  # the markup's own tag and attribute checks, at load time
         return SpeechTagDirective(str(form[1]), pairs, _parse_scope(form[2]))
     raise SexprError(f"unknown directive ({head} ...)")
 
@@ -228,6 +253,7 @@ def load_profile(text: str) -> CharacterProfile:
     rules: list[EmotionRule] = []
     behaviors: list[BehaviorSpec] = []
     templates: list[Template] = []
+    style_names: list[tuple[str, str, str]] = []
     lambda_penalty = 5.0
 
     try:
@@ -266,14 +292,14 @@ def load_profile(text: str) -> CharacterProfile:
             elif head == "emotion-rule":
                 rules.append(_load_rule(form, line, diags))
             elif head == "behavior":
-                spec = _load_behavior(form, line, diags)
+                spec = _load_behavior(form, line, diags, style_names)
                 if spec is not None:
                     if any(b.id == spec.id for b in behaviors):
                         diags.append(f"line {line}: duplicate behavior id '{spec.id}'")
                     else:
                         behaviors.append(spec)
             elif head == "template":
-                tmpl = _load_template(form, line, diags)
+                tmpl = _load_template(form, line, diags, style_names)
                 if tmpl is not None:
                     if any(t.id == tmpl.id for t in templates):
                         diags.append(f"line {line}: duplicate template id '{tmpl.id}'")
@@ -295,6 +321,7 @@ def load_profile(text: str) -> CharacterProfile:
         behaviors=tuple(behaviors),
         templates=tuple(templates),
         lambda_use_penalty=lambda_penalty,
+        style_names=tuple(style_names),
     )
 
 
@@ -319,7 +346,9 @@ def _load_rule(form: tuple, line: int, diags: list[str]) -> EmotionRule:
     return EmotionRule(preconditions, additions, deletions)
 
 
-def _load_behavior(form: tuple, line: int, diags: list[str]) -> Optional[BehaviorSpec]:
+def _load_behavior(
+    form: tuple, line: int, diags: list[str], style_names: list[tuple[str, str, str]]
+) -> Optional[BehaviorSpec]:
     pairs, subs = _split_form(
         form[1:], ("id", "group"), ("motivated-by", "pre", "children", "directives")
     )
@@ -335,7 +364,10 @@ def _load_behavior(form: tuple, line: int, diags: list[str]) -> Optional[Behavio
     parsed: list[MarkupDirective] = []
     for d in directives[1:] if directives else ():
         try:
-            parsed.append(_parse_directive(d))
+            directive = _parse_directive(d)
+            # the markup's own tag and attribute checks, at load time
+            _collect_style_names((directive_element(directive),), f"behavior '{bid}'", style_names)
+            parsed.append(directive)
         except (SexprError, ByrneError) as e:
             diags.append(f"line {line}: behavior '{bid}': {e}")
     child_ids = tuple(str(c) for c in (children[1:] if children else ()))
@@ -353,7 +385,9 @@ def _load_behavior(form: tuple, line: int, diags: list[str]) -> Optional[Behavio
     )
 
 
-def _load_template(form: tuple, line: int, diags: list[str]) -> Optional[Template]:
+def _load_template(
+    form: tuple, line: int, diags: list[str], style_names: list[tuple[str, str, str]]
+) -> Optional[Template]:
     pairs, subs = _split_form(form[1:], ("id",), ("pre", "text"))
     tid = pairs.get("id")
     if not isinstance(tid, Symbol):
@@ -369,6 +403,7 @@ def _load_template(form: tuple, line: int, diags: list[str]) -> Optional[Templat
         doc = parse_seeml(body)
         if _count_segs(doc) < 1:
             diags.append(f"line {line}: template '{tid}' body has no <seg> phrase markers")
+        _collect_style_names(doc.children, f"template '{tid}'", style_names)
     except SeemlError as e:
         diags.append(f"line {line}: template '{tid}' body: {e}")
     bound: set[Symbol] = set()
@@ -377,6 +412,39 @@ def _load_template(form: tuple, line: int, diags: list[str]) -> Optional[Templat
     for var in sorted(_body_variables(body) - bound):
         diags.append(f"line {line}: template '{tid}' uses unbound variable {var}")
     return Template(str(tid), preconditions, body)
+
+
+_STYLE_SECTIONS = {"AURAL": ("aural", "aural event"), "EXPR": ("expressions", "expression")}
+
+
+def _collect_style_names(
+    nodes: Sequence[Node], user: str, out: list[tuple[str, str, str]]
+) -> None:
+    for node in nodes:
+        if isinstance(node, Element):
+            if node.tag in _STYLE_SECTIONS:
+                out.append((node.tag, node.attr("NAME"), user))
+            _collect_style_names(node.children, user, out)
+
+
+def check_against_style(profile: CharacterProfile, style: StyleFile) -> None:
+    """Every aural event and expression the profile's markup names must be in
+    the style; raises ProfileError naming each missing one and its user.
+
+    A name holding a template variable is only known per utterance, so it is
+    left to the replay.
+    """
+    tables = {"AURAL": style.aural, "EXPR": style.expressions}
+    diags: list[str] = []
+    for tag, name, user in profile.style_names:
+        if name in tables[tag] or _VAR_RE.search(name):
+            continue
+        section, what = _STYLE_SECTIONS[tag]
+        diag = f"{user} uses {what} '{name}', which the style's [{section}] section lacks"
+        if diag not in diags:
+            diags.append(diag)
+    if diags:
+        raise ProfileError(diags)
 
 
 def _check_behavior_graph(behaviors: list[BehaviorSpec], diags: list[str]) -> None:

@@ -271,42 +271,37 @@ def _fmt_level(level: float) -> str:
     return f"{level:g}"
 
 
-def _directive_element(d: MarkupDirective, children: Iterable[Node] = ()) -> Element:
+def directive_element(d: MarkupDirective) -> Element:
+    """The validated element a directive puts into the markup."""
     if isinstance(d, FacialExpressionDirective):
-        return element("EXPR", {"NAME": d.name, "LEVEL": _fmt_level(d.level)}, children)
+        return element("EXPR", {"NAME": d.name, "LEVEL": _fmt_level(d.level)})
     if isinstance(d, ActionUnitDirective):
-        return element("AU", {"NUM": str(d.au), "LEVEL": _fmt_level(d.level)}, children)
+        return element("AU", {"NUM": str(d.au), "LEVEL": _fmt_level(d.level)})
     if isinstance(d, AuralEventDirective):
         return element("AURAL", {"NAME": d.name})
     if isinstance(d, SpeechTagDirective):
-        return element(d.tag, dict(d.attrs), children)
+        return element(d.tag, dict(d.attrs))
     raise SeemlError(f"unknown directive {d!r}")
-
-
-def _is_insertion(d: MarkupDirective) -> bool:
-    # directives whose element cannot enclose text are inserted beside it instead
-    if isinstance(d, AuralEventDirective):
-        return True
-    if isinstance(d, SpeechTagDirective):
-        canon = _CANONICAL.get(d.tag.lower())
-        return canon in CHILDLESS_TAGS
-    return False
 
 
 def _with_children(el: Element, children: Iterable[Node]) -> Element:
     return Element(el.tag, el.attrs, _normalize(children))
 
 
-def _wrap_phrases(nodes: Sequence[Node], d: MarkupDirective) -> list[Node]:
+def _marked(node: Node, mark: Element) -> list[Node]:
+    # a mark that cannot enclose text is inserted beside the node instead
+    if mark.tag in CHILDLESS_TAGS:
+        return [node, mark]
+    return [_with_children(mark, (node,))]
+
+
+def _wrap_phrases(nodes: Sequence[Node], mark: Element) -> list[Node]:
     out: list[Node] = []
     for node in nodes:
         if isinstance(node, Element):
-            node = _with_children(node, _wrap_phrases(node.children, d))
+            node = _with_children(node, _wrap_phrases(node.children, mark))
             if node.tag == "seg":
-                if _is_insertion(d):
-                    out.extend([node, _directive_element(d)])
-                else:
-                    out.append(_directive_element(d, (node,)))
+                out.extend(_marked(node, mark))
                 continue
         out.append(node)
     return out
@@ -316,29 +311,20 @@ def _word_regex(word: str) -> re.Pattern[str]:
     return re.compile(rf"(?<!\w){re.escape(word)}(?!\w)", re.IGNORECASE)
 
 
-def _wrap_words(nodes: Sequence[Node], d: MarkupDirective) -> list[Node]:
-    rx = _word_regex(d.scope.word)
+def _wrap_words(nodes: Sequence[Node], mark: Element, word: str, rx: re.Pattern[str]) -> list[Node]:
     out: list[Node] = []
     for node in nodes:
         if isinstance(node, Element):
-            node_text = strip_text(SeemlDocument((node,))).strip()
-            if node.tag == "w" and node_text.lower() == d.scope.word.lower():
-                if _is_insertion(d):
-                    out.extend([node, _directive_element(d)])
-                else:
-                    out.append(_directive_element(d, (node,)))
+            if node.tag == "w" and strip_text(SeemlDocument((node,))).strip().lower() == word:
+                out.extend(_marked(node, mark))
             else:
-                out.append(_with_children(node, _wrap_words(node.children, d)))
+                out.append(_with_children(node, _wrap_words(node.children, mark, word, rx)))
             continue
         pos = 0
         for m in rx.finditer(node.text):
             if m.start() > pos:
                 out.append(Text(node.text[pos : m.start()]))
-            hit = Text(m.group(0))
-            if _is_insertion(d):
-                out.extend([hit, _directive_element(d)])
-            else:
-                out.append(_directive_element(d, (hit,)))
+            out.extend(_marked(Text(m.group(0)), mark))
             pos = m.end()
         if pos < len(node.text):
             out.append(Text(node.text[pos:]))
@@ -346,22 +332,23 @@ def _wrap_words(nodes: Sequence[Node], d: MarkupDirective) -> list[Node]:
 
 
 def apply_directives(doc: SeemlDocument, directives: Sequence[MarkupDirective]) -> SeemlDocument:
-    """Layer behavior-driven markup over an already marked-up utterance."""
+    """Layer behavior-driven markup over an already marked-up utterance.
+
+    Each directive's element is built and validated once; every span it
+    wraps reuses that element's tag and attributes.
+    """
     nodes: Sequence[Node] = doc.children
     for d in directives:
+        mark = directive_element(d)
         kind = d.scope.kind
         if kind == "utterance":
-            if _is_insertion(d):
-                nodes = [*nodes, _directive_element(d)]
-            else:
-                nodes = [_directive_element(d, nodes)]
+            nodes = [*nodes, mark] if mark.tag in CHILDLESS_TAGS else [_with_children(mark, nodes)]
         elif kind == "point":
-            mark = _directive_element(d) if _is_insertion(d) else _directive_element(d, ())
             nodes = [mark, *nodes] if d.scope.position == "start" else [*nodes, mark]
         elif kind == "every-phrase":
-            nodes = _wrap_phrases(nodes, d)
+            nodes = _wrap_phrases(nodes, mark)
         elif kind == "word":
-            nodes = _wrap_words(nodes, d)
+            nodes = _wrap_words(nodes, mark, d.scope.word.lower(), _word_regex(d.scope.word))
         else:
             raise SeemlError(f"unknown directive scope '{kind}'")
     return document(nodes)
@@ -383,16 +370,6 @@ def _split_attrs(el: Element) -> tuple[tuple[tuple[str, str], ...], dict[str, tu
     return tuple(plain), deltas
 
 
-def _identity(el: Element) -> tuple:
-    """Merge identity: tag, absolute attributes, and delta attribute names+units.
-
-    Delta magnitudes are excluded, so two RATE tags asking for different signed
-    speed changes count as identical and combine additively.
-    """
-    plain, deltas = _split_attrs(el)
-    return (el.tag, plain, tuple(sorted((name, unit) for name, (_, unit) in deltas.items())))
-
-
 def _format_delta(value: float, unit: str) -> str:
     return f"{value:+g}{unit}"
 
@@ -405,7 +382,23 @@ def merge_tags(doc: SeemlDocument) -> SeemlDocument:
     (the larger scope stands); with delta attributes the tags collapse onto the
     innermost span and their deltas sum.
     """
+    split_memo: dict[int, tuple] = {}
     below_memo: dict[int, frozenset] = {}
+
+    def split(el: Element) -> tuple:
+        """Merge identity, absolute attributes and deltas of `el`, once per element.
+
+        The identity is the tag, the absolute attributes, and the delta names
+        and units: delta magnitudes are left out, so two RATE tags asking for
+        different signed speed changes count as identical and add up.
+        """
+        cached = split_memo.get(id(el))
+        if cached is None:
+            plain, deltas = _split_attrs(el)
+            units = tuple(sorted((name, unit) for name, (_, unit) in deltas.items()))
+            cached = ((el.tag, plain, units), plain, deltas)
+            split_memo[id(el)] = cached
+        return cached
 
     def idents_below(node: Node) -> frozenset:
         if isinstance(node, Text):
@@ -415,7 +408,7 @@ def merge_tags(doc: SeemlDocument) -> SeemlDocument:
             found: set = set()
             for child in node.children:
                 if isinstance(child, Element):
-                    found.add(_identity(child))
+                    found.add(split(child)[0])
                 found |= idents_below(child)
             cached = frozenset(found)
             below_memo[id(node)] = cached
@@ -424,8 +417,7 @@ def merge_tags(doc: SeemlDocument) -> SeemlDocument:
     def rebuild(node: Node, plain_anc: frozenset, delta_in: dict) -> list[Node]:
         if isinstance(node, Text):
             return [node]
-        ident = _identity(node)
-        plain, deltas = _split_attrs(node)
+        ident, plain, deltas = split(node)
         if deltas:
             if ident in idents_below(node):
                 inherited = dict(delta_in.get(ident, {}))
@@ -443,6 +435,7 @@ def merge_tags(doc: SeemlDocument) -> SeemlDocument:
             kids: list[Node] = []
             for child in node.children:
                 kids.extend(rebuild(child, plain_anc, delta_in))
+            # the summed deltas are new attribute values, so they are validated again
             return [element(node.tag, attrs, kids)]
         if ident in plain_anc:
             out = []
@@ -452,7 +445,7 @@ def merge_tags(doc: SeemlDocument) -> SeemlDocument:
         kids = []
         for child in node.children:
             kids.extend(rebuild(child, plain_anc | {ident}, delta_in))
-        return [element(node.tag, dict(node.attrs), kids)]
+        return [_with_children(node, kids)]
 
     roots: list[Node] = []
     for node in doc.children:

@@ -13,9 +13,9 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import ByrneError
 from .facts import GameFact
-from .patterns import Binding, match_all
+from .patterns import Binding, is_variable, match_all
 from .seeml import SeemlDocument, _escape_text, parse_seeml
-from .sexpr import Sexpr, Symbol, to_text
+from .sexpr import Sexpr, Symbol, is_keyword, to_text
 
 
 class CoverageError(ByrneError):
@@ -78,6 +78,43 @@ def select_template(
     if best is None:
         raise CoverageError(str(fact.predicate))
     return best[1], best[2]
+
+
+def _head(pattern: Sexpr) -> Optional[str]:
+    """The predicate a pattern can only match under, if it names one.
+
+    Keyed or positional, a pattern led by a plain symbol only matches a ground
+    form led by the same symbol.
+    """
+    if isinstance(pattern, tuple) and pattern:
+        first = pattern[0]
+        if isinstance(first, Symbol) and not is_keyword(first) and not is_variable(first):
+            return str(first)
+    return None
+
+
+def index_templates(
+    templates: Iterable[Template], statics: Iterable[Sexpr]
+) -> tuple[dict[str, tuple[Template, ...]], tuple[Template, ...]]:
+    """The templates that can match a fact of each predicate, in profile order.
+
+    `select_template` matches preconditions against the fact plus the statics,
+    so a precondition whose head no static has can only match the fact. A
+    template with one such head is a candidate for that predicate alone, one
+    with none for every predicate, and one with two for none. Returns the
+    per-predicate candidates and the candidates for any other predicate.
+    """
+    static_heads = {h for h in map(_head, statics) if h is not None}
+    owns: list[tuple[Template, set[str]]] = []
+    for t in templates:
+        heads = {h for h in map(_head, t.preconditions) if h is not None}
+        owns.append((t, heads - static_heads))
+    anywhere = tuple(t for t, own in owns if not own)
+    by_head = {
+        head: tuple(t for t, own in owns if own <= {head})
+        for head in {next(iter(own)) for _, own in owns if len(own) == 1}
+    }
+    return by_head, anywhere
 
 
 _VAR_RE = re.compile(r"\?[A-Za-z][A-Za-z0-9_-]*")

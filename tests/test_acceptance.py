@@ -21,6 +21,7 @@ from byrne.behaviors import (
     MotivationPattern,
     UTTERANCE,
     activate_behaviors,
+    bind_statics,
     arbitrate,
 )
 from byrne.facts import FactBoard, parse_game_log, select_fact
@@ -178,7 +179,7 @@ def test_criterion_6_arbitration():
             EmotionStructure("anger", 8.0, None, read_one("(x y: 3)"), decay, 0.0),
         )
     )
-    winners = arbitrate(activate_behaviors([broad, strong], pool, [], 0.0))
+    winners = arbitrate(activate_behaviors(bind_statics([broad, strong], []), pool, 0.0))
     assert [w.spec.id for w in winners] == ["broad"]
     assert winners[0].activation == 9.0
 

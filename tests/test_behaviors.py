@@ -16,6 +16,7 @@ from byrne.behaviors import (
     SpeechTagDirective,
     UTTERANCE,
     activate_behaviors,
+    bind_statics,
     arbitrate,
     at_point,
     expand,
@@ -46,12 +47,12 @@ def leaf(bid: str, group: str, *motivations: str, **kwargs) -> BehaviorSpec:
 class TestActivation:
     def test_empty_pool_activates_nothing(self):
         specs = [leaf("beam", "face", "happiness")]
-        assert activate_behaviors(specs, EmotionPool(), [], 0.0) == []
+        assert activate_behaviors(bind_statics(specs, []), EmotionPool(), 0.0) == []
 
     def test_single_emotion_activation_level(self):
         specs = [leaf("beam", "face", "happiness")]
         pool = EmotionPool((emotion("happiness", 8),))
-        (activated,) = activate_behaviors(specs, pool, [], 0.0)
+        (activated,) = activate_behaviors(bind_statics(specs, []), pool, 0.0)
         assert activated.activation == 8.0
         assert activated.motivating == pool.structures
 
@@ -60,21 +61,21 @@ class TestActivation:
         pool = EmotionPool(
             (emotion("happiness", 4), emotion("interest", 5), emotion("anger", 8))
         )
-        winners = arbitrate(activate_behaviors(specs, pool, [], 0.0))
+        winners = arbitrate(activate_behaviors(bind_statics(specs, []), pool, 0.0))
         assert [w.spec.id for w in winners] == ["glow"]
         assert winners[0].activation == 9.0
 
     def test_every_motivation_pattern_must_match(self):
         specs = [leaf("glow", "face", "happiness", "interest")]
         pool = EmotionPool((emotion("happiness", 9),))
-        assert activate_behaviors(specs, pool, [], 0.0) == []
+        assert activate_behaviors(bind_statics(specs, []), pool, 0.0) == []
 
     def test_static_preconditions_gate_activation(self):
         spec = leaf("beam", "face", "happiness", preconditions=(read_one("(supports team: ?t)"),))
         pool = EmotionPool((emotion("happiness", 8),))
-        assert activate_behaviors([spec], pool, [], 0.0) == []
+        assert activate_behaviors(bind_statics([spec], []), pool, 0.0) == []
         statics = [read_one("(supports team: a)")]
-        assert len(activate_behaviors([spec], pool, statics, 0.0)) == 1
+        assert len(activate_behaviors(bind_statics([spec], statics), pool, 0.0)) == 1
 
     def test_target_pattern_filters_structures(self):
         spec = BehaviorSpec(
@@ -85,19 +86,19 @@ class TestActivation:
         )
         miss = EmotionPool((emotion("anger", 7, "b1"),))
         hit = EmotionPool((emotion("anger", 7, "b2"),))
-        assert activate_behaviors([spec], miss, [], 0.0) == []
-        (activated,) = activate_behaviors([spec], hit, [], 0.0)
+        assert activate_behaviors(bind_statics([spec], []), miss, 0.0) == []
+        (activated,) = activate_behaviors(bind_statics([spec], []), hit, 0.0)
         assert activated.activation == 7.0
 
     def test_expansion_only_nodes_do_not_self_activate(self):
         spec = BehaviorSpec(id="limb", group="parts", directives=(AuralEventDirective("cheer", at_point("end")),))
         pool = EmotionPool((emotion("happiness", 9),))
-        assert activate_behaviors([spec], pool, [], 0.0) == []
+        assert activate_behaviors(bind_statics([spec], []), pool, 0.0) == []
 
     def test_activation_sums_all_matching_structures(self):
         specs = [leaf("hype", "voice", "interest")]
         pool = EmotionPool((emotion("interest", 3, "a1"), emotion("interest", 4, "a2")))
-        (activated,) = activate_behaviors(specs, pool, [], 0.0)
+        (activated,) = activate_behaviors(bind_statics(specs, []), pool, 0.0)
         assert activated.activation == 7.0
 
 

@@ -4,7 +4,7 @@ import filecmp
 from pathlib import Path
 
 import pytest
-from conftest import DEMO, MINIMAL_STYLE, fact_of
+from conftest import DEMO, GOLDEN, MINIMAL_STYLE, fact_of
 
 from byrne.errors import ByrneError
 from byrne.facts import TickUpdate, parse_game_log
@@ -174,7 +174,7 @@ class TestRunReplay:
         )
         assert code == 1
 
-    def test_runtime_verification_error_exits_2(self, tmp_path, capsys):
+    def test_aural_name_missing_from_style_exits_1(self, tmp_path, capsys):
         # the profile's behavior asks for an aural event the style does not map
         profile = tmp_path / "p.profile"
         profile.write_text(
@@ -191,8 +191,57 @@ class TestRunReplay:
         log = tmp_path / "g.log"
         log.write_text("(tick 1)\n(fact (move player: a1) relevance: 5)\n")
         code = run_replay(log, profile, style, tmp_path / "o")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'klaxonist'" in err and "'klaxon'" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_aural_name_in_template_body_missing_from_style_exits_1(self, tmp_path, capsys):
+        profile = tmp_path / "p.profile"
+        profile.write_text(
+            '(template id: honker (pre (move player: ?p))'
+            ' (text "<su><seg>?p runs</seg><AURAL NAME=\\"horn\\"/></su>"))\n'
+        )
+        style = tmp_path / "s.style"
+        style.write_text(MINIMAL_STYLE)
+        log = tmp_path / "g.log"
+        log.write_text("(tick 1)\n(fact (move player: a1) relevance: 5)\n")
+        code = run_replay(log, profile, style, tmp_path / "o")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "template 'honker'" in err and "'horn'" in err and "[aural]" in err
+
+    def test_runtime_verification_error_exits_2(self, tmp_path, capsys):
+        # facial mark-up over no words loads, but has no timeline to anchor to
+        profile = tmp_path / "p.profile"
+        profile.write_text(
+            '(template id: mute (pre (move player: ?p))'
+            ' (text "<su><seg><AU NUM=\\"5\\" LEVEL=\\"0.5\\"/></seg></su>"))\n'
+        )
+        style = tmp_path / "s.style"
+        style.write_text(MINIMAL_STYLE)
+        log = tmp_path / "g.log"
+        log.write_text("(tick 1)\n(fact (move player: a1) relevance: 5)\n")
+        code = run_replay(log, profile, style, tmp_path / "o")
         assert code == 2
-        assert "klaxon" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no words to anchor a timeline" in err and "Traceback" not in err
+
+    def test_stale_utterance_files_are_removed(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("utt-999.sable", "utt-999.facs", "notes.txt"):
+            (out / name).write_text("left over\n")
+        code = run_replay(
+            DEMO / "game.log", DEMO / "announcer.profile", DEMO / "announcer.style", out
+        )
+        assert code == 0
+        assert not (out / "utt-999.sable").exists() and not (out / "utt-999.facs").exists()
+        assert (out / "notes.txt").read_text() == "left over\n"
+        golden = sorted(p.name for p in GOLDEN.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == sorted(golden + ["notes.txt"])
+        match, mismatch, errors = filecmp.cmpfiles(out, GOLDEN, golden, shallow=False)
+        assert mismatch == [] and errors == []
 
     def test_percent_facial_level_in_template_exits_1(self, tmp_path, capsys):
         # verify_and_split reads EXPR/AU levels as plain numbers, so the loader rejects "%"

@@ -147,6 +147,27 @@ class TestSerialize:
 # --- directive application ----------------------------------------------------
 
 
+def random_directive(rng: Random):
+    scope = rng.choice([
+        UTTERANCE,
+        EVERY_PHRASE,
+        word_trigger(rng.choice(["goal", "ball", "KIRK", "a"])),
+        at_point(rng.choice(["start", "end"])),
+    ])
+    roll = rng.randrange(6)
+    if roll == 0:
+        return FacialExpressionDirective(rng.choice(["smile", "fear"]), rng.choice([0.3, 1.0]), scope)
+    if roll == 1:
+        return ActionUnitDirective(rng.choice([4, 12]), rng.choice([0.4, 0.6]), scope)
+    if roll == 2:
+        return AuralEventDirective(rng.choice(["hiccup", "cheer"]), scope)
+    if roll == 3:
+        return SpeechTagDirective("RATE", (("SPEED", rng.choice(["+5%", "-10%"])),), scope)
+    if roll == 4:
+        return SpeechTagDirective(rng.choice(["EMPH", "BREAK"]), (), scope)
+    return SpeechTagDirective("PITCH", (("RANGE", rng.choice(["+10%", "+20%"])),), scope)
+
+
 class TestApplyDirectives:
     def test_utterance_scope_wraps_root(self):
         doc = parse_seeml("<su><seg>goal</seg></su>")
@@ -219,6 +240,55 @@ class TestApplyDirectives:
             doc = random_document(rng)
             out = apply_directives(doc, directives)
             assert strip_text(out) == strip_text(doc)
+
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=80, deadline=None)
+    def test_text_preserved_property(self, seed):
+        rng = Random(seed)
+        doc = random_document(rng)
+        directives = [random_directive(rng) for _ in range(rng.randrange(1, 6))]
+        assert strip_text(apply_directives(doc, directives)) == strip_text(doc)
+
+    @given(st.integers(min_value=0, max_value=10**9), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_word_directive_marks_each_occurrence_once(self, seed, insertion):
+        # corpus text runs end in a space, so every whole word lies inside one text node
+        rng = Random(seed)
+        word = rng.choice(["goal", "BALL", "kirk", "a", "what"])
+        # a <w> holding just the word is marked whole, the rest word by word
+        spelled = element("w", {"pos": "n"}, [Text(f"{word.swapcase()} ")])
+        doc = document([spelled, *random_document(rng).children])
+        occurrences = re.findall(
+            rf"(?<!\w){re.escape(word)}(?!\w)", strip_text(doc), re.IGNORECASE
+        )
+        if insertion:
+            mark = element("AURAL", {"NAME": "klaxon"})
+            out = apply_directives(doc, [AuralEventDirective("klaxon", word_trigger(word))])
+        else:
+            mark = element("AU", {"NUM": "40", "LEVEL": "0.35"})
+            out = apply_directives(doc, [ActionUnitDirective(40, 0.35, word_trigger(word))])
+        marked: list[str] = []
+
+        def walk(nodes, inside: bool) -> None:
+            for i, node in enumerate(nodes):
+                if not isinstance(node, Element):
+                    continue
+                if (node.tag, node.attrs) == (mark.tag, mark.attrs):
+                    assert not inside, "an occurrence is marked twice"
+                    if insertion:
+                        before = nodes[i - 1]
+                        text = before.text if isinstance(before, Text) else strip_text(
+                            SeemlDocument((before,))
+                        )
+                        marked.append(re.split(r"\s+", text.strip())[-1])
+                    else:
+                        marked.append(strip_text(SeemlDocument((node,))).strip())
+                walk(node.children, inside or (node.tag, node.attrs) == (mark.tag, mark.attrs))
+
+        walk(out.children, False)
+        assert len(marked) == len(occurrences)
+        assert all(m.lower() == word.lower() for m in marked)
 
 
 # --- merge algebra --------------------------------------------------------------
@@ -405,6 +475,18 @@ class TestMergeTags:
     def test_matches_reference_merge_property(self, seed):
         doc = random_document(Random(seed))
         assert merge_tags(doc) == reference_merge(doc)
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=80, deadline=None)
+    def test_idempotent_and_text_preserving_over_directives_property(self, seed):
+        # behavior markup stacked on template markup, as a replay merges it
+        rng = Random(seed)
+        directives = [random_directive(rng) for _ in range(rng.randrange(1, 8))]
+        doc = apply_directives(random_document(rng), directives)
+        merged = merge_tags(doc)
+        assert merge_tags(merged) == merged
+        assert strip_text(merged) == strip_text(doc)
+        assert_no_identical_nesting(merged)
 
 
 # --- verify and split ------------------------------------------------------------

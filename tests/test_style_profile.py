@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from conftest import DEMO, MINIMAL_STYLE
 
-from byrne.profile import ProfileError, dump_profile, load_profile
+from byrne.profile import ProfileError, check_against_style, dump_profile, load_profile
 from byrne.sexpr import Symbol, read_one
 from byrne.style import StyleError, load_style
 
@@ -279,3 +281,39 @@ class TestProfileValidation:
                 "(behavior id: mid group: g (children ghost))\n"
             )
         assert err.value.diagnostics == ["behavior 'mid' expands to unknown child 'ghost'"]
+
+
+class TestCheckAgainstStyle:
+    def test_demo_profile_fits_demo_style(self, demo_profile, demo_style):
+        check_against_style(demo_profile, demo_style)
+
+    def test_every_missing_name_reported_with_its_user(self, minimal_style):
+        profile = load_profile(
+            "(behavior id: horn group: sound (motivated-by fear)"
+            " (directives (aural klaxon (point end)) (speech AURAL utterance NAME: \"bell\")))\n"
+            "(template id: honk (pre (move player: ?p))"
+            ' (text "<su><seg>?p runs</seg><AURAL NAME=\\"hooter\\"/></su>"))\n'
+        )
+        with pytest.raises(ProfileError) as err:
+            check_against_style(profile, minimal_style)
+        assert err.value.diagnostics == [
+            "behavior 'horn' uses aural event 'klaxon', which the style's [aural] section lacks",
+            "behavior 'horn' uses aural event 'bell', which the style's [aural] section lacks",
+            "template 'honk' uses aural event 'hooter', which the style's [aural] section lacks",
+        ]
+
+    def test_expression_names_checked(self, minimal_style):
+        profile = load_profile(
+            "(behavior id: grin group: face (motivated-by happiness)"
+            " (directives (expr smile 0.5 utterance)))\n"
+        )
+        narrow = replace(minimal_style, expressions={"sadness": ((1, 0.8),)})
+        with pytest.raises(ProfileError, match=r"behavior 'grin' uses expression 'smile'.*\[expressions\]"):
+            check_against_style(profile, narrow)
+
+    def test_name_bound_per_utterance_left_to_the_replay(self, minimal_style):
+        profile = load_profile(
+            "(template id: echo (pre (noise sound: ?s))"
+            ' (text "<su><seg>listen</seg><AURAL NAME=\\"?s\\"/></su>"))\n'
+        )
+        check_against_style(profile, minimal_style)

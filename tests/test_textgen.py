@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import re
 from collections import Counter
 from random import Random
 
+import hypothesis.strategies as st
 import pytest
-from conftest import fact_of
+from conftest import MINIMAL_STYLE, fact_of
+from hypothesis import given, settings
 
+from byrne.facts import TickUpdate
+from byrne.pipeline import UTTERANCE_START, initial_state, step
+from byrne.profile import load_profile
 from byrne.seeml import parse_seeml, serialize_seeml, strip_text
 from byrne.sexpr import Symbol, read_one
+from byrne.style import load_style
 from byrne.textgen import (
     CoverageError,
     InstantiationError,
@@ -173,3 +180,85 @@ class TestRecordUsage:
         before = UsageHistory()
         record_usage(before, "t", 1.0)
         assert before.record("t").use_count == 0
+
+
+# --- template choice in the replay -------------------------------------------------
+
+# Precondition sets by kind; `supports` and `nationality` may be statics.
+_FACT_PRES = [
+    "(pass from: ?x to: ?y)",
+    "(pass from: ?x)",
+    "(has-ball player: ?p)",
+    "(move player: ?p)",
+    "(scores team: ?t)",
+    "(scores team: a)",
+    "(supports team: ?t)",
+]
+_STATIC_JOINED = [
+    "(supports team: ?t) (scores team: ?t)",
+    "(nationality ?n) (move player: ?p)",
+    "(opponent team: ?t) (corner team: ?t)",
+]
+_BARE = ["?v", ""]
+_TWO_PREDICATES = ["(pass from: ?x) (move player: ?x)", "(has-ball player: ?p) (scores team: ?t)"]
+_STATICS = ["(supports team: a)", "(opponent team: b)", "(nationality scotland)"]
+
+
+def _random_profile(rng: Random) -> str:
+    kinds = [_STATIC_JOINED, _BARE, _TWO_PREDICATES]
+    kinds += [rng.choice([_FACT_PRES, _FACT_PRES, _STATIC_JOINED]) for _ in range(rng.randrange(1, 7))]
+    rng.shuffle(kinds)
+    lines = [f"(static {s})" for s in _STATICS if rng.random() < 0.7]
+    lines.append(f"(params lambda: {rng.choice([0, 5, 50])})")
+    for i, kind in enumerate(kinds):
+        pre = rng.choice(kind)
+        words = " ".join(sorted(set(re.findall(r"\?\w+", pre))))
+        pre_form = f" (pre {pre})" if pre else ""
+        lines.append(f'(template id: t{i}{pre_form} (text "<su><seg>t{i} {words}</seg></su>"))')
+    return "\n".join(lines) + "\n"
+
+
+def _random_play(rng: Random, t: float) -> str:
+    p, q = rng.sample(["a1", "a2", "b1"], 2)
+    return rng.choice([
+        f"(pass from: {p} to: {q} begintime: {t:g})",
+        f"(has-ball player: {p})",
+        f"(move player: {p})",
+        f"(scores team: {rng.choice('ab')})",
+        f"(corner team: {rng.choice('ab')})",
+        f"(supports team: {rng.choice('ab')})",
+        "(throw-in team: a)",
+    ])
+
+
+class TestTemplateChoiceInReplay:
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_replay_picks_what_select_template_picks_over_all_templates(self, seed):
+        rng = Random(seed)
+        profile = load_profile(_random_profile(rng))
+        style = load_style(MINIMAL_STYLE)
+        state, history, now, previous = initial_state(), UsageHistory(), 0.0, None
+        for _ in range(rng.randrange(4, 12)):
+            now += rng.choice([20.0, 45.0, 200.0])  # every utterance has ended by the next play
+            fact = fact_of(_random_play(rng, now), 5)
+            gone = () if previous is None else (fact_of(previous.identity, 0),)
+            state, events = step(state, TickUpdate(now, (*gone, fact)), profile, style)
+            previous = fact
+            starts = [e for e in events if e.kind == UTTERANCE_START]
+            try:
+                template, binding = select_template(
+                    fact,
+                    profile.templates,
+                    history,
+                    now,
+                    statics=profile.statics,
+                    lambda_use_penalty=profile.lambda_use_penalty,
+                )
+            except CoverageError:
+                assert starts == []
+                continue
+            history = record_usage(history, template.id, now)
+            (start,) = starts
+            spoken = strip_text(parse_seeml(start.bundle.speech_script))
+            assert spoken == strip_text(instantiate(template, binding))
