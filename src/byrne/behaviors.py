@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .emotions import EmotionPool, EmotionStructure, NIL, intensity_at
+from .emotions import EmotionPool, EmotionStructure, intensity_at
 from .errors import ByrneError
-from .patterns import Binding, match_all, unify
+from .patterns import Binding, Keyed, match_all, unify
 from .sexpr import Sexpr
 
 
@@ -110,8 +110,9 @@ class ActivatedBehavior:
 BoundSpec = tuple[BehaviorSpec, tuple[Binding, ...]]
 
 
-def bind_statics(specs: Iterable[BehaviorSpec], statics: Iterable[Sexpr]) -> tuple[BoundSpec, ...]:
-    """The motivated specs whose static preconditions hold, with their bindings.
+def bind_statics(specs: Iterable[BehaviorSpec], statics: Iterable[Keyed]) -> tuple[BoundSpec, ...]:
+    """The motivated specs whose static preconditions hold over the keyed
+    statics, with their bindings.
 
     This depends on the profile alone, so it is computed once when the profile
     is built rather than on every utterance.
@@ -128,7 +129,7 @@ def bind_statics(specs: Iterable[BehaviorSpec], statics: Iterable[Sexpr]) -> tup
 
 
 def _target_matches(pattern: Sexpr, structure: EmotionStructure, static_bindings) -> bool:
-    actual = structure.target if structure.target is not None else NIL
+    actual = structure.matchable.pairs["target"]  # the keyed target, nil when absent
     return any(unify(pattern, actual, b) is not None for b in static_bindings)
 
 

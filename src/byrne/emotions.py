@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import ByrneError
 from .facts import FactBoard
-from .patterns import Binding, is_ground, match_all, substitute, unify
+from .patterns import Binding, Ground, Keyed, is_ground, keyed, match_all, substitute, unify
 from .sexpr import Sexpr, Symbol, kw, to_text
 
 EMOTION_TYPES = ("fear", "anger", "sadness", "happiness", "disgust", "surprise", "interest")
@@ -90,6 +91,11 @@ class EmotionStructure:
         target = self.target if self.target is not None else NIL
         return (kw("type"), Symbol(self.type), kw("target"), target, kw("cause"), self.cause)
 
+    @cached_property
+    def matchable(self) -> Ground:
+        """The keyed form of `view()`, built once per structure."""
+        return keyed(self.view())
+
 
 def intensity_at(e: EmotionStructure, now: float) -> float:
     if now < e.created_at:
@@ -121,11 +127,12 @@ class EmotionPool:
 
 
 def rule_universe(
-    board: FactBoard, statics: Iterable[Sexpr], pool: EmotionPool
-) -> list[Sexpr]:
-    """What preconditions match against: world facts, statics, active emotions."""
-    facts = sorted((f.as_sexpr() for f in board.facts()), key=to_text)
-    return [*facts, *statics, *(e.view() for e in pool.structures)]
+    board: FactBoard, statics: Iterable[Keyed], pool: EmotionPool
+) -> list[Keyed]:
+    """What preconditions match against, keyed: world facts in identity order,
+    statics, active emotions."""
+    facts = [board.keyed[identity] for identity in sorted(board.keyed)]
+    return [*facts, *statics, *(e.matchable for e in pool.structures)]
 
 
 def _instantiate(schema: EmotionSchema, binding: Binding, now: float) -> EmotionStructure:
@@ -142,24 +149,25 @@ def _instantiate(schema: EmotionSchema, binding: Binding, now: float) -> Emotion
 def apply_rules(
     pool: EmotionPool,
     board: FactBoard,
-    statics: Sequence[Sexpr],
+    statics: Sequence[Keyed],
     rules: Sequence[EmotionRule],
     now: float,
 ) -> EmotionPool:
     """Fire every rule in profile order: deletions, then additions, per binding.
 
     Re-firing is idempotent: a structure is not added when the pool already
-    holds one with the same type, target, and cause.
+    holds one with the same type, target, and cause. The universe is built
+    once per call; only its emotion tail follows the pool from rule to rule.
     """
     structures = list(pool.structures)
+    universe = rule_universe(board, statics, pool)
+    fixed = len(universe) - len(structures)
     for rule in rules:
-        bindings = match_all(
-            rule.preconditions, rule_universe(board, statics, EmotionPool(tuple(structures)))
-        )
+        bindings = match_all(rule.preconditions, universe)
         for binding in bindings:
             for pattern in rule.deletions:
                 probe = substitute(pattern, binding)
-                structures = [s for s in structures if unify(probe, s.view(), {}) is None]
+                structures = [s for s in structures if unify(probe, s.matchable, {}) is None]
             for schema in rule.additions:
                 new = _instantiate(schema, binding, now)
                 if any(
@@ -168,6 +176,8 @@ def apply_rules(
                 ):
                     continue
                 structures.append(new)
+        if bindings:
+            universe[fixed:] = [s.matchable for s in structures]
     return EmotionPool(tuple(structures))
 
 

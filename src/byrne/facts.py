@@ -8,10 +8,10 @@ below one are purged, so the board only ever holds facts worth mentioning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Collection, Optional
 
 from .errors import ByrneError
-from .patterns import is_ground, parse_keyed
+from .patterns import Keyed, is_ground, keyed, parse_keyed
 from .sexpr import SexprError, Sexpr, Symbol, is_keyword, keyword_name, kw, read_one, to_text
 
 
@@ -48,7 +48,10 @@ class GameFact:
 
     @property
     def identity(self) -> str:
-        """Canonical text of predicate+args; the relevance score is not part of it."""
+        """Canonical text of predicate+args; the relevance score is not part of it.
+
+        Built on every access; the board's keys and `InProgress` keep it once.
+        """
         return to_text(self.as_sexpr())
 
     def arg(self, name: str, default: Optional[Sexpr] = None) -> Optional[Sexpr]:
@@ -85,6 +88,16 @@ def fact_from_sexpr(form: Sexpr, relevance: float, line: int | None = None) -> G
 class FactBoard:
     entries: dict[str, GameFact] = field(default_factory=dict)
     clock: float = float("-inf")
+    # The keyed form of each entry's term under the same identity key, for the
+    # rule matcher. `apply_tick` builds one only for an identity new to the
+    # board, since a re-score does not change the term; a board built from
+    # entries alone keys them all here.
+    keyed: Optional[dict[str, Keyed]] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.keyed is None:
+            terms = {identity: keyed(f.as_sexpr()) for identity, f in self.entries.items()}
+            object.__setattr__(self, "keyed", terms)
 
     def facts(self) -> tuple[GameFact, ...]:
         return tuple(self.entries.values())
@@ -150,30 +163,39 @@ def apply_tick(board: FactBoard, update: TickUpdate) -> FactBoard:
             f"tick {update.tick_time:g} does not advance past clock {board.clock:g}"
         )
     entries = dict(board.entries)
+    terms = dict(board.keyed)
     for fact in update.facts:
-        entries[fact.identity] = fact
-    entries = {key: f for key, f in entries.items() if f.relevance >= 1.0}
-    return FactBoard(entries, float(update.tick_time))
+        identity = fact.identity
+        entries[identity] = fact
+        if identity not in terms:
+            terms[identity] = keyed(fact.as_sexpr())
+    entries = {identity: f for identity, f in entries.items() if f.relevance >= 1.0}
+    terms = {identity: terms[identity] for identity in entries}
+    return FactBoard(entries, float(update.tick_time), terms)
 
 
-def _selection_key(fact: GameFact) -> tuple:
+def _selection_key(entry: tuple[str, GameFact]) -> tuple:
+    identity, fact = entry
     end = fact.end_time if fact.end_time is not None else float("-inf")
-    return (-fact.relevance, -end, fact.identity)
+    return (-fact.relevance, -end, identity)
 
 
-def select_fact(board: FactBoard) -> GameFact | None:
-    """Most relevant entry; ties go to the latest end_time, then smallest identity."""
-    if not board.entries:
+def select_fact(board: FactBoard, skipped: Collection[str] = ()) -> str | None:
+    """Identity of the most relevant entry not in `skipped`; ties go to the
+    latest end_time, then the smallest identity."""
+    entries = [(k, f) for k, f in board.entries.items() if k not in skipped]
+    if not entries:
         return None
-    return min(board.entries.values(), key=_selection_key)
+    return min(entries, key=_selection_key)[0]
 
 
-def should_interrupt(reported: GameFact, board: FactBoard) -> bool:
-    """True iff some board entry is strictly more relevant than `reported` is now.
+def should_interrupt(identity: str, board: FactBoard) -> bool:
+    """True iff some board entry is strictly more relevant than the reported
+    fact, named by its identity, is now.
 
     The comparison uses the reported fact's current board score; a fact that
     has been purged counts as relevance 0, so anything still worth saying wins.
     """
-    current = board.entries.get(reported.identity)
+    current = board.entries.get(identity)
     rel = current.relevance if current is not None else 0.0
     return any(f.relevance > rel for f in board.entries.values())

@@ -7,11 +7,16 @@ extra keywords on the candidate are ignored, so ``(scores team: ?t)`` matches
 ``(scores team: a time: 125)``. Plain tuples (coordinate pairs and the like)
 match positionally. Candidates are always ground, so this is matching rather
 than full unification.
+
+Candidates come in keyed form (`keyed`): each compound ground term is split
+into head and keyword map, or into positional items, once where the term is
+born (a fact joining the board, an emotion structure, a profile static), so
+only the pattern side is split on each `unify` call.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .errors import ByrneError
 from .sexpr import Sexpr, Symbol, is_keyword, keyword_name, to_text
@@ -68,6 +73,35 @@ def parse_keyed(form: Sexpr) -> Optional[tuple[Optional[Symbol], dict[str, Sexpr
     return head, pairs
 
 
+class Ground:
+    """A compound ground term split once: `pairs` maps each keyword name to a
+    keyed sub-term when the term is keyword-shaped (`head` is then its
+    predicate, or None when headless), otherwise `items` holds the keyed
+    sub-terms in order. `term` is the term itself, which is what variables
+    bind to."""
+
+    __slots__ = ("term", "head", "pairs", "items")
+
+    def __init__(self, term: tuple) -> None:
+        self.term = term
+        split = parse_keyed(term)
+        if split is None:
+            self.head, self.pairs = None, None
+            self.items = tuple(keyed(c) for c in term)
+        else:
+            self.head = split[0]
+            self.pairs = {name: keyed(v) for name, v in split[1].items()}
+            self.items = None
+
+
+Keyed = Union[Ground, Symbol, str, int, float]
+
+
+def keyed(term: Sexpr) -> Keyed:
+    """The keyed form `unify` takes as a candidate; an atom is its own."""
+    return Ground(term) if isinstance(term, tuple) else term
+
+
 def _atoms_match(pattern: Sexpr, value: Sexpr) -> bool:
     if isinstance(pattern, (int, float)) and isinstance(value, (int, float)):
         return pattern == value
@@ -79,19 +113,21 @@ def _atoms_match(pattern: Sexpr, value: Sexpr) -> bool:
     return False
 
 
-def unify(pattern: Sexpr, value: Sexpr, binding: Binding) -> Optional[Binding]:
-    """Extend `binding` so that `pattern` matches ground `value`, or None."""
+def unify(pattern: Sexpr, value: Keyed, binding: Binding) -> Optional[Binding]:
+    """Extend `binding` so that `pattern` matches the keyed ground `value`, or None."""
     if is_variable(pattern):
+        term = value.term if isinstance(value, Ground) else value
         bound = binding.get(pattern)
         if bound is None:
             out = dict(binding)
-            out[pattern] = value
+            out[pattern] = term
             return out
-        return binding if _equal(bound, value) else None
-    if isinstance(pattern, tuple) and isinstance(value, tuple):
-        pk, vk = parse_keyed(pattern), parse_keyed(value)
-        if pk is not None and vk is not None:
-            (ph, pp), (vh, vp) = pk, vk
+        return binding if _equal(bound, term) else None
+    if isinstance(pattern, tuple) and isinstance(value, Ground):
+        pk = parse_keyed(pattern)
+        if pk is not None and value.pairs is not None:
+            ph, pp = pk
+            vh, vp = value.head, value.pairs
             if (ph is None) != (vh is None) or (ph is not None and str(ph) != str(vh)):
                 return None
             b: Optional[Binding] = binding
@@ -102,17 +138,19 @@ def unify(pattern: Sexpr, value: Sexpr, binding: Binding) -> Optional[Binding]:
                 if b is None:
                     return None
             return b
-        if pk is None and vk is None:
-            if len(pattern) != len(value):
+        if pk is None and value.pairs is None:
+            if len(pattern) != len(value.items):
                 return None
             b = binding
-            for p, v in zip(pattern, value):
+            for p, v in zip(pattern, value.items):
                 b = unify(p, v, b)
                 if b is None:
                     return None
             return b
         return None
-    if isinstance(pattern, tuple) or isinstance(value, tuple):
+    if isinstance(value, tuple):
+        raise TypeError(f"candidate {to_text(value)} is not in keyed form; build it with keyed()")
+    if isinstance(pattern, tuple) or isinstance(value, Ground):
         return None
     return binding if _atoms_match(pattern, value) else None
 
@@ -135,10 +173,10 @@ def substitute(x: Sexpr, binding: Binding) -> Sexpr:
 
 def match_all(
     patterns: Iterable[Sexpr],
-    candidates: Iterable[Sexpr],
+    candidates: Iterable[Keyed],
     binding: Optional[Binding] = None,
 ) -> list[Binding]:
-    """Every binding satisfying all patterns against the candidate set.
+    """Every binding satisfying all patterns against the keyed candidate set.
 
     Patterns are tried left to right against candidates in their given order,
     so the result order is deterministic; duplicate bindings are dropped.

@@ -25,7 +25,6 @@ from .emotions import EmotionPool, apply_rules, decay_pool, intensity_at
 from .errors import ByrneError
 from .facts import (
     FactBoard,
-    GameFact,
     TickUpdate,
     apply_tick,
     parse_game_log,
@@ -60,7 +59,7 @@ class CommentaryEvent:
 
 @dataclass(frozen=True)
 class InProgress:
-    fact: GameFact
+    identity: str  # the reported fact's board key
     index: int
     start_time: float
     duration_ms: float
@@ -96,24 +95,21 @@ def _begin_utterance(
     names = profile.name_table()
     skipped: set[str] = set()
     while True:
-        candidates = FactBoard(
-            {k: f for k, f in board.entries.items() if k not in skipped}, board.clock
-        )
-        fact = select_fact(candidates)
-        if fact is None:
+        identity = select_fact(board, skipped)
+        if identity is None:
             return None, history, count, []
         try:
             template, binding = select_template(
-                fact,
-                profile.templates_for(fact.predicate),
+                board.keyed[identity],
+                profile.templates_for(board.entries[identity].predicate),
                 history,
                 now,
-                statics=profile.statics,
+                statics=profile.keyed_statics,
                 lambda_use_penalty=profile.lambda_use_penalty,
             )
-        except CoverageError as e:
-            logger.warning("skipping fact with no template: %s", fact.identity)
-            skipped.add(fact.identity)
+        except CoverageError:
+            logger.warning("skipping fact with no template: %s", identity)
+            skipped.add(identity)
             continue
         doc = instantiate(template, binding, names)
         winners = arbitrate(activate_behaviors(profile.bound_behaviors, pool, now))
@@ -122,9 +118,9 @@ def _begin_utterance(
         history = record_usage(history, template.id, now)
         count += 1
         utterance = InProgress(
-            fact, count, start_at, bundle.total_duration_ms, bundle.seg_boundaries_ms
+            identity, count, start_at, bundle.total_duration_ms, bundle.seg_boundaries_ms
         )
-        event = CommentaryEvent(start_at, UTTERANCE_START, fact.identity, count, bundle)
+        event = CommentaryEvent(start_at, UTTERANCE_START, identity, count, bundle)
         return utterance, history, count, [event]
 
 
@@ -139,7 +135,7 @@ def step(
     board = apply_tick(state.board, update)
     now = board.clock
     pool = decay_pool(
-        apply_rules(state.pool, board, profile.statics, profile.emotion_rules, now), now
+        apply_rules(state.pool, board, profile.keyed_statics, profile.emotion_rules, now), now
     )
     history = state.history
     count = state.utterance_count
@@ -147,18 +143,18 @@ def step(
 
     if current is not None and current.end_time() <= now:
         events.append(
-            CommentaryEvent(current.end_time(), UTTERANCE_END, current.fact.identity, current.index)
+            CommentaryEvent(current.end_time(), UTTERANCE_END, current.identity, current.index)
         )
         current = None
 
     start_at = now
-    if current is not None and should_interrupt(current.fact, board):
+    if current is not None and should_interrupt(current.identity, board):
         elapsed_ms = (now - current.start_time) * 1000.0
         cut = next((b for b in current.boundaries_ms if b >= elapsed_ms - 1e-6), None)
         if cut is not None:
             cut_time = current.start_time + cut / 1000.0
             events.append(
-                CommentaryEvent(cut_time, INTERRUPTED, current.fact.identity, current.index)
+                CommentaryEvent(cut_time, INTERRUPTED, current.identity, current.index)
             )
             current = None
             start_at = cut_time
@@ -202,6 +198,14 @@ def _emotion_lines(pool: EmotionPool, now: float) -> list[str]:
     return lines
 
 
+def _check_out_dir(out: Path) -> None:
+    """Fail at load when `out` cannot become a directory: it, or its nearest
+    existing ancestor, is something else."""
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"output path {existing} is not a directory")
+
+
 def run_replay(
     log_path: str | Path,
     profile_path: str | Path,
@@ -214,7 +218,8 @@ def run_replay(
 ) -> int:
     """Replay a game log and write the commentary outputs; returns the exit code.
 
-    Exit 0 on success, 1 when an input fails to load, 2 on a runtime error.
+    Exit 0 on success, 1 when an input fails to load or `out_dir` cannot be a
+    directory, 2 on a runtime error or when writing the outputs fails.
     Outputs: per-utterance `utt-<n>.sable` and `utt-<n>.facs`, plus
     `commentary.trace` and `emotions.trace`. Utterance files in `out_dir` that
     this run does not write are deleted, so the directory holds one run; any
@@ -227,6 +232,8 @@ def run_replay(
         profile = load_profile(Path(profile_path).read_text(encoding="utf-8"))
         style = load_style(Path(style_path).read_text(encoding="utf-8"))
         check_against_style(profile, style)
+        out = Path(out_dir)
+        _check_out_dir(out)
     except (OSError, ByrneError) as e:
         print(f"commentate: load error: {e}", file=sys.stderr)
         return 1
@@ -250,27 +257,29 @@ def run_replay(
         if state.in_progress is not None:
             final = state.in_progress
             commentary_lines.append(
-                f"{final.end_time():.3f}\t{_TRACE_KIND[UTTERANCE_END]}\t{final.index}\t{final.fact.identity}"
+                f"{final.end_time():.3f}\t{_TRACE_KIND[UTTERANCE_END]}\t{final.index}\t{final.identity}"
             )
     except ByrneError as e:
         print(f"commentate: runtime error: {e}", file=sys.stderr)
         return 2
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     def write(name: str, content: str) -> None:
         with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)
 
-    written = {f"utt-{index}.{ext}" for index, _ in bundles for ext in ("sable", "facs")}
-    for path in out.iterdir():
-        if path.name not in written and _UTTERANCE_FILE.fullmatch(path.name) and path.is_file():
-            path.unlink()
-    for index, bundle in bundles:
-        write(f"utt-{index}.sable", bundle.speech_script + "\n")
-        write(f"utt-{index}.facs", format_face_timeline(bundle))
-    write("commentary.trace", "".join(line + "\n" for line in commentary_lines))
-    write("emotions.trace", "".join(line + "\n" for line in emotion_lines))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        written = {f"utt-{index}.{ext}" for index, _ in bundles for ext in ("sable", "facs")}
+        for path in out.iterdir():
+            if path.name not in written and _UTTERANCE_FILE.fullmatch(path.name) and path.is_file():
+                path.unlink()
+        for index, bundle in bundles:
+            write(f"utt-{index}.sable", bundle.speech_script + "\n")
+            write(f"utt-{index}.facs", format_face_timeline(bundle))
+        write("commentary.trace", "".join(line + "\n" for line in commentary_lines))
+        write("emotions.trace", "".join(line + "\n" for line in emotion_lines))
+    except OSError as e:
+        print(f"commentate: write error: {e}", file=sys.stderr)
+        return 2
     logger.info("replay wrote %d utterances to %s", len(bundles), out)
     return 0

@@ -39,7 +39,7 @@ from .emotions import (
     RuleError,
 )
 from .errors import ByrneError
-from .patterns import is_ground, variables_in
+from .patterns import Keyed, is_ground, keyed, variables_in
 from .sexpr import (
     SexprError,
     Sexpr,
@@ -81,11 +81,13 @@ class CharacterProfile:
     # while loading; `check_against_style` looks them up.
     style_names: tuple[tuple[str, str, str], ...] = field(default=(), repr=False, compare=False)
     # Derived from the fields above when the profile is built; no tick changes them.
+    keyed_statics: tuple[Keyed, ...] = field(init=False, repr=False, compare=False)
     bound_behaviors: tuple[BoundSpec, ...] = field(init=False, repr=False, compare=False)
     _template_index: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bound_behaviors", bind_statics(self.behaviors, self.statics))
+        object.__setattr__(self, "keyed_statics", tuple(keyed(s) for s in self.statics))
+        object.__setattr__(self, "bound_behaviors", bind_statics(self.behaviors, self.keyed_statics))
         object.__setattr__(self, "_template_index", index_templates(self.templates, self.statics))
 
     def name_table(self) -> dict[str, str]:

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .errors import ByrneError
-from .facts import GameFact
-from .patterns import Binding, is_variable, match_all
+from .patterns import Binding, Ground, Keyed, is_variable, match_all
 from .seeml import SeemlDocument, _escape_text, parse_seeml
 from .sexpr import Sexpr, Symbol, is_keyword, to_text
 
@@ -50,20 +49,21 @@ class UsageHistory:
 
 
 def select_template(
-    fact: GameFact,
+    fact: Ground,
     templates: Iterable[Template],
     history: UsageHistory,
     now: float,
     *,
-    statics: Iterable[Sexpr] = (),
+    statics: Iterable[Keyed] = (),
     lambda_use_penalty: float = 5.0,
 ) -> tuple[Template, Binding]:
-    """Best-scoring template whose preconditions match the fact (plus statics).
+    """Best-scoring template whose preconditions match the keyed fact (plus
+    the keyed statics).
 
     Score is seconds-since-last-use minus a per-use penalty; a never-used
     template scores infinitely fresh. Ties break on template id.
     """
-    universe = [fact.as_sexpr(), *statics]
+    universe = [fact, *statics]
     best: tuple[tuple, Template, Binding] | None = None
     for template in templates:
         bindings = match_all(template.preconditions, universe)
@@ -76,7 +76,7 @@ def select_template(
         if best is None or key < best[0]:
             best = (key, template, bindings[0])
     if best is None:
-        raise CoverageError(str(fact.predicate))
+        raise CoverageError(str(fact.head))
     return best[1], best[2]
 
 

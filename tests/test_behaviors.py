@@ -23,6 +23,7 @@ from byrne.behaviors import (
     word_trigger,
 )
 from byrne.emotions import DecayFunction, EmotionPool, EmotionStructure
+from byrne.patterns import keyed
 from byrne.sexpr import Symbol, read_one
 
 CONSTANT = DecayFunction("constant")
@@ -74,7 +75,7 @@ class TestActivation:
         spec = leaf("beam", "face", "happiness", preconditions=(read_one("(supports team: ?t)"),))
         pool = EmotionPool((emotion("happiness", 8),))
         assert activate_behaviors(bind_statics([spec], []), pool, 0.0) == []
-        statics = [read_one("(supports team: a)")]
+        statics = [keyed(read_one("(supports team: a)"))]
         assert len(activate_behaviors(bind_statics([spec], statics), pool, 0.0)) == 1
 
     def test_target_pattern_filters_structures(self):

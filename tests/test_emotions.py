@@ -21,7 +21,7 @@ from byrne.emotions import (
     rule_universe,
 )
 from byrne.facts import FactBoard
-from byrne.patterns import is_variable, match_all, parse_keyed, substitute, variables_in
+from byrne.patterns import is_variable, keyed, match_all, parse_keyed, substitute, variables_in
 from byrne.sexpr import Symbol, read_one, to_text
 
 RECIPROCAL = DecayFunction("reciprocal")
@@ -96,13 +96,13 @@ SCORING_RULE = EmotionRule(
 
 class TestMatchRule:
     def test_worked_scoring_rule(self):
-        statics = [read_one("(supports team: a)")]
+        statics = [keyed(read_one("(supports team: a)"))]
         board = board_of(fact_of("(scores team: a time: 125)", 10))
         bindings = match_all(SCORING_RULE.preconditions, rule_universe(board, statics, EmotionPool()))
         assert bindings == [{Symbol("?team"): Symbol("a")}]
 
     def test_unification_failure(self):
-        statics = [read_one("(supports team: a)")]
+        statics = [keyed(read_one("(supports team: a)"))]
         board = board_of(fact_of("(scores team: b time: 125)", 10))
         assert match_all(SCORING_RULE.preconditions, rule_universe(board, statics, EmotionPool())) == []
 
@@ -131,7 +131,7 @@ class TestMatchRule:
             got_keys = {tuple(sorted((str(k), to_text(v)) for k, v in b.items())) for b in got}
 
             # oracle: try every assignment of variables to terms seen in the universe
-            universe = rule_universe(board, [], EmotionPool())
+            universe = [g.term for g in rule_universe(board, [], EmotionPool())]
             terms = sorted(
                 {t for fact in universe for t in _atoms(fact)}, key=to_text
             )
@@ -195,7 +195,7 @@ class TestApplyRules:
         assert apply_rules(pool, FactBoard(), [], [], 1.0) == pool
 
     def test_worked_scoring_rule_adds_happiness(self):
-        statics = [read_one("(supports team: a)")]
+        statics = [keyed(read_one("(supports team: a)"))]
         board = board_of(fact_of("(scores team: a time: 125)", 10))
         pool = apply_rules(EmotionPool(), board, statics, [SCORING_RULE], 125.0)
         (added,) = pool.structures
@@ -207,7 +207,7 @@ class TestApplyRules:
         assert added.created_at == 125.0
 
     def test_refire_is_idempotent(self):
-        statics = [read_one("(supports team: a)")]
+        statics = [keyed(read_one("(supports team: a)"))]
         board = board_of(fact_of("(scores team: a time: 125)", 10))
         once = apply_rules(EmotionPool(), board, statics, [SCORING_RULE], 125.0)
         twice = apply_rules(once, board, statics, [SCORING_RULE], 126.0)
@@ -296,7 +296,7 @@ class TestDecayPool:
     def test_only_two_removal_paths(self):
         # audit pool deltas across a tick: anything that left was either matched
         # by a deletion pattern or decayed below one
-        statics = [read_one("(supports team: a)")]
+        statics = [keyed(read_one("(supports team: a)"))]
         board = board_of(fact_of("(scores team: a)", 10))
         rule = EmotionRule(
             preconditions=(read_one("(scores team: ?t)"),),

@@ -101,7 +101,7 @@ class TestApplyTick:
         board = board_of(fact_of("(has-ball player: a2)", 5))
         after = apply_tick(board, TickUpdate(1.0, (fact_of("(has-ball player: a2)", 7),)))
         assert len(after.entries) == 1
-        assert select_fact(after).relevance == 7
+        assert after.entries[select_fact(after)].relevance == 7
 
     def test_stale_tick_rejected(self):
         board = apply_tick(FactBoard(), TickUpdate(5.0))
@@ -156,7 +156,7 @@ class TestSelectFact:
                 "(move player: b1 fromloc: (5 10) toloc: (10 10) begintime: 115 endtime: 120)", 3
             ),
         )
-        assert str(select_fact(board).predicate) == "pass"
+        assert str(board.entries[select_fact(board)].predicate) == "pass"
 
     def test_empty_board(self):
         assert select_fact(FactBoard()) is None
@@ -165,7 +165,7 @@ class TestSelectFact:
         rng = Random(99)
         for _ in range(100):
             board = random_board(rng)
-            chosen = select_fact(board)
+            chosen = board.entries[select_fact(board)]
             assert chosen.relevance == max(f.relevance for f in board.facts())
 
     def test_scaling_argmax_invariance(self):
@@ -180,7 +180,7 @@ class TestSelectFact:
                 },
                 board.clock,
             )
-            assert select_fact(board).identity == select_fact(scaled).identity
+            assert select_fact(board) == select_fact(scaled)
 
     def test_deterministic_on_identical_boards(self):
         rng = Random(13)
@@ -193,18 +193,18 @@ class TestSelectFact:
         early = fact_of("(shot player: a1 begintime: 10 endtime: 12)", 8)
         late = fact_of("(shot player: a2 begintime: 11 endtime: 14)", 8)
         untimed = fact_of("(shot player: a3)", 8)
-        assert select_fact(board_of(early, late, untimed)) == late
+        assert select_fact(board_of(early, late, untimed)) == late.identity
 
 
 class TestShouldInterrupt:
     def test_higher_relevance_fact_interrupts(self):
         reported = fact_of("(has-ball player: a2)", 5)
         board = board_of(reported, fact_of("(pass from: a1 to: a2)", 10))
-        assert should_interrupt(reported, board)
+        assert should_interrupt(reported.identity, board)
 
     def test_nothing_else_to_say(self):
         reported = fact_of("(has-ball player: a2)", 5)
-        assert not should_interrupt(reported, board_of(reported))
+        assert not should_interrupt(reported.identity, board_of(reported))
 
     def test_random_boards_exists_oracle(self):
         rng = Random(17)
@@ -212,14 +212,14 @@ class TestShouldInterrupt:
             board = random_board(rng)
             reported = rng.choice(board.facts())
             expected = any(f.relevance > reported.relevance for f in board.facts())
-            assert should_interrupt(reported, board) == expected
+            assert should_interrupt(reported.identity, board) == expected
 
     def test_strict_maximum_never_interrupted(self):
         rng = Random(23)
         for _ in range(50):
             board = random_board(rng)
             top = select_fact(board)
-            if sum(1 for f in board.facts() if f.relevance == top.relevance) == 1:
+            if sum(1 for f in board.facts() if f.relevance == board.entries[top].relevance) == 1:
                 assert not should_interrupt(top, board)
 
     def test_rescored_reported_fact_compares_at_new_value(self):
@@ -227,9 +227,9 @@ class TestShouldInterrupt:
         board = board_of(
             fact_of("(has-ball player: a2)", 2), fact_of("(move player: b1)", 3)
         )
-        assert should_interrupt(reported, board)
+        assert should_interrupt(reported.identity, board)
 
     def test_purged_reported_fact_yields_to_anything(self):
         reported = fact_of("(has-ball player: a2)", 9)
-        assert should_interrupt(reported, board_of(fact_of("(move player: b1)", 1)))
-        assert not should_interrupt(reported, FactBoard())
+        assert should_interrupt(reported.identity, board_of(fact_of("(move player: b1)", 1)))
+        assert not should_interrupt(reported.identity, FactBoard())

@@ -1,0 +1,232 @@
+"""The keyed matcher against the reference matcher over plain terms.
+
+`oracle_patterns` keeps the matcher that split both sides of every `unify`
+call; the keyed matcher must return the same bindings in the same order, and
+`apply_rules` must leave the same pool.
+"""
+
+from __future__ import annotations
+
+import hypothesis.strategies as st
+import oracle_patterns as oracle
+import pytest
+from conftest import DEMO
+from hypothesis import given, settings
+
+from byrne.emotions import (
+    EMOTION_TYPES,
+    DecayFunction,
+    EmotionPool,
+    EmotionRule,
+    EmotionSchema,
+    EmotionStructure,
+    apply_rules,
+)
+from byrne.facts import FactBoard, GameFact, TickUpdate, apply_tick, fact_from_sexpr, parse_game_log
+from byrne.patterns import keyed, match_all, parse_keyed, variables_in
+from byrne.pipeline import driver_ticks, initial_state, step
+from byrne.sexpr import Symbol, kw, read_one, to_text
+
+VARIABLES = [Symbol("?x"), Symbol("?y"), Symbol("?z")]
+
+# Symbol a and quoted "a", 1 and 1.0: pairs a careless key would merge.
+ATOMS = st.sampled_from([Symbol("a"), Symbol("b"), "a", "b", 0, 1, 1.0, 2.5])
+HEADS = st.sampled_from([Symbol("p"), Symbol("q"), Symbol("kickoff")])
+KEYS = st.sampled_from(["k", "m", "n"])
+
+
+def _keyword_form(head, pairs) -> tuple:
+    items = [] if head is None else [head]
+    for name, value in pairs:
+        items += [kw(name), value]
+    return tuple(items)
+
+
+def _compounds(children):
+    # repeated keys make a form positional; a head with no pairs is `(kickoff)`
+    keyword_shaped = st.builds(
+        _keyword_form, st.one_of(st.none(), HEADS), st.lists(st.tuples(KEYS, children), max_size=3)
+    )
+    positional = st.lists(children, max_size=3).map(tuple)
+    return st.one_of(keyword_shaped, positional)
+
+
+GROUND = st.recursive(ATOMS, _compounds, max_leaves=8)
+
+
+@st.composite
+def patterns_from(draw, term):
+    """`term` with some subterms made variables and some keyword pairs dropped."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(VARIABLES))
+    if not isinstance(term, tuple):
+        return term
+    split = parse_keyed(term)
+    if split is not None and draw(st.booleans()):
+        head, pairs = split
+        kept = [(n, draw(patterns_from(v))) for n, v in pairs.items() if draw(st.booleans())]
+        return _keyword_form(head, kept)
+    return tuple(draw(patterns_from(c)) for c in term)
+
+
+@st.composite
+def matching_problems(draw):
+    candidates = draw(st.lists(GROUND, max_size=5))
+    sources = st.sampled_from(candidates) if candidates else GROUND
+    patterns = draw(st.lists(st.one_of(sources, GROUND).flatmap(patterns_from), min_size=1, max_size=3))
+    return patterns, candidates
+
+
+def _typed(bindings) -> list[list[tuple[str, str]]]:
+    # to_text tells a symbol from a quoted string and 1 from 1.0
+    return [sorted((str(k), to_text(v)) for k, v in b.items()) for b in bindings]
+
+
+def _same_bindings(patterns, candidates, binding=None):
+    got = match_all(patterns, [keyed(c) for c in candidates], binding)
+    expected = oracle.match_all(patterns, candidates, binding)
+    assert _typed(got) == _typed(expected)
+    return got
+
+
+@given(matching_problems())
+@settings(max_examples=400, deadline=None)
+def test_keyed_match_all_gives_the_oracles_bindings_in_order(problem):
+    _same_bindings(*problem)
+
+
+@given(matching_problems(), st.sampled_from(VARIABLES), ATOMS)
+@settings(max_examples=100, deadline=None)
+def test_keyed_match_all_extends_an_initial_binding_like_the_oracle(problem, var, atom):
+    _same_bindings(*problem, {var: atom})
+
+
+@pytest.mark.parametrize(
+    "pattern, candidate, matches",
+    [
+        ("(p k: a)", '(p k: "a")', False),  # a symbol is not a quoted string
+        ('(p k: "a")', '(p k: "a")', True),
+        ("(p k: 1)", "(p k: 1.0)", True),  # numbers compare by value
+        ("(p k: ?x m: ?x)", "(p k: 1 m: 1.0)", True),
+        ("(p k: ?x m: ?x)", '(p k: a m: "a")', False),
+        ("(k: ?x)", "(k: 1 m: 2)", True),  # headless keyed form
+        ("(k: ?x)", "(p k: 1)", False),
+        ("(p k: ?x)", "(p k: 1 k: 2)", False),  # a repeated keyword is positional
+        ("(p k: ?x k: ?y)", "(p k: 1 k: 2)", True),
+        ("(kickoff)", "(kickoff)", True),  # an argument-less fact
+        ("?x", "(kickoff)", True),
+        ("(kickoff k: ?x)", "(kickoff)", False),
+        ("(p loc: ((?x 2) ?y))", "(p loc: ((1 2) (3 4)))", True),  # nested positional tuples
+        ("(p loc: ((?x 2) ?x))", "(p loc: ((1 2) (1 2)))", False),
+        ("(p loc: (?x ?y))", "(p loc: (1 2 3))", False),
+        ("()", "()", True),
+    ],
+)
+def test_cases_a_careless_key_would_merge(pattern, candidate, matches):
+    got = _same_bindings([read_one(pattern)], [read_one(candidate)])
+    assert bool(got) == matches
+
+
+def test_a_candidate_not_in_keyed_form_is_refused():
+    with pytest.raises(TypeError, match="keyed form"):
+        match_all([read_one("(p k: ?x)")], [read_one("(p k: 1)")])
+
+
+# apply_rules over generated boards, statics and pools
+
+FACT_HEADS = st.sampled_from([Symbol("scores"), Symbol("pass"), Symbol("move")])
+FACTS = st.builds(
+    lambda head, pairs, relevance: fact_from_sexpr(_keyword_form(head, pairs), relevance),
+    FACT_HEADS,
+    st.lists(st.tuples(KEYS, st.one_of(ATOMS, st.tuples(ATOMS, ATOMS))), min_size=1, max_size=2, unique_by=lambda p: p[0]),
+    st.sampled_from([1.0, 5.0]),
+)
+TYPES = st.sampled_from(EMOTION_TYPES[:3])
+DECAY = DecayFunction("constant")
+
+
+@st.composite
+def rules(draw, terms):
+    preconditions = tuple(draw(st.lists(st.sampled_from(terms).flatmap(patterns_from), min_size=1, max_size=2)))
+    bound = sorted(set().union(*(variables_in(p) for p in preconditions)))
+    targets = [None, Symbol("nil"), *bound]
+    additions = tuple(
+        EmotionSchema(draw(TYPES), 5.0, draw(st.sampled_from(targets)), draw(st.sampled_from(preconditions)), DECAY)
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    deletion = st.one_of(
+        TYPES.map(lambda t: (kw("type"), Symbol(t))),
+        st.sampled_from(bound or [Symbol("nil")]).map(lambda v: (kw("target"), v)),
+        st.sampled_from(preconditions).map(lambda p: (kw("cause"), p)),
+    )
+    deletions = tuple(draw(st.lists(deletion, max_size=2)))
+    return EmotionRule(preconditions, additions, deletions)
+
+
+@st.composite
+def rule_problems(draw):
+    facts = draw(st.lists(FACTS, min_size=1, max_size=5))
+    board = FactBoard({f.identity: f for f in facts}, clock=10.0)
+    statics = draw(st.lists(st.one_of(FACTS.map(GameFact.as_sexpr), GROUND), max_size=2))
+    terms = [f.as_sexpr() for f in facts] + statics
+    pool = EmotionPool(
+        tuple(
+            EmotionStructure(draw(TYPES), 6.0, draw(st.one_of(st.none(), ATOMS)), draw(st.sampled_from(terms)), DECAY, 0.0)
+            for _ in range(draw(st.integers(0, 3)))
+        )
+    )
+    return pool, board, statics, draw(st.lists(rules(terms), min_size=1, max_size=4))
+
+
+def _pool_text(pool: EmotionPool) -> list[tuple]:
+    return [
+        (s.type, s.base_intensity, None if s.target is None else to_text(s.target), to_text(s.cause), s.created_at)
+        for s in pool.structures
+    ]
+
+
+@given(rule_problems())
+@settings(max_examples=200, deadline=None)
+def test_apply_rules_leaves_the_oracles_pool(problem):
+    pool, board, statics, rule_list = problem
+    got = apply_rules(pool, board, [keyed(s) for s in statics], rule_list, 11.0)
+    expected = oracle.apply_rules(pool, board, statics, rule_list, 11.0)
+    assert _pool_text(got) == _pool_text(expected)
+
+
+def test_apply_rules_matches_the_oracle_over_the_demo_replay(demo_profile, demo_style):
+    state = initial_state()
+    updates = parse_game_log((DEMO / "game.log").read_text(encoding="utf-8"))
+    for update in driver_ticks(updates, 1.0):
+        board, now, rules_ = apply_tick(state.board, update), update.tick_time, demo_profile.emotion_rules
+        got = apply_rules(state.pool, board, demo_profile.keyed_statics, rules_, now)
+        expected = oracle.apply_rules(state.pool, board, demo_profile.statics, rules_, now)
+        assert _pool_text(got) == _pool_text(expected)
+        state, _ = step(state, update, demo_profile, demo_style)
+
+
+# keyed forms live on the board, not on the parsed facts
+
+
+def _tiled_demo(tiles: int) -> tuple[TickUpdate, ...]:
+    one = parse_game_log((DEMO / "game.log").read_text(encoding="utf-8"))
+    span = one[-1].tick_time - one[0].tick_time + 30.0
+    return tuple(TickUpdate(u.tick_time + k * span, u.facts) for k in range(tiles) for u in one)
+
+
+def test_board_alone_holds_keyed_forms_for_exactly_its_entries(demo_profile, demo_style):
+    updates = _tiled_demo(3)
+    state = initial_state()
+    for update in driver_ticks(updates, 1.0):
+        before = state.board
+        state, _ = step(state, update, demo_profile, demo_style)
+        board = state.board
+        assert board.keyed.keys() == board.entries.keys()
+        for identity, term in board.keyed.items():
+            assert to_text(term.term) == identity
+            if identity in before.keyed:
+                assert term is before.keyed[identity]  # built once, kept across re-scores
+    fields = {"predicate", "args", "relevance"}
+    for update in updates:
+        for fact in update.facts:
+            assert set(vars(fact)) == fields

@@ -243,6 +243,27 @@ class TestRunReplay:
         match, mismatch, errors = filecmp.cmpfiles(out, GOLDEN, golden, shallow=False)
         assert mismatch == [] and errors == []
 
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_path_that_is_not_a_directory_exits_1(self, tmp_path, capsys, out):
+        (tmp_path / "taken").write_text("a file\n")
+        code = run_replay(
+            DEMO / "game.log", DEMO / "announcer.profile", DEMO / "announcer.style", tmp_path / out
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("commentate: load error: ") and "not a directory" in err
+        assert (tmp_path / "taken").read_text() == "a file\n"
+
+    def test_write_failure_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "commentary.trace").mkdir(parents=True)
+        code = run_replay(
+            DEMO / "game.log", DEMO / "announcer.profile", DEMO / "announcer.style", out
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("commentate: write error: ") and "commentary.trace" in err
+
     def test_percent_facial_level_in_template_exits_1(self, tmp_path, capsys):
         # verify_and_split reads EXPR/AU levels as plain numbers, so the loader rejects "%"
         profile = tmp_path / "p.profile"

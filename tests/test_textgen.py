@@ -10,6 +10,7 @@ from conftest import MINIMAL_STYLE, fact_of
 from hypothesis import given, settings
 
 from byrne.facts import TickUpdate
+from byrne.patterns import keyed
 from byrne.pipeline import UTTERANCE_START, initial_state, step
 from byrne.profile import load_profile
 from byrne.seeml import parse_seeml, serialize_seeml, strip_text
@@ -30,12 +31,12 @@ PASS_TEMPLATE = Template(
     (read_one("(pass from: ?x to: ?y)"),),
     '<su><seg>?x passes</seg> <seg>to ?y</seg></su>',
 )
-PASS_FACT = fact_of("(pass from: a1 to: a2 fromloc: (30 10) toloc: (20 10))", 10)
+PASS_TERM = keyed(read_one("(pass from: a1 to: a2 fromloc: (30 10) toloc: (20 10))"))
 
 
 class TestSelectTemplate:
     def test_singleton_match(self):
-        chosen, binding = select_template(PASS_FACT, [PASS_TEMPLATE], UsageHistory(), 5.0)
+        chosen, binding = select_template(PASS_TERM, [PASS_TEMPLATE], UsageHistory(), 5.0)
         assert chosen is PASS_TEMPLATE
         assert binding == {Symbol("?x"): Symbol("a1"), Symbol("?y"): Symbol("a2")}
 
@@ -43,7 +44,7 @@ class TestSelectTemplate:
         fresh = Template("a-fresh", PASS_TEMPLATE.preconditions, PASS_TEMPLATE.body)
         stale = Template("b-stale", PASS_TEMPLATE.preconditions, PASS_TEMPLATE.body)
         history = record_usage(UsageHistory(), "b-stale", 9.0)
-        chosen, _ = select_template(PASS_FACT, [stale, fresh], history, 10.0)
+        chosen, _ = select_template(PASS_TERM, [stale, fresh], history, 10.0)
         assert chosen.id == "a-fresh"
 
     def test_score_formula_hand_check(self):
@@ -52,7 +53,7 @@ class TestSelectTemplate:
         b = Template("b", PASS_TEMPLATE.preconditions, PASS_TEMPLATE.body)
         history = record_usage(UsageHistory(), "a", 4.0)
         history = record_usage(record_usage(history, "b", 2.0), "b", 18.0)
-        chosen, _ = select_template(PASS_FACT, [a, b], history, 20.0)
+        chosen, _ = select_template(PASS_TERM, [a, b], history, 20.0)
         assert chosen.id == "a"
 
     def test_equal_use_counts_least_recent_wins(self):
@@ -64,16 +65,16 @@ class TestSelectTemplate:
             if t1 == t2:
                 continue
             history = record_usage(record_usage(UsageHistory(), "a", t1), "b", t2)
-            chosen, _ = select_template(PASS_FACT, [a, b], history, 60.0)
+            chosen, _ = select_template(PASS_TERM, [a, b], history, 60.0)
             assert chosen.id == "a"
 
     def test_no_match_raises_coverage_error(self):
         with pytest.raises(CoverageError, match="corner"):
-            select_template(fact_of("(corner team: b)", 5), [PASS_TEMPLATE], UsageHistory(), 0.0)
+            select_template(keyed(read_one("(corner team: b)")), [PASS_TEMPLATE], UsageHistory(), 0.0)
 
     def test_never_returns_non_matching_template(self):
         corner = Template("corner", (read_one("(corner team: ?t)"),), "<su><seg>corner</seg></su>")
-        chosen, _ = select_template(PASS_FACT, [corner, PASS_TEMPLATE], UsageHistory(), 0.0)
+        chosen, _ = select_template(PASS_TERM, [corner, PASS_TEMPLATE], UsageHistory(), 0.0)
         assert chosen is PASS_TEMPLATE
 
     def test_static_preconditions_participate(self):
@@ -83,9 +84,9 @@ class TestSelectTemplate:
             "<su><seg>?x to ?y great stuff from ?t</seg></su>",
         )
         with pytest.raises(CoverageError):
-            select_template(PASS_FACT, [biased], UsageHistory(), 0.0)
+            select_template(PASS_TERM, [biased], UsageHistory(), 0.0)
         chosen, binding = select_template(
-            PASS_FACT, [biased], UsageHistory(), 0.0, statics=[read_one("(supports team: a)")]
+            PASS_TERM, [biased], UsageHistory(), 0.0, statics=[keyed(read_one("(supports team: a)"))]
         )
         assert binding[Symbol("?t")] == Symbol("a")
 
@@ -97,9 +98,9 @@ class TestSelectTemplate:
         for t in (0.5, 1.0, 2.0):
             history = record_usage(history, "a", t)
         history = record_usage(history, "b", 6.0)
-        chosen, _ = select_template(PASS_FACT, [a, b], history, 10.0, lambda_use_penalty=1.0)
+        chosen, _ = select_template(PASS_TERM, [a, b], history, 10.0, lambda_use_penalty=1.0)
         assert chosen.id == "a"
-        chosen, _ = select_template(PASS_FACT, [a, b], history, 10.0, lambda_use_penalty=5.0)
+        chosen, _ = select_template(PASS_TERM, [a, b], history, 10.0, lambda_use_penalty=5.0)
         assert chosen.id == "b"
 
 
@@ -248,11 +249,11 @@ class TestTemplateChoiceInReplay:
             starts = [e for e in events if e.kind == UTTERANCE_START]
             try:
                 template, binding = select_template(
-                    fact,
+                    keyed(fact.as_sexpr()),
                     profile.templates,
                     history,
                     now,
-                    statics=profile.statics,
+                    statics=profile.keyed_statics,
                     lambda_use_penalty=profile.lambda_use_penalty,
                 )
             except CoverageError:
