@@ -10,71 +10,17 @@ mood beat one strong feeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .emotions import EmotionPool, EmotionStructure, intensity_at
 from .errors import ByrneError
 from .patterns import Binding, Keyed, match_all, unify
+from .seeml import Directive
 from .sexpr import Sexpr
 
 
 class BehaviorError(ByrneError):
     pass
-
-
-@dataclass(frozen=True)
-class Scope:
-    kind: str  # utterance | every-phrase | word | point
-    word: str = ""
-    position: str = ""  # start | end
-
-
-UTTERANCE = Scope("utterance")
-EVERY_PHRASE = Scope("every-phrase")
-
-
-def word_trigger(word: str) -> Scope:
-    if not str(word):
-        raise BehaviorError("word trigger needs a non-empty word")
-    return Scope("word", word=str(word))
-
-
-def at_point(position: str) -> Scope:
-    if position not in ("start", "end"):
-        raise BehaviorError(f"point scope must be start or end, not '{position}'")
-    return Scope("point", position=position)
-
-
-@dataclass(frozen=True)
-class FacialExpressionDirective:
-    name: str
-    level: float
-    scope: Scope
-
-
-@dataclass(frozen=True)
-class ActionUnitDirective:
-    au: int
-    level: float
-    scope: Scope
-
-
-@dataclass(frozen=True)
-class AuralEventDirective:
-    name: str
-    scope: Scope
-
-
-@dataclass(frozen=True)
-class SpeechTagDirective:
-    tag: str
-    attrs: tuple[tuple[str, str], ...]
-    scope: Scope
-
-
-MarkupDirective = Union[
-    FacialExpressionDirective, ActionUnitDirective, AuralEventDirective, SpeechTagDirective
-]
 
 
 @dataclass(frozen=True)
@@ -96,7 +42,7 @@ class BehaviorSpec:
     motivated_by: tuple[MotivationPattern, ...] = ()
     preconditions: tuple[Sexpr, ...] = ()
     children: tuple[str, ...] = ()
-    directives: tuple[MarkupDirective, ...] = ()
+    directives: tuple[Directive, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -174,10 +120,10 @@ def arbitrate(activated: Sequence[ActivatedBehavior]) -> list[ActivatedBehavior]
 
 def expand(
     winners: Sequence[ActivatedBehavior], specs: Sequence[BehaviorSpec]
-) -> list[MarkupDirective]:
+) -> list[Directive]:
     """Depth-first expansion of each winner to its leaf directives, in spec order."""
     index = {s.id: s for s in specs}
-    out: list[MarkupDirective] = []
+    out: list[Directive] = []
 
     def walk(spec: BehaviorSpec, path: tuple[str, ...]) -> None:
         if spec.id in path:

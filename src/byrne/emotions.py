@@ -68,14 +68,6 @@ class DecayFunction:
                 return cls("exponential" if str(head) == "exp" else "linear", float(rate))
         raise RuleError(f"unknown decay form {to_text(form)}; use 1/t, constant, (exp k) or (linear k)")
 
-    def to_sexpr(self) -> Sexpr:
-        if self.kind == "reciprocal":
-            return Symbol("1/t")
-        if self.kind == "constant":
-            return Symbol("constant")
-        head = "exp" if self.kind == "exponential" else "linear"
-        return (Symbol(head), self.rate)
-
 
 @dataclass(frozen=True)
 class EmotionStructure:

@@ -54,21 +54,12 @@ class GameFact:
         """
         return to_text(self.as_sexpr())
 
-    def arg(self, name: str, default: Optional[Sexpr] = None) -> Optional[Sexpr]:
-        for key, term in self.args:
-            if key == name:
-                return term
-        return default
-
-    @property
-    def begin_time(self) -> float | None:
-        t = self.arg("begintime")
-        return float(t) if isinstance(t, (int, float)) else None
-
     @property
     def end_time(self) -> float | None:
-        t = self.arg("endtime")
-        return float(t) if isinstance(t, (int, float)) else None
+        for name, term in self.args:
+            if name == "endtime":
+                return float(term) if isinstance(term, (int, float)) else None
+        return None
 
 
 def fact_from_sexpr(form: Sexpr, relevance: float, line: int | None = None) -> GameFact:
@@ -98,9 +89,6 @@ class FactBoard:
         if self.keyed is None:
             terms = {identity: keyed(f.as_sexpr()) for identity, f in self.entries.items()}
             object.__setattr__(self, "keyed", terms)
-
-    def facts(self) -> tuple[GameFact, ...]:
-        return tuple(self.entries.values())
 
 
 @dataclass(frozen=True)
@@ -176,8 +164,8 @@ def apply_tick(board: FactBoard, update: TickUpdate) -> FactBoard:
 
 def _selection_key(entry: tuple[str, GameFact]) -> tuple:
     identity, fact = entry
-    end = fact.end_time if fact.end_time is not None else float("-inf")
-    return (-fact.relevance, -end, identity)
+    end = fact.end_time
+    return (-fact.relevance, -(end if end is not None else float("-inf")), identity)
 
 
 def select_fact(board: FactBoard, skipped: Collection[str] = ()) -> str | None:

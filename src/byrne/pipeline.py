@@ -76,6 +76,9 @@ class PipelineState:
     history: UsageHistory
     in_progress: Optional[InProgress]
     utterance_count: int = 0
+    # Board identities no template covers. Coverage depends only on the fact's
+    # term and the statics, so a fact found uncovered is never tried again.
+    uncovered: frozenset[str] = frozenset()
 
 
 def initial_state() -> PipelineState:
@@ -91,13 +94,13 @@ def _begin_utterance(
     start_at: float,
     now: float,
     count: int,
-) -> tuple[Optional[InProgress], UsageHistory, int, list[CommentaryEvent]]:
+    uncovered: frozenset[str],
+) -> tuple[Optional[InProgress], UsageHistory, int, frozenset[str], list[CommentaryEvent]]:
     names = profile.name_table()
-    skipped: set[str] = set()
     while True:
-        identity = select_fact(board, skipped)
+        identity = select_fact(board, uncovered)
         if identity is None:
-            return None, history, count, []
+            return None, history, count, uncovered, []
         try:
             template, binding = select_template(
                 board.keyed[identity],
@@ -109,7 +112,7 @@ def _begin_utterance(
             )
         except CoverageError:
             logger.warning("skipping fact with no template: %s", identity)
-            skipped.add(identity)
+            uncovered = uncovered | {identity}
             continue
         doc = instantiate(template, binding, names)
         winners = arbitrate(activate_behaviors(profile.bound_behaviors, pool, now))
@@ -121,7 +124,7 @@ def _begin_utterance(
             identity, count, start_at, bundle.total_duration_ms, bundle.seg_boundaries_ms
         )
         event = CommentaryEvent(start_at, UTTERANCE_START, identity, count, bundle)
-        return utterance, history, count, [event]
+        return utterance, history, count, uncovered, [event]
 
 
 def step(
@@ -140,6 +143,7 @@ def step(
     history = state.history
     count = state.utterance_count
     current = state.in_progress
+    uncovered = state.uncovered
 
     if current is not None and current.end_time() <= now:
         events.append(
@@ -160,12 +164,12 @@ def step(
             start_at = cut_time
 
     if current is None:
-        current, history, count, started = _begin_utterance(
-            board, pool, history, profile, style, start_at, now, count
+        current, history, count, uncovered, started = _begin_utterance(
+            board, pool, history, profile, style, start_at, now, count, uncovered
         )
         events.extend(started)
 
-    return PipelineState(board, pool, history, current, count), events
+    return PipelineState(board, pool, history, current, count, uncovered), events
 
 
 def driver_ticks(updates: tuple[TickUpdate, ...], tick_seconds: float) -> list[TickUpdate]:

@@ -12,23 +12,13 @@ from dataclasses import dataclass, field
 from typing import Collection, Optional, Sequence
 
 from .behaviors import (
-    ActionUnitDirective,
     ActivatedBehavior,
-    AuralEventDirective,
     BehaviorError,
     BehaviorSpec,
     BoundSpec,
-    EVERY_PHRASE,
-    FacialExpressionDirective,
-    MarkupDirective,
     MotivationPattern,
-    Scope,
-    SpeechTagDirective,
-    UTTERANCE,
-    at_point,
     bind_statics,
     expand,
-    word_trigger,
 )
 from .emotions import (
     DecayFunction,
@@ -40,24 +30,20 @@ from .emotions import (
 )
 from .errors import ByrneError
 from .patterns import Keyed, is_ground, keyed, variables_in
-from .sexpr import (
-    SexprError,
-    Sexpr,
-    Symbol,
-    is_keyword,
-    keyword_name,
-    kw,
-    read_top_level,
-    to_text,
-)
+from .sexpr import SexprError, Sexpr, Symbol, is_keyword, keyword_name, read_top_level, to_text
 from .seeml import (
-    EXPRESSION_NAMES,
+    EVERY_PHRASE,
+    UTTERANCE,
+    Directive,
     Element,
     Node,
+    Scope,
     SeemlDocument,
     SeemlError,
-    directive_element,
+    at_point,
+    element,
     parse_seeml,
+    word_trigger,
 )
 from .style import StyleFile
 from .textgen import Template, _VAR_RE, index_templates
@@ -150,39 +136,40 @@ def _parse_scope(form: Sexpr) -> Scope:
     raise SexprError(f"unknown scope {to_text(form)}")
 
 
-def _level(value: Sexpr, where: str) -> float:
+def _level(value: Sexpr, where: str) -> str:
+    # a negative number would print as "-0.5", which the markup reads as a signed delta
     if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
         raise SexprError(f"{where}: level must be a number in [0,1], got {to_text(value)}")
-    return float(value)
+    return f"{float(value):g}"
 
 
-def _parse_directive(form: tuple) -> MarkupDirective:
+def _parse_directive(form: tuple) -> Directive:
+    """The directive's element, built and validated by the markup's own checks."""
     if not form or not isinstance(form[0], Symbol):
         raise SexprError(f"bad directive {to_text(form)}")
     head = str(form[0])
     if head == "expr":
         if len(form) != 4:
             raise SexprError("expected (expr <name> <level> <scope>)")
-        name = str(form[1])
-        if name not in EXPRESSION_NAMES:
-            raise SexprError(f"unknown expression name '{name}'")
-        return FacialExpressionDirective(name, _level(form[2], "expr"), _parse_scope(form[3]))
+        mark = element("EXPR", {"NAME": str(form[1]), "LEVEL": _level(form[2], "expr")})
+        return Directive(mark, _parse_scope(form[3]))
     if head == "au":
         if len(form) != 4:
             raise SexprError("expected (au <num> <level> <scope>)")
-        if not isinstance(form[1], int) or not 1 <= form[1] <= 46:
-            raise SexprError(f"action unit id must lie in 1-46, got {to_text(form[1])}")
-        return ActionUnitDirective(form[1], _level(form[2], "au"), _parse_scope(form[3]))
+        if not isinstance(form[1], int):
+            raise SexprError(f"action unit id must be an integer, got {to_text(form[1])}")
+        mark = element("AU", {"NUM": str(form[1]), "LEVEL": _level(form[2], "au")})
+        return Directive(mark, _parse_scope(form[3]))
     if head == "aural":
         if len(form) != 3:
             raise SexprError("expected (aural <name> <scope>)")
-        return AuralEventDirective(str(form[1]), _parse_scope(form[2]))
+        return Directive(element("AURAL", {"NAME": str(form[1])}), _parse_scope(form[2]))
     if head == "speech":
         if len(form) < 3 or not isinstance(form[1], Symbol):
             raise SexprError("expected (speech <TAG> <scope> [ATTR: <value> ...])")
         attrs, _ = _split_form(form[3:], None, ())
-        pairs = tuple((name, str(value)) for name, value in attrs.items())
-        return SpeechTagDirective(str(form[1]), pairs, _parse_scope(form[2]))
+        mark = element(str(form[1]), {name: str(value) for name, value in attrs.items()})
+        return Directive(mark, _parse_scope(form[2]))
     raise SexprError(f"unknown directive ({head} ...)")
 
 
@@ -363,12 +350,11 @@ def _load_behavior(
     if (children is None) == (directives is None):
         diags.append(f"line {line}: behavior '{bid}' needs (children ...) xor (directives ...)")
         return None
-    parsed: list[MarkupDirective] = []
+    parsed: list[Directive] = []
     for d in directives[1:] if directives else ():
         try:
             directive = _parse_directive(d)
-            # the markup's own tag and attribute checks, at load time
-            _collect_style_names((directive_element(directive),), f"behavior '{bid}'", style_names)
+            _collect_style_names((directive.mark,), f"behavior '{bid}'", style_names)
             parsed.append(directive)
         except (SexprError, ByrneError) as e:
             diags.append(f"line {line}: behavior '{bid}': {e}")
@@ -459,91 +445,3 @@ def _check_behavior_graph(behaviors: list[BehaviorSpec], diags: list[str]) -> No
             if str(e) not in diags:
                 diags.append(str(e))
 
-
-# --- canonical dump ----------------------------------------------------------
-
-
-def _scope_sexpr(scope: Scope) -> Sexpr:
-    if scope.kind == "utterance":
-        return Symbol("utterance")
-    if scope.kind == "every-phrase":
-        return Symbol("every-phrase")
-    if scope.kind == "word":
-        return (Symbol("word"), scope.word)
-    return (Symbol("point"), Symbol(scope.position))
-
-
-def _directive_sexpr(d: MarkupDirective) -> tuple:
-    if isinstance(d, FacialExpressionDirective):
-        return (Symbol("expr"), Symbol(d.name), d.level, _scope_sexpr(d.scope))
-    if isinstance(d, ActionUnitDirective):
-        return (Symbol("au"), d.au, d.level, _scope_sexpr(d.scope))
-    if isinstance(d, AuralEventDirective):
-        return (Symbol("aural"), Symbol(d.name), _scope_sexpr(d.scope))
-    items: list[Sexpr] = [Symbol("speech"), Symbol(d.tag), _scope_sexpr(d.scope)]
-    for name, value in d.attrs:
-        items.extend((kw(name), value))
-    return tuple(items)
-
-
-def _schema_sexpr(s: EmotionSchema) -> tuple:
-    return (
-        kw("type"),
-        Symbol(s.type),
-        kw("intensity"),
-        s.intensity,
-        kw("target"),
-        s.target if s.target is not None else NIL,
-        kw("cause"),
-        s.cause,
-        kw("decay"),
-        s.decay.to_sexpr(),
-    )
-
-
-def dump_profile(profile: CharacterProfile) -> str:
-    """Canonical text form; load_profile(dump_profile(p)) == p."""
-    lines: list[str] = []
-    if profile.lambda_use_penalty != 5.0:
-        lines.append(to_text((Symbol("params"), kw("lambda"), profile.lambda_use_penalty)))
-    for fact in profile.statics:
-        lines.append(to_text((Symbol("static"), fact)))
-    if profile.names:
-        entries = tuple((Symbol(i), n) for i, n in profile.names)
-        lines.append(to_text((Symbol("names"), *entries)))
-    for rule in profile.emotion_rules:
-        items: list[Sexpr] = [Symbol("emotion-rule"), (Symbol("pre"), *rule.preconditions)]
-        if rule.additions:
-            items.append((Symbol("add"), *(_schema_sexpr(s) for s in rule.additions)))
-        if rule.deletions:
-            items.append((Symbol("del"), *rule.deletions))
-        lines.append(to_text(tuple(items)))
-    for b in profile.behaviors:
-        items = [Symbol("behavior"), kw("id"), Symbol(b.id), kw("group"), Symbol(b.group)]
-        if b.motivated_by:
-            mot: list[Sexpr] = [Symbol("motivated-by")]
-            for m in b.motivated_by:
-                mot.append(Symbol(m.emotion_type))
-                if m.target is not None:
-                    mot.extend((kw("target"), m.target))
-            items.append(tuple(mot))
-        if b.preconditions:
-            items.append((Symbol("pre"), *b.preconditions))
-        if b.children:
-            items.append((Symbol("children"), *(Symbol(c) for c in b.children)))
-        else:
-            items.append((Symbol("directives"), *(_directive_sexpr(d) for d in b.directives)))
-        lines.append(to_text(tuple(items)))
-    for t in profile.templates:
-        lines.append(
-            to_text(
-                (
-                    Symbol("template"),
-                    kw("id"),
-                    Symbol(t.id),
-                    (Symbol("pre"), *t.preconditions),
-                    (Symbol("text"), t.body),
-                )
-            )
-        )
-    return "".join(line + "\n" for line in lines)

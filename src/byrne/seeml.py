@@ -15,13 +15,6 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
-from .behaviors import (
-    ActionUnitDirective,
-    AuralEventDirective,
-    FacialExpressionDirective,
-    MarkupDirective,
-    SpeechTagDirective,
-)
 from .errors import ByrneError
 
 if TYPE_CHECKING:
@@ -113,7 +106,7 @@ def _validate(tag: str, attrs: dict[str, str]) -> None:
     if tag == "AU":
         num = attrs.get("NUM")
         if num is None or not num.isdigit() or not AU_MIN <= int(num) <= AU_MAX:
-            raise SeemlError(f"AU needs NUM between {AU_MIN} and {AU_MAX}, got {num!r}")
+            raise SeemlError(f"AU NUM must lie in {AU_MIN}-{AU_MAX}, got {num!r}")
     if tag == "EXPR":
         name = attrs.get("NAME")
         if name not in EXPRESSION_NAMES:
@@ -267,21 +260,35 @@ def strip_text(doc: SeemlDocument) -> str:
 # --- directive application -------------------------------------------------
 
 
-def _fmt_level(level: float) -> str:
-    return f"{level:g}"
+@dataclass(frozen=True)
+class Scope:
+    kind: str  # utterance | every-phrase | word | point
+    word: str = ""
+    position: str = ""  # start | end
 
 
-def directive_element(d: MarkupDirective) -> Element:
-    """The validated element a directive puts into the markup."""
-    if isinstance(d, FacialExpressionDirective):
-        return element("EXPR", {"NAME": d.name, "LEVEL": _fmt_level(d.level)})
-    if isinstance(d, ActionUnitDirective):
-        return element("AU", {"NUM": str(d.au), "LEVEL": _fmt_level(d.level)})
-    if isinstance(d, AuralEventDirective):
-        return element("AURAL", {"NAME": d.name})
-    if isinstance(d, SpeechTagDirective):
-        return element(d.tag, dict(d.attrs))
-    raise SeemlError(f"unknown directive {d!r}")
+UTTERANCE = Scope("utterance")
+EVERY_PHRASE = Scope("every-phrase")
+
+
+def word_trigger(word: str) -> Scope:
+    if not str(word):
+        raise SeemlError("word trigger needs a non-empty word")
+    return Scope("word", word=str(word))
+
+
+def at_point(position: str) -> Scope:
+    if position not in ("start", "end"):
+        raise SeemlError(f"point scope must be start or end, not '{position}'")
+    return Scope("point", position=position)
+
+
+@dataclass(frozen=True)
+class Directive:
+    """A behavior's markup: one validated element and where it goes."""
+
+    mark: Element
+    scope: Scope
 
 
 def _with_children(el: Element, children: Iterable[Node]) -> Element:
@@ -331,15 +338,14 @@ def _wrap_words(nodes: Sequence[Node], mark: Element, word: str, rx: re.Pattern[
     return out
 
 
-def apply_directives(doc: SeemlDocument, directives: Sequence[MarkupDirective]) -> SeemlDocument:
+def apply_directives(doc: SeemlDocument, directives: Sequence[Directive]) -> SeemlDocument:
     """Layer behavior-driven markup over an already marked-up utterance.
 
-    Each directive's element is built and validated once; every span it
-    wraps reuses that element's tag and attributes.
+    Every span a directive wraps reuses its element's tag and attributes.
     """
     nodes: Sequence[Node] = doc.children
     for d in directives:
-        mark = directive_element(d)
+        mark = d.mark
         kind = d.scope.kind
         if kind == "utterance":
             nodes = [*nodes, mark] if mark.tag in CHILDLESS_TAGS else [_with_children(mark, nodes)]

@@ -114,10 +114,6 @@ def read_top_level(text: str) -> list[tuple[Sexpr, int]]:
     return out
 
 
-def read_all(text: str) -> list[Sexpr]:
-    return [form for form, _ in read_top_level(text)]
-
-
 def read_one(text: str) -> Sexpr:
     forms = read_top_level(text)
     if len(forms) != 1:

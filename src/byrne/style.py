@@ -3,7 +3,8 @@
 A style maps expression names to weighted action-unit sets, aural events to
 sound files, and fixes the speech timing used in place of synthesizer-reported
 word times. Sections are ``[expressions]``, ``[aural]``, ``[speech]``, and
-``[visemes]``; only the first and third are mandatory.
+``[visemes]``; only the first and third are mandatory. An unknown section or
+key, or a key repeated within a section, fails the load.
 """
 
 from __future__ import annotations
@@ -25,29 +26,48 @@ class StyleFile:
     aural: dict[str, str] = field(default_factory=dict)
     words_per_minute: float = 180.0
     break_ms: float = 300.0
-    speech_params: dict[str, str] = field(default_factory=dict)
     visemes: dict[str, str] = field(default_factory=dict)
 
 
 _AU_WEIGHT = re.compile(r"^AU(\d+):([0-9.]+)$", re.IGNORECASE)
 
+# The keys each section accepts; None accepts any name.
+_SECTIONS = {
+    "expressions": None,
+    "aural": None,
+    "speech": ("words_per_minute", "break_ms"),
+    "visemes": tuple(DEFAULT_VISEMES),
+}
+
 
 def load_style(text: str) -> StyleFile:
     sections: dict[str, dict[str, str]] = {}
-    current: dict[str, str] | None = None
+    section = ""
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = sections.setdefault(line[1:-1].strip().lower(), {})
+            section = line[1:-1].strip().lower()
+            if section not in _SECTIONS:
+                raise StyleError(f"line {line_no}: unknown section [{section}]")
+            sections.setdefault(section, {})
             continue
-        if current is None:
+        if not section:
             raise StyleError(f"line {line_no}: entry before any [section] header")
         key, sep, value = line.partition("=")
         if not sep:
             raise StyleError(f"line {line_no}: expected key = value")
-        current[key.strip()] = value.strip()
+        key = key.strip()
+        allowed = _SECTIONS[section]
+        if allowed is not None and key not in allowed:
+            raise StyleError(
+                f"line {line_no}: unknown key '{key}' in [{section}];"
+                f" expected one of {', '.join(allowed)}"
+            )
+        if key in sections[section]:
+            raise StyleError(f"line {line_no}: repeated key '{key}' in [{section}]")
+        sections[section][key] = value.strip()
 
     for required in ("expressions", "speech"):
         if required not in sections:
@@ -73,13 +93,12 @@ def load_style(text: str) -> StyleFile:
         if required not in expressions:
             raise StyleError(f"style maps no action units for expression '{required}'")
 
-    speech = dict(sections["speech"])
-    wpm_text = speech.pop("words_per_minute", None)
-    if wpm_text is None:
+    speech = sections["speech"]
+    if "words_per_minute" not in speech:
         raise StyleError("speech section missing words_per_minute")
     try:
-        wpm = float(wpm_text)
-        break_ms = float(speech.pop("break_ms", 300.0))
+        wpm = float(speech["words_per_minute"])
+        break_ms = float(speech.get("break_ms", 300.0))
     except ValueError as e:
         raise StyleError(f"speech section: {e}") from None
     if wpm <= 0:
@@ -87,16 +106,10 @@ def load_style(text: str) -> StyleFile:
     if break_ms < 0:
         raise StyleError(f"break_ms must be non-negative, got {break_ms:g}")
 
-    visemes = sections.get("visemes", {})
-    for cls in visemes:
-        if cls not in DEFAULT_VISEMES:
-            raise StyleError(f"unknown viseme letter class '{cls}'")
-
     return StyleFile(
         expressions=expressions,
-        aural=dict(sections.get("aural", {})),
+        aural=sections.get("aural", {}),
         words_per_minute=wpm,
         break_ms=break_ms,
-        speech_params=speech,
-        visemes=dict(visemes),
+        visemes=sections.get("visemes", {}),
     )

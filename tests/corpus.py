@@ -1,12 +1,22 @@
-"""Seeded random generators shared by the seeml tests and the acceptance suite."""
+"""Seeded random generators and builders shared by the test modules."""
 
 from __future__ import annotations
 
 from random import Random
 
 from byrne.facts import FactBoard, GameFact
-from byrne.seeml import EXPRESSION_NAMES, Element, Node, SeemlDocument, Text, document, element
-from byrne.sexpr import Symbol
+from byrne.seeml import (
+    EXPRESSION_NAMES,
+    Directive,
+    Element,
+    Node,
+    Scope,
+    SeemlDocument,
+    Text,
+    document,
+    element,
+)
+from byrne.sexpr import Symbol, kw, to_text
 
 _WORDS = ["goal", "pass", "ball", "saved", "what", "a", "stop", "corner", "now", "Kirk", "flies"]
 
@@ -41,6 +51,11 @@ def random_board(rng: Random, min_size: int = 1, max_size: int = 8) -> FactBoard
         fact = random_fact(rng)
         entries[fact.identity] = fact
     return FactBoard(entries, clock=float(rng.randrange(0, 1000)))
+
+
+def markup(tag: str, scope: Scope, **attrs: str) -> Directive:
+    """A directive that puts one validated element at `scope`."""
+    return Directive(element(tag, attrs), scope)
 
 
 def _random_text(rng: Random) -> Text:
@@ -91,3 +106,81 @@ def _random_node(rng: Random, depth: int, ancestors: list[tuple[str, dict[str, s
 def random_document(rng: Random, max_depth: int = 4) -> SeemlDocument:
     roots = [_random_node(rng, max_depth, []) for _ in range(rng.randrange(1, 4))]
     return document(roots)
+
+
+# --- profiles ---------------------------------------------------------------
+
+_EMOTIONS = ["fear", "anger", "sadness", "happiness", "disgust", "surprise", "interest"]
+_DECAYS = [Symbol("1/t"), Symbol("constant"), (Symbol("exp"), 0.3), (Symbol("linear"), 0.15)]
+_SCOPES = [
+    Symbol("utterance"),
+    Symbol("every-phrase"),
+    (Symbol("word"), "goal"),
+    (Symbol("point"), Symbol("start")),
+    (Symbol("point"), Symbol("end")),
+]
+
+
+def _random_directive_form(rng: Random) -> tuple:
+    scope = rng.choice(_SCOPES)
+    roll = rng.randrange(4)
+    if roll == 0:
+        return (Symbol("expr"), Symbol(rng.choice(EXPRESSION_NAMES)), rng.choice([0, 0.5, 1]), scope)
+    if roll == 1:
+        return (Symbol("au"), rng.randrange(1, 47), rng.choice([0.25, 1.0]), scope)
+    if roll == 2:
+        return (Symbol("aural"), Symbol(rng.choice(["hiccup", "cheer"])), scope)
+    return (Symbol("speech"), Symbol("RATE"), scope, kw("SPEED"), rng.choice(["+5%", "-10%"]))
+
+
+def random_profile_forms(rng: Random) -> list[tuple]:
+    """Top-level forms of a valid profile that uses every kind of form."""
+    team = (Symbol("scores"), kw("team"), Symbol("?t"))
+    forms: list[tuple] = [
+        (Symbol("static"), (Symbol("supports"), kw("team"), rng.choice(_TEAMS))),
+        (Symbol("names"), *((p, f'{p} "the {p}"') for p in rng.sample(_PLAYERS, 2))),
+        (Symbol("params"), kw("lambda"), rng.choice([0, 2.5, 5])),
+    ]
+    for _ in range(rng.randrange(1, 4)):
+        schema = (
+            kw("type"), Symbol(rng.choice(_EMOTIONS)), kw("intensity"), rng.randrange(1, 11),
+            kw("target"), rng.choice([Symbol("nil"), Symbol("?t")]), kw("cause"), team,
+            kw("decay"), rng.choice(_DECAYS),
+        )
+        rule = [Symbol("emotion-rule"), (Symbol("pre"), team), (Symbol("add"), schema)]
+        if rng.random() < 0.5:
+            rule.append((Symbol("del"), (kw("type"), Symbol(rng.choice(_EMOTIONS)))))
+        forms.append(tuple(rule))
+    leaves = [f"leaf{i}" for i in range(rng.randrange(1, 4))]
+    for bid in leaves:
+        directives = tuple(_random_directive_form(rng) for _ in range(rng.randrange(1, 4)))
+        forms.append((
+            Symbol("behavior"), kw("id"), Symbol(bid), kw("group"), Symbol(rng.choice("xyz")),
+            (Symbol("motivated-by"), Symbol(rng.choice(_EMOTIONS)), kw("target"), Symbol("?who")),
+            (Symbol("directives"), *directives),
+        ))
+    forms.append((
+        Symbol("behavior"), kw("id"), Symbol("root"), kw("group"), Symbol("w"),
+        (Symbol("motivated-by"), Symbol(rng.choice(_EMOTIONS))),
+        (Symbol("pre"), (Symbol("supports"), kw("team"), Symbol("?s"))),
+        (Symbol("children"), *(Symbol(b) for b in rng.sample(leaves, len(leaves)))),
+    ))
+    for i in range(rng.randrange(1, 4)):
+        forms.append((
+            Symbol("template"), kw("id"), Symbol(f"line{i}"), (Symbol("pre"), team),
+            (Symbol("text"), rng.choice(["<su><seg>?t score</seg></su>", "<seg>what a \"goal\"</seg>"])),
+        ))
+    rng.shuffle(forms)
+    return forms
+
+
+def random_layout(rng: Random, form) -> str:
+    """`form` as text with random whitespace, line breaks and comments."""
+    if not isinstance(form, tuple):
+        return to_text(form)
+
+    def gap() -> str:
+        return rng.choice([" ", "  ", "\n", "\n    ", "\t", " # note ( ) \"\n  "])
+
+    inner = gap().join(random_layout(rng, item) for item in form)
+    return "(" + rng.choice(["", " ", "\n"]) + inner + rng.choice(["", " ", "\n"]) + ")"

@@ -17,9 +17,7 @@ from byrne.emotions import DecayFunction, EmotionPool, EmotionStructure, decay_p
 from byrne.behaviors import (
     ActivatedBehavior,
     BehaviorSpec,
-    FacialExpressionDirective,
     MotivationPattern,
-    UTTERANCE,
     activate_behaviors,
     bind_statics,
     arbitrate,
@@ -28,6 +26,7 @@ from byrne.facts import FactBoard, parse_game_log, select_fact
 from byrne.pipeline import INTERRUPTED, UTTERANCE_START, driver_ticks, initial_state, run_replay, step
 from byrne.profile import ProfileError, load_profile
 from byrne.seeml import (
+    UTTERANCE,
     FacsEvent,
     merge_tags,
     parse_seeml,
@@ -36,7 +35,7 @@ from byrne.seeml import (
     verify_and_split,
 )
 from byrne.sexpr import read_one
-from corpus import random_board, random_document
+from corpus import markup, random_board, random_document
 from test_seeml import assert_no_identical_nesting, reference_merge
 
 GOLDEN = DEMO / "golden"
@@ -104,7 +103,7 @@ def test_criterion_2_fact_selection_oracle():
         for _ in range(1000):
             board = random_board(rng)
             chosen = select_fact(board)
-            assert board.entries[chosen].relevance == max(f.relevance for f in board.facts())
+            assert board.entries[chosen].relevance == max(f.relevance for f in board.entries.values())
             scale = rng.uniform(0.05, 25.0)
             scaled = FactBoard(
                 {
@@ -165,11 +164,11 @@ def test_criterion_6_arbitration():
     broad = BehaviorSpec(
         id="broad", group="face",
         motivated_by=(MotivationPattern("happiness"), MotivationPattern("interest")),
-        directives=(FacialExpressionDirective("smile", 0.8, UTTERANCE),),
+        directives=(markup("EXPR", UTTERANCE, NAME="smile", LEVEL="0.8"),),
     )
     strong = BehaviorSpec(
         id="strong", group="face", motivated_by=(MotivationPattern("anger"),),
-        directives=(FacialExpressionDirective("anger", 0.8, UTTERANCE),),
+        directives=(markup("EXPR", UTTERANCE, NAME="anger", LEVEL="0.8"),),
     )
     decay = DecayFunction("constant")
     pool = EmotionPool(
@@ -188,7 +187,7 @@ def test_criterion_6_arbitration():
         activated = [
             ActivatedBehavior(
                 BehaviorSpec(id=f"b{i}", group=rng.choice("xyz"), directives=(
-                    FacialExpressionDirective("smile", 0.5, UTTERANCE),
+                    markup("EXPR", UTTERANCE, NAME="smile", LEVEL="0.5"),
                 )),
                 rng.uniform(0.01, 12.0),
                 (),

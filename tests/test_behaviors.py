@@ -5,26 +5,20 @@ from random import Random
 import pytest
 
 from byrne.behaviors import (
-    ActionUnitDirective,
     ActivatedBehavior,
-    AuralEventDirective,
     BehaviorError,
     BehaviorSpec,
-    EVERY_PHRASE,
-    FacialExpressionDirective,
     MotivationPattern,
-    SpeechTagDirective,
-    UTTERANCE,
     activate_behaviors,
     bind_statics,
     arbitrate,
-    at_point,
     expand,
-    word_trigger,
 )
 from byrne.emotions import DecayFunction, EmotionPool, EmotionStructure
 from byrne.patterns import keyed
+from byrne.seeml import EVERY_PHRASE, UTTERANCE, at_point, word_trigger
 from byrne.sexpr import Symbol, read_one
+from corpus import markup
 
 CONSTANT = DecayFunction("constant")
 
@@ -40,7 +34,7 @@ def leaf(bid: str, group: str, *motivations: str, **kwargs) -> BehaviorSpec:
         id=bid,
         group=group,
         motivated_by=tuple(MotivationPattern(m) for m in motivations),
-        directives=kwargs.pop("directives", (FacialExpressionDirective("smile", 0.8, UTTERANCE),)),
+        directives=kwargs.pop("directives", (markup("EXPR", UTTERANCE, NAME="smile", LEVEL="0.8"),)),
         **kwargs,
     )
 
@@ -83,7 +77,7 @@ class TestActivation:
             id="glare",
             group="face",
             motivated_by=(MotivationPattern("anger", Symbol("b2")),),
-            directives=(ActionUnitDirective(4, 0.7, UTTERANCE),),
+            directives=(markup("AU", UTTERANCE, NUM="4", LEVEL="0.7"),),
         )
         miss = EmotionPool((emotion("anger", 7, "b1"),))
         hit = EmotionPool((emotion("anger", 7, "b2"),))
@@ -92,7 +86,7 @@ class TestActivation:
         assert activated.activation == 7.0
 
     def test_expansion_only_nodes_do_not_self_activate(self):
-        spec = BehaviorSpec(id="limb", group="parts", directives=(AuralEventDirective("cheer", at_point("end")),))
+        spec = BehaviorSpec(id="limb", group="parts", directives=(markup("AURAL", at_point("end"), NAME="cheer"),))
         pool = EmotionPool((emotion("happiness", 9),))
         assert activate_behaviors(bind_statics([spec], []), pool, 0.0) == []
 
@@ -159,14 +153,14 @@ class TestArbitrate:
 
 class TestExpand:
     def test_leaf_directives_pass_through(self):
-        smile = FacialExpressionDirective("smile", 0.8, UTTERANCE)
+        smile = markup("EXPR", UTTERANCE, NAME="smile", LEVEL="0.8")
         spec = BehaviorSpec(id="beam", group="face", directives=(smile,))
         assert expand([ActivatedBehavior(spec, 1.0, ())], [spec]) == [smile]
 
     def test_internal_node_concatenates_children_in_order(self):
-        d1 = SpeechTagDirective("VOLUME", (("LEVEL", "+20%"),), UTTERANCE)
-        d2 = ActionUnitDirective(4, 0.7, UTTERANCE)
-        d3 = ActionUnitDirective(9, 0.4, EVERY_PHRASE)
+        d1 = markup("VOLUME", UTTERANCE, LEVEL="+20%")
+        d2 = markup("AU", UTTERANCE, NUM="4", LEVEL="0.7")
+        d3 = markup("AU", EVERY_PHRASE, NUM="9", LEVEL="0.4")
         voice = BehaviorSpec(id="fume-voice", group="vp", directives=(d1,))
         face = BehaviorSpec(id="fume-face", group="fp", directives=(d2, d3))
         root = BehaviorSpec(
@@ -177,13 +171,13 @@ class TestExpand:
         assert expand([ActivatedBehavior(root, 7.0, ())], specs) == [d1, d2, d3]
 
     def test_character_quirk_expands_to_word_scoped_au(self):
-        quirk = ActionUnitDirective(4, 0.6, word_trigger("Kirk"))
+        quirk = markup("AU", word_trigger("Kirk"), NUM="4", LEVEL="0.6")
         spec = BehaviorSpec(
             id="doubt", group="quirk", motivated_by=(MotivationPattern("surprise"),),
             directives=(quirk,),
         )
         (directive,) = expand([ActivatedBehavior(spec, 5.0, ())], [spec])
-        assert directive.au == 4 and directive.level == 0.6
+        assert directive.mark.attr("NUM") == "4" and directive.mark.attr("LEVEL") == "0.6"
         assert directive.scope.kind == "word" and directive.scope.word == "Kirk"
 
     def test_dangling_child_raises(self):
@@ -198,7 +192,7 @@ class TestExpand:
             expand([ActivatedBehavior(a, 1.0, ())], [a, b])
 
     def test_duplicate_directives_preserved(self):
-        d = ActionUnitDirective(12, 0.5, UTTERANCE)
+        d = markup("AU", UTTERANCE, NUM="12", LEVEL="0.5")
         child = BehaviorSpec(id="kid", group="k", directives=(d,))
         root = BehaviorSpec(id="root", group="g", children=("kid", "kid"))
         assert expand([ActivatedBehavior(root, 1.0, ())], [root, child]) == [d, d]

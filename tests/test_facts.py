@@ -38,8 +38,8 @@ class TestParseGameLog:
         (fact,) = update.facts
         assert str(fact.predicate) == "pass"
         assert fact.relevance == 10
-        assert fact.begin_time == 120 and fact.end_time == 125
-        assert fact.arg("fromloc") == (30, 10)
+        assert fact.end_time == 125
+        assert dict(fact.args)["begintime"] == 120 and dict(fact.args)["fromloc"] == (30, 10)
 
     def test_empty_document(self):
         assert parse_game_log("") == ()
@@ -140,7 +140,7 @@ class TestApplyTick:
                 type(f)(f.predicate, f.args, rng.uniform(0.0, 0.99)) for f in facts[:1]
             )
             board = apply_tick(board, TickUpdate(t, facts + low))
-            assert all(f.relevance >= 1 for f in board.facts())
+            assert all(f.relevance >= 1 for f in board.entries.values())
 
 
 class TestSelectFact:
@@ -166,7 +166,7 @@ class TestSelectFact:
         for _ in range(100):
             board = random_board(rng)
             chosen = board.entries[select_fact(board)]
-            assert chosen.relevance == max(f.relevance for f in board.facts())
+            assert chosen.relevance == max(f.relevance for f in board.entries.values())
 
     def test_scaling_argmax_invariance(self):
         rng = Random(5)
@@ -210,8 +210,8 @@ class TestShouldInterrupt:
         rng = Random(17)
         for _ in range(100):
             board = random_board(rng)
-            reported = rng.choice(board.facts())
-            expected = any(f.relevance > reported.relevance for f in board.facts())
+            reported = rng.choice(list(board.entries.values()))
+            expected = any(f.relevance > reported.relevance for f in board.entries.values())
             assert should_interrupt(reported.identity, board) == expected
 
     def test_strict_maximum_never_interrupted(self):
@@ -219,7 +219,7 @@ class TestShouldInterrupt:
         for _ in range(50):
             board = random_board(rng)
             top = select_fact(board)
-            if sum(1 for f in board.facts() if f.relevance == board.entries[top].relevance) == 1:
+            if sum(1 for f in board.entries.values() if f.relevance == board.entries[top].relevance) == 1:
                 assert not should_interrupt(top, board)
 
     def test_rescored_reported_fact_compares_at_new_value(self):

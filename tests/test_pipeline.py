@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import filecmp
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,32 @@ class TestStep:
         assert any("weather" in r.getMessage() for r in caplog.records)
         starts = [e for e in events if e.kind == UTTERANCE_START]
         assert len(starts) == 1 and "move" in starts[0].fact_identity
+
+    def test_uncovered_fact_is_tried_and_reported_once(self, minimal_style, caplog):
+        profile = load_profile(TINY_PROFILE)
+        first = TickUpdate(
+            1.0, (fact_of("(weather condition: rain)", 9), fact_of("(move player: a1)", 3))
+        )
+        ticks = [first, *(TickUpdate(float(t)) for t in range(2, 7))]
+
+        def replay(forget: bool) -> tuple[list, int]:
+            # `forget` drops what earlier starts learnt, as if each start were the first
+            caplog.clear()
+            state, events = initial_state(), []
+            with caplog.at_level("WARNING", logger="byrne"):
+                for update in ticks:
+                    if forget:
+                        state = replace(state, uncovered=frozenset())
+                    state, produced = step(state, update, profile, minimal_style)
+                    events.extend(produced)
+            warned = sum("no template" in r.getMessage() for r in caplog.records)
+            return events, warned
+
+        events, warned = replay(forget=False)
+        starts = [e for e in events if e.kind == UTTERANCE_START]
+        assert len(starts) >= 3 and all("move" in e.fact_identity for e in starts)
+        assert warned == 1
+        assert replay(forget=True) == (events, len(starts))
 
     def test_stale_tick_rejected(self, demo_profile, demo_style):
         state, _ = step(initial_state(), TickUpdate(5.0), demo_profile, demo_style)

@@ -7,17 +7,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from byrne.behaviors import (
-    ActionUnitDirective,
-    AuralEventDirective,
-    FacialExpressionDirective,
-    SpeechTagDirective,
-    UTTERANCE,
-    EVERY_PHRASE,
-    at_point,
-    word_trigger,
-)
 from byrne.seeml import (
+    EVERY_PHRASE,
+    UTTERANCE,
     Element,
     FacsEvent,
     SeemlDocument,
@@ -27,6 +19,7 @@ from byrne.seeml import (
     VerifyError,
     VisemeEvent,
     apply_directives,
+    at_point,
     document,
     element,
     format_face_timeline,
@@ -36,8 +29,9 @@ from byrne.seeml import (
     serialize_seeml,
     strip_text,
     verify_and_split,
+    word_trigger,
 )
-from corpus import random_document
+from corpus import markup, random_document
 
 # --- parse / serialize --------------------------------------------------------
 
@@ -156,22 +150,22 @@ def random_directive(rng: Random):
     ])
     roll = rng.randrange(6)
     if roll == 0:
-        return FacialExpressionDirective(rng.choice(["smile", "fear"]), rng.choice([0.3, 1.0]), scope)
+        return markup("EXPR", scope, NAME=rng.choice(["smile", "fear"]), LEVEL=rng.choice(["0.3", "1"]))
     if roll == 1:
-        return ActionUnitDirective(rng.choice([4, 12]), rng.choice([0.4, 0.6]), scope)
+        return markup("AU", scope, NUM=rng.choice(["4", "12"]), LEVEL=rng.choice(["0.4", "0.6"]))
     if roll == 2:
-        return AuralEventDirective(rng.choice(["hiccup", "cheer"]), scope)
+        return markup("AURAL", scope, NAME=rng.choice(["hiccup", "cheer"]))
     if roll == 3:
-        return SpeechTagDirective("RATE", (("SPEED", rng.choice(["+5%", "-10%"])),), scope)
+        return markup("RATE", scope, SPEED=rng.choice(["+5%", "-10%"]))
     if roll == 4:
-        return SpeechTagDirective(rng.choice(["EMPH", "BREAK"]), (), scope)
-    return SpeechTagDirective("PITCH", (("RANGE", rng.choice(["+10%", "+20%"])),), scope)
+        return markup(rng.choice(["EMPH", "BREAK"]), scope)
+    return markup("PITCH", scope, RANGE=rng.choice(["+10%", "+20%"]))
 
 
 class TestApplyDirectives:
     def test_utterance_scope_wraps_root(self):
         doc = parse_seeml("<su><seg>goal</seg></su>")
-        smiled = apply_directives(doc, [FacialExpressionDirective("smile", 0.8, UTTERANCE)])
+        smiled = apply_directives(doc, [markup("EXPR", UTTERANCE, NAME="smile", LEVEL="0.8")])
         assert (
             serialize_seeml(smiled)
             == '<EXPR LEVEL="0.8" NAME="smile"><su><seg>goal</seg></su></EXPR>'
@@ -179,7 +173,7 @@ class TestApplyDirectives:
 
     def test_word_trigger_wraps_only_that_word(self):
         doc = parse_seeml("<su><seg>Kirk to the bridge</seg></su>")
-        marked = apply_directives(doc, [ActionUnitDirective(4, 0.6, word_trigger("Kirk"))])
+        marked = apply_directives(doc, [markup("AU", word_trigger("Kirk"), NUM="4", LEVEL="0.6")])
         assert (
             serialize_seeml(marked)
             == '<su><seg><AU LEVEL="0.6" NUM="4">Kirk</AU> to the bridge</seg></su>'
@@ -187,29 +181,29 @@ class TestApplyDirectives:
 
     def test_word_trigger_is_case_insensitive_whole_word(self):
         doc = parse_seeml("<su><seg>kirk likes kirkland</seg></su>")
-        marked = apply_directives(doc, [ActionUnitDirective(4, 0.6, word_trigger("Kirk"))])
+        marked = apply_directives(doc, [markup("AU", word_trigger("Kirk"), NUM="4", LEVEL="0.6")])
         out = serialize_seeml(marked)
         assert '<AU LEVEL="0.6" NUM="4">kirk</AU> likes kirkland' in out
 
     def test_word_trigger_wraps_w_elements(self):
         doc = parse_seeml('<su><seg><w pos="n">Kirk</w> beams up</seg></su>')
-        marked = apply_directives(doc, [ActionUnitDirective(4, 0.6, word_trigger("Kirk"))])
+        marked = apply_directives(doc, [markup("AU", word_trigger("Kirk"), NUM="4", LEVEL="0.6")])
         assert '<AU LEVEL="0.6" NUM="4"><w pos="n">Kirk</w></AU>' in serialize_seeml(marked)
 
     def test_aural_event_appends_at_end(self):
         doc = parse_seeml("<su><seg>oh dear</seg></su>")
-        out = apply_directives(doc, [AuralEventDirective("hiccup", at_point("end"))])
+        out = apply_directives(doc, [markup("AURAL", at_point("end"), NAME="hiccup")])
         assert serialize_seeml(out) == '<su><seg>oh dear</seg></su><AURAL NAME="hiccup"/>'
 
     def test_point_start_prepends(self):
         doc = parse_seeml("<su><seg>goal</seg></su>")
-        out = apply_directives(doc, [AuralEventDirective("cheer", at_point("start"))])
+        out = apply_directives(doc, [markup("AURAL", at_point("start"), NAME="cheer")])
         assert serialize_seeml(out).startswith('<AURAL NAME="cheer"/>')
 
     def test_every_phrase_wraps_each_seg(self):
         doc = parse_seeml("<su><seg>one</seg> <seg>two</seg></su>")
         out = apply_directives(
-            doc, [SpeechTagDirective("RATE", (("SPEED", "+10%"),), EVERY_PHRASE)]
+            doc, [markup("RATE", EVERY_PHRASE, SPEED="+10%")]
         )
         assert serialize_seeml(out) == (
             '<su><RATE SPEED="+10%"><seg>one</seg></RATE> '
@@ -218,23 +212,20 @@ class TestApplyDirectives:
 
     def test_insertion_directive_at_every_phrase_lands_beside_segs(self):
         doc = parse_seeml("<su><seg>one</seg> <seg>two</seg></su>")
-        out = apply_directives(doc, [AuralEventDirective("hiccup", EVERY_PHRASE)])
+        out = apply_directives(doc, [markup("AURAL", EVERY_PHRASE, NAME="hiccup")])
         assert serialize_seeml(out).count('<AURAL NAME="hiccup"/>') == 2
 
     def test_unresolvable_expression_name_rejected(self):
         with pytest.raises(SeemlError):
-            apply_directives(
-                parse_seeml("<su><seg>x</seg></su>"),
-                [FacialExpressionDirective("smirk", 0.5, UTTERANCE)],
-            )
+            markup("EXPR", UTTERANCE, NAME="smirk", LEVEL="0.5")
 
     def test_text_content_is_preserved(self):
         rng = Random(55)
         directives = [
-            FacialExpressionDirective("smile", 0.8, UTTERANCE),
-            SpeechTagDirective("RATE", (("SPEED", "+10%"),), EVERY_PHRASE),
-            ActionUnitDirective(4, 0.6, word_trigger("goal")),
-            AuralEventDirective("hiccup", at_point("end")),
+            markup("EXPR", UTTERANCE, NAME="smile", LEVEL="0.8"),
+            markup("RATE", EVERY_PHRASE, SPEED="+10%"),
+            markup("AU", word_trigger("goal"), NUM="4", LEVEL="0.6"),
+            markup("AURAL", at_point("end"), NAME="hiccup"),
         ]
         for _ in range(50):
             doc = random_document(rng)
@@ -264,10 +255,10 @@ class TestApplyDirectives:
         )
         if insertion:
             mark = element("AURAL", {"NAME": "klaxon"})
-            out = apply_directives(doc, [AuralEventDirective("klaxon", word_trigger(word))])
+            out = apply_directives(doc, [markup("AURAL", word_trigger(word), NAME="klaxon")])
         else:
             mark = element("AU", {"NUM": "40", "LEVEL": "0.35"})
-            out = apply_directives(doc, [ActionUnitDirective(40, 0.35, word_trigger(word))])
+            out = apply_directives(doc, [markup("AU", word_trigger(word), NUM="40", LEVEL="0.35")])
         marked: list[str] = []
 
         def walk(nodes, inside: bool) -> None:

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from byrne.sexpr import SexprError, Symbol, is_keyword, keyword_name, read_all, read_one, to_text
+from byrne.sexpr import SexprError, Symbol, is_keyword, keyword_name, read_one, read_top_level, to_text
 
 
 def test_atoms():
@@ -23,8 +23,8 @@ def test_nested_form():
 
 
 def test_comments_and_blank_lines():
-    forms = read_all("# header\n(a 1)\n\n(b 2) # trailing\n")
-    assert forms == [(Symbol("a"), 1), (Symbol("b"), 2)]
+    forms = read_top_level("# header\n(a 1)\n\n(b 2) # trailing\n")
+    assert forms == [((Symbol("a"), 1), 2), ((Symbol("b"), 2), 4)]
 
 
 def test_string_escapes():
@@ -33,16 +33,16 @@ def test_string_escapes():
 
 def test_errors_carry_line_numbers():
     with pytest.raises(SexprError) as err:
-        read_all("(ok 1)\n(broken")
+        read_top_level("(ok 1)\n(broken")
     assert "line 2" in str(err.value)
     with pytest.raises(SexprError):
-        read_all("(a))")
+        read_top_level("(a))")
     with pytest.raises(SexprError):
         read_one('"unterminated')
 
 
 def test_symbol_vs_string_distinct():
-    sym, text = read_all('(x a "a")')[0][1:]
+    sym, text = read_one('(x a "a")')[1:]
     assert isinstance(sym, Symbol) and not isinstance(text, Symbol)
     assert to_text(sym) == "a" and to_text(text) == '"a"'
 

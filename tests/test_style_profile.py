@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from random import Random
 
+import hypothesis.strategies as st
 import pytest
 from conftest import DEMO, MINIMAL_STYLE
+from hypothesis import given, settings
 
-from byrne.profile import ProfileError, check_against_style, dump_profile, load_profile
-from byrne.sexpr import Symbol, read_one
+from byrne.profile import ProfileError, check_against_style, load_profile
+from byrne.sexpr import read_one, read_top_level, to_text
 from byrne.style import StyleError, load_style
+from corpus import random_layout, random_profile_forms
 
 
 class TestLoadStyle:
@@ -43,6 +47,9 @@ class TestLoadStyle:
         broken = MINIMAL_STYLE.replace("words_per_minute = 180", "pace = brisk")
         with pytest.raises(StyleError, match="words_per_minute"):
             load_style(broken)
+        broken = MINIMAL_STYLE.replace("words_per_minute = 180", "break_ms = 150")
+        with pytest.raises(StyleError, match="missing words_per_minute"):
+            load_style(broken)
 
     def test_bad_action_unit_terms(self):
         for bad in ("AU47:0.5", "AU0:0.5", "AU6:1.5", "six"):
@@ -54,14 +61,28 @@ class TestLoadStyle:
         with pytest.raises(StyleError, match="zz"):
             load_style(MINIMAL_STYLE + "\n[visemes]\nzz = QQ\n")
 
-    def test_aural_and_extra_speech_params_pass_through(self):
-        style = load_style(MINIMAL_STYLE + "\nbase_pitch_hz = 120\n")
+    def test_aural_passes_through_and_extra_speech_keys_fail(self):
+        style = load_style(MINIMAL_STYLE)
         assert style.aural["hiccup"] == "sounds/hiccup.wav"
-        assert style.speech_params["base_pitch_hz"] == "120"
+        # no output reads any other [speech] key, so the load names it and fails
+        with pytest.raises(StyleError, match=r"line 16: unknown key 'base_pitch_hz' in \[speech\]"):
+            load_style(MINIMAL_STYLE + "base_pitch_hz = 120\n")
 
     def test_break_ms_configurable(self):
         style = load_style(MINIMAL_STYLE + "\nbreak_ms = 150\n")
         assert style.break_ms == 150.0
+
+    def test_unknown_section_named_with_its_line(self):
+        with pytest.raises(StyleError, match=r"line 17: unknown section \[speach\]"):
+            load_style(MINIMAL_STYLE + "\n[speach]\nbreak_ms = 150\n")
+
+    def test_repeated_key_named_with_its_line(self):
+        with pytest.raises(StyleError, match=r"line 16: repeated key 'words_per_minute' in \[speech\]"):
+            load_style(MINIMAL_STYLE + "words_per_minute = 240\n")
+        with pytest.raises(StyleError, match=r"line 4: repeated key 'smile' in \[expressions\]"):
+            load_style(MINIMAL_STYLE.replace("smile = AU6:0.6 AU12:0.9\n", "smile = AU6:0.6\n" * 2))
+        with pytest.raises(StyleError, match=r"line 18: repeated key 'cheer' in \[aural\]"):
+            load_style(MINIMAL_STYLE + "\n[aural]\ncheer = sounds/other.wav\n")
 
 
 VALID_PROFILE = """
@@ -95,20 +116,27 @@ class TestLoadProfile:
         assert profile.name_table() == {"a1": "Angus"}
         assert [b.id for b in profile.behaviors] == ["beam"]
 
-    def test_demo_profile_round_trips(self, demo_profile):
-        dumped = dump_profile(demo_profile)
-        assert load_profile(dumped) == demo_profile
+    def test_demo_profile_depends_on_its_forms_alone(self, demo_profile):
+        text = (DEMO / "announcer.profile").read_text(encoding="utf-8")
+        assert load_profile(_canonical(text)) == demo_profile
 
-    def test_dump_is_idempotent(self, demo_profile):
-        dumped = dump_profile(demo_profile)
-        assert dump_profile(load_profile(dumped)) == dumped
-
-    def test_dump_of_empty_profile_is_empty(self):
-        assert dump_profile(load_profile("")) == ""
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_generated_profile_depends_on_its_forms_alone(self, seed):
+        rng = Random(seed)
+        text = "\n\n# a comment\n".join(random_layout(rng, f) for f in random_profile_forms(rng))
+        profile = load_profile(text)
+        assert profile.behaviors and profile.templates and profile.emotion_rules
+        assert load_profile(_canonical(text)) == profile
 
     def test_demo_profile_has_no_diagnostics(self):
         text = (DEMO / "announcer.profile").read_text(encoding="utf-8")
         load_profile(text)  # raises on any diagnostic
+
+
+def _canonical(text: str) -> str:
+    """One canonical line per top-level form: no comments, no layout."""
+    return "".join(to_text(form) + "\n" for form, _ in read_top_level(text))
 
 
 def _expect_diagnostic(text: str, fragment: str) -> None:
@@ -215,6 +243,20 @@ class TestProfileValidation:
             "(behavior id: b group: g (motivated-by fear) (directives (au 47 0.5 utterance)))",
             "1-46",
         )
+
+    @pytest.mark.parametrize(
+        "directive, fragment",
+        [
+            ("(expr smile -0.5 utterance)", "expr: level must be a number in [0,1], got -0.5"),
+            ("(au 4 1.5 utterance)", "au: level must be a number in [0,1], got 1.5"),
+            ('(au "7" 0.5 utterance)', 'action unit id must be an integer, got "7"'),
+            ("(au 4.0 0.5 utterance)", "action unit id must be an integer, got 4.0"),
+        ],
+    )
+    def test_directive_rejected_naming_its_behavior(self, directive, fragment):
+        with pytest.raises(ProfileError) as err:
+            load_profile(f"(behavior id: odd group: g (motivated-by fear)\n (directives {directive}))")
+        assert err.value.diagnostics == [f"line 1: behavior 'odd': {fragment}"]
 
     def test_static_with_variables_rejected(self):
         _expect_diagnostic("(static (supports team: ?t))", "variables")
