@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ByrneError
 from .facts import FactBoard
-from .patterns import Binding, Ground, Keyed, is_ground, keyed, match_all, substitute, unify
+from .patterns import Binding, Ground, Keyed, equal, is_ground, keyed, match_all, substitute, unify
 from .sexpr import Sexpr, Symbol, kw, to_text
 
 EMOTION_TYPES = ("fear", "anger", "sadness", "happiness", "disgust", "surprise", "interest")
@@ -148,8 +148,9 @@ def apply_rules(
     """Fire every rule in profile order: deletions, then additions, per binding.
 
     Re-firing is idempotent: a structure is not added when the pool already
-    holds one with the same type, target, and cause. The universe is built
-    once per call; only its emotion tail follows the pool from rule to rule.
+    holds one with the same view (type, target, and cause), compared as the
+    matcher compares terms. The universe is built once per call; only its
+    emotion tail follows the pool from rule to rule.
     """
     structures = list(pool.structures)
     universe = rule_universe(board, statics, pool)
@@ -162,10 +163,9 @@ def apply_rules(
                 structures = [s for s in structures if unify(probe, s.matchable, {}) is None]
             for schema in rule.additions:
                 new = _instantiate(schema, binding, now)
-                if any(
-                    s.type == new.type and s.target == new.target and s.cause == new.cause
-                    for s in structures
-                ):
+                view = new.view()
+                # `==` holds wherever the matcher's equality does, and fails fast
+                if any(view == s.matchable.term and equal(view, s.matchable.term) for s in structures):
                     continue
                 structures.append(new)
         if bindings:

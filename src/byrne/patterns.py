@@ -122,7 +122,7 @@ def unify(pattern: Sexpr, value: Keyed, binding: Binding) -> Optional[Binding]:
             out = dict(binding)
             out[pattern] = term
             return out
-        return binding if _equal(bound, term) else None
+        return binding if equal(bound, term) else None
     if isinstance(pattern, tuple) and isinstance(value, Ground):
         pk = parse_keyed(pattern)
         if pk is not None and value.pairs is not None:
@@ -155,9 +155,11 @@ def unify(pattern: Sexpr, value: Keyed, binding: Binding) -> Optional[Binding]:
     return binding if _atoms_match(pattern, value) else None
 
 
-def _equal(a: Sexpr, b: Sexpr) -> bool:
+def equal(a: Sexpr, b: Sexpr) -> bool:
+    """Term equality as matching sees it: a quoted string never equals a
+    symbol, and numbers compare by value."""
     if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(_equal(x, y) for x, y in zip(a, b))
+        return len(a) == len(b) and all(map(equal, a, b))
     return _atoms_match(a, b)
 
 

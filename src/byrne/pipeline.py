@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -86,26 +86,19 @@ def initial_state() -> PipelineState:
 
 
 def _begin_utterance(
-    board: FactBoard,
-    pool: EmotionPool,
-    history: UsageHistory,
-    profile: CharacterProfile,
-    style: StyleFile,
-    start_at: float,
-    now: float,
-    count: int,
-    uncovered: frozenset[str],
-) -> tuple[Optional[InProgress], UsageHistory, int, frozenset[str], list[CommentaryEvent]]:
-    names = profile.name_table()
+    state: PipelineState, profile: CharacterProfile, style: StyleFile, start_at: float
+) -> tuple[PipelineState, list[CommentaryEvent]]:
+    """Start an utterance on the most relevant covered fact, if there is one."""
+    board, now, uncovered = state.board, state.board.clock, state.uncovered
     while True:
         identity = select_fact(board, uncovered)
         if identity is None:
-            return None, history, count, uncovered, []
+            return replace(state, uncovered=uncovered), []
         try:
             template, binding = select_template(
                 board.keyed[identity],
                 profile.templates_for(board.entries[identity].predicate),
-                history,
+                state.history,
                 now,
                 statics=profile.keyed_statics,
                 lambda_use_penalty=profile.lambda_use_penalty,
@@ -114,17 +107,23 @@ def _begin_utterance(
             logger.warning("skipping fact with no template: %s", identity)
             uncovered = uncovered | {identity}
             continue
-        doc = instantiate(template, binding, names)
-        winners = arbitrate(activate_behaviors(profile.bound_behaviors, pool, now))
+        doc = instantiate(template, binding, profile.name_table())
+        winners = arbitrate(activate_behaviors(profile.bound_behaviors, state.pool, now))
         doc = merge_tags(apply_directives(doc, expand(winners, profile.behaviors)))
         bundle = verify_and_split(doc, style)
-        history = record_usage(history, template.id, now)
-        count += 1
+        count = state.utterance_count + 1
         utterance = InProgress(
             identity, count, start_at, bundle.total_duration_ms, bundle.seg_boundaries_ms
         )
         event = CommentaryEvent(start_at, UTTERANCE_START, identity, count, bundle)
-        return utterance, history, count, uncovered, [event]
+        state = replace(
+            state,
+            history=record_usage(state.history, template.id, now),
+            in_progress=utterance,
+            utterance_count=count,
+            uncovered=uncovered,
+        )
+        return state, [event]
 
 
 def step(
@@ -140,10 +139,7 @@ def step(
     pool = decay_pool(
         apply_rules(state.pool, board, profile.keyed_statics, profile.emotion_rules, now), now
     )
-    history = state.history
-    count = state.utterance_count
     current = state.in_progress
-    uncovered = state.uncovered
 
     if current is not None and current.end_time() <= now:
         events.append(
@@ -163,13 +159,11 @@ def step(
             current = None
             start_at = cut_time
 
+    state = replace(state, board=board, pool=pool, in_progress=current)
     if current is None:
-        current, history, count, uncovered, started = _begin_utterance(
-            board, pool, history, profile, style, start_at, now, count, uncovered
-        )
+        state, started = _begin_utterance(state, profile, style, start_at)
         events.extend(started)
-
-    return PipelineState(board, pool, history, current, count, uncovered), events
+    return state, events
 
 
 def driver_ticks(updates: tuple[TickUpdate, ...], tick_seconds: float) -> list[TickUpdate]:

@@ -35,13 +35,12 @@ from .seeml import (
     EVERY_PHRASE,
     UTTERANCE,
     Directive,
-    Element,
-    Node,
     Scope,
     SeemlDocument,
     SeemlError,
     at_point,
     element,
+    elements,
     parse_seeml,
     word_trigger,
 )
@@ -63,9 +62,6 @@ class CharacterProfile:
     behaviors: tuple[BehaviorSpec, ...] = ()
     templates: tuple[Template, ...] = ()
     lambda_use_penalty: float = 5.0
-    # (AURAL or EXPR, name, user) for each style name the markup uses, collected
-    # while loading; `check_against_style` looks them up.
-    style_names: tuple[tuple[str, str, str], ...] = field(default=(), repr=False, compare=False)
     # Derived from the fields above when the profile is built; no tick changes them.
     keyed_statics: tuple[Keyed, ...] = field(init=False, repr=False, compare=False)
     bound_behaviors: tuple[BoundSpec, ...] = field(init=False, repr=False, compare=False)
@@ -222,18 +218,6 @@ def _body_variables(body: str) -> set[Symbol]:
     return {Symbol(m.group(0)) for m in _VAR_RE.finditer(body)}
 
 
-def _count_segs(doc: SeemlDocument) -> int:
-    count = 0
-    stack = list(doc.children)
-    while stack:
-        node = stack.pop()
-        if hasattr(node, "tag"):
-            if node.tag == "seg":
-                count += 1
-            stack.extend(node.children)
-    return count
-
-
 def load_profile(text: str) -> CharacterProfile:
     """Parse and validate a profile; raises ProfileError listing every diagnostic."""
     diags: list[str] = []
@@ -242,7 +226,6 @@ def load_profile(text: str) -> CharacterProfile:
     rules: list[EmotionRule] = []
     behaviors: list[BehaviorSpec] = []
     templates: list[Template] = []
-    style_names: list[tuple[str, str, str]] = []
     lambda_penalty = 5.0
 
     try:
@@ -281,14 +264,14 @@ def load_profile(text: str) -> CharacterProfile:
             elif head == "emotion-rule":
                 rules.append(_load_rule(form, line, diags))
             elif head == "behavior":
-                spec = _load_behavior(form, line, diags, style_names)
+                spec = _load_behavior(form, line, diags)
                 if spec is not None:
                     if any(b.id == spec.id for b in behaviors):
                         diags.append(f"line {line}: duplicate behavior id '{spec.id}'")
                     else:
                         behaviors.append(spec)
             elif head == "template":
-                tmpl = _load_template(form, line, diags, style_names)
+                tmpl = _load_template(form, line, diags)
                 if tmpl is not None:
                     if any(t.id == tmpl.id for t in templates):
                         diags.append(f"line {line}: duplicate template id '{tmpl.id}'")
@@ -310,7 +293,6 @@ def load_profile(text: str) -> CharacterProfile:
         behaviors=tuple(behaviors),
         templates=tuple(templates),
         lambda_use_penalty=lambda_penalty,
-        style_names=tuple(style_names),
     )
 
 
@@ -335,9 +317,7 @@ def _load_rule(form: tuple, line: int, diags: list[str]) -> EmotionRule:
     return EmotionRule(preconditions, additions, deletions)
 
 
-def _load_behavior(
-    form: tuple, line: int, diags: list[str], style_names: list[tuple[str, str, str]]
-) -> Optional[BehaviorSpec]:
+def _load_behavior(form: tuple, line: int, diags: list[str]) -> Optional[BehaviorSpec]:
     pairs, subs = _split_form(
         form[1:], ("id", "group"), ("motivated-by", "pre", "children", "directives")
     )
@@ -353,9 +333,7 @@ def _load_behavior(
     parsed: list[Directive] = []
     for d in directives[1:] if directives else ():
         try:
-            directive = _parse_directive(d)
-            _collect_style_names((directive.mark,), f"behavior '{bid}'", style_names)
-            parsed.append(directive)
+            parsed.append(_parse_directive(d))
         except (SexprError, ByrneError) as e:
             diags.append(f"line {line}: behavior '{bid}': {e}")
     child_ids = tuple(str(c) for c in (children[1:] if children else ()))
@@ -373,9 +351,7 @@ def _load_behavior(
     )
 
 
-def _load_template(
-    form: tuple, line: int, diags: list[str], style_names: list[tuple[str, str, str]]
-) -> Optional[Template]:
+def _load_template(form: tuple, line: int, diags: list[str]) -> Optional[Template]:
     pairs, subs = _split_form(form[1:], ("id",), ("pre", "text"))
     tid = pairs.get("id")
     if not isinstance(tid, Symbol):
@@ -385,52 +361,41 @@ def _load_template(
     if text_form is None or len(text_form) != 2 or not isinstance(text_form[1], str):
         diags.append(f"line {line}: template '{tid}' needs (text \"...\")")
         return None
-    body = text_form[1]
+    text = text_form[1]
     preconditions = tuple(pre[1:]) if pre else ()
+    body = SeemlDocument()  # stands in for a body that fails to parse, failing the load
     try:
-        doc = parse_seeml(body)
-        if _count_segs(doc) < 1:
+        body = parse_seeml(text)
+        if not any(el.tag == "seg" for el in elements(body.children)):
             diags.append(f"line {line}: template '{tid}' body has no <seg> phrase markers")
-        _collect_style_names(doc.children, f"template '{tid}'", style_names)
     except SeemlError as e:
         diags.append(f"line {line}: template '{tid}' body: {e}")
     bound: set[Symbol] = set()
     for p in preconditions:
         bound |= variables_in(p)
-    for var in sorted(_body_variables(body) - bound):
+    for var in sorted(_body_variables(text) - bound):
         diags.append(f"line {line}: template '{tid}' uses unbound variable {var}")
     return Template(str(tid), preconditions, body)
 
 
-_STYLE_SECTIONS = {"AURAL": ("aural", "aural event"), "EXPR": ("expressions", "expression")}
-
-
-def _collect_style_names(
-    nodes: Sequence[Node], user: str, out: list[tuple[str, str, str]]
-) -> None:
-    for node in nodes:
-        if isinstance(node, Element):
-            if node.tag in _STYLE_SECTIONS:
-                out.append((node.tag, node.attr("NAME"), user))
-            _collect_style_names(node.children, user, out)
-
-
 def check_against_style(profile: CharacterProfile, style: StyleFile) -> None:
-    """Every aural event and expression the profile's markup names must be in
-    the style; raises ProfileError naming each missing one and its user.
+    """Every aural event the profile's markup names must be in the style;
+    raises ProfileError naming each missing one and its user.
 
-    A name holding a template variable is only known per utterance, so it is
-    left to the replay.
+    Expression names need no check: the markup admits only the six, and the
+    style must map all six. A name holding a template variable is only known
+    per utterance, so it is left to the replay.
     """
-    tables = {"AURAL": style.aural, "EXPR": style.expressions}
+    users = [(f"behavior '{b.id}'", [d.mark for d in b.directives]) for b in profile.behaviors]
+    users += [(f"template '{t.id}'", t.body.children) for t in profile.templates]
     diags: list[str] = []
-    for tag, name, user in profile.style_names:
-        if name in tables[tag] or _VAR_RE.search(name):
-            continue
-        section, what = _STYLE_SECTIONS[tag]
-        diag = f"{user} uses {what} '{name}', which the style's [{section}] section lacks"
-        if diag not in diags:
-            diags.append(diag)
+    for user, nodes in users:
+        for el in elements(nodes):
+            name = el.attr("NAME")
+            if el.tag == "AURAL" and name not in style.aural and not _VAR_RE.search(name):
+                diag = f"{user} uses aural event '{name}', which the style's [aural] section lacks"
+                if diag not in diags:
+                    diags.append(diag)
     if diags:
         raise ProfileError(diags)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ByrneError
 
@@ -240,6 +240,31 @@ def _serialize_node(node: Node) -> str:
         return f"<{node.tag}{attrs}/>"
     inner = "".join(_serialize_node(c) for c in node.children)
     return f"<{node.tag}{attrs}>{inner}</{node.tag}>"
+
+
+def elements(nodes: Iterable[Node]) -> Iterable[Element]:
+    """Every element in and below `nodes`, in document order."""
+    for node in nodes:
+        if isinstance(node, Element):
+            yield node
+            yield from elements(node.children)
+
+
+def substitute(doc: SeemlDocument, fill: Callable[[str], str]) -> SeemlDocument:
+    """`doc` with `fill` applied to every text node and attribute value; what
+    `fill` returns is literal text. An element whose attributes change is built
+    again, so its checks run on the new values."""
+
+    def walk(node: Node) -> Node:
+        if isinstance(node, Text):
+            return Text(fill(node.text))
+        attrs = tuple((name, fill(value)) for name, value in node.attrs)
+        kids = [walk(child) for child in node.children]
+        if attrs != node.attrs:
+            return element(node.tag, attrs, kids)
+        return _with_children(node, kids)
+
+    return document(walk(node) for node in doc.children)
 
 
 def strip_text(doc: SeemlDocument) -> str:
@@ -587,10 +612,8 @@ def verify_and_split(doc: SeemlDocument, style: "StyleFile") -> OutputBundle:
         if el.tag == "AU":
             facs.append(FacsEvent(start, int(el.attr("NUM")), _unit(level), duration))
         else:
-            name = el.attr("NAME")
-            weights = style.expressions.get(name)
-            if weights is None:
-                raise VerifyError(f"expression '{name}' missing from style")
+            # the markup admits only the six names, and the style maps all six
+            weights = style.expressions[el.attr("NAME")]
             facs.extend(
                 FacsEvent(start, au, _unit(weight * level), duration) for au, weight in weights
             )

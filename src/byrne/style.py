@@ -33,7 +33,7 @@ _AU_WEIGHT = re.compile(r"^AU(\d+):([0-9.]+)$", re.IGNORECASE)
 
 # The keys each section accepts; None accepts any name.
 _SECTIONS = {
-    "expressions": None,
+    "expressions": EXPRESSION_NAMES,
     "aural": None,
     "speech": ("words_per_minute", "break_ms"),
     "visemes": tuple(DEFAULT_VISEMES),

@@ -1,8 +1,9 @@
 """Template-based surface generation.
 
-Templates pair precondition patterns with a SEEML body whose ``seg`` elements
-double as interrupt markers. When several templates cover a fact, the least
-recently and least often used one wins, keeping the phrasing from looping.
+Templates pair precondition patterns with a SEEML body, parsed once at load,
+whose ``seg`` elements double as interrupt markers. When several templates
+cover a fact, the least recently and least often used one wins, keeping the
+phrasing from looping.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import ByrneError
 from .patterns import Binding, Ground, Keyed, is_variable, match_all
-from .seeml import SeemlDocument, _escape_text, parse_seeml
+from .seeml import SeemlDocument, substitute
 from .sexpr import Sexpr, Symbol, is_keyword, to_text
 
 
@@ -31,7 +32,7 @@ class InstantiationError(ByrneError):
 class Template:
     id: str
     preconditions: tuple[Sexpr, ...]
-    body: str
+    body: SeemlDocument
 
 
 @dataclass(frozen=True)
@@ -136,15 +137,15 @@ def render_term(term: Sexpr, names: Mapping[str, str] | None = None) -> str:
 def instantiate(
     template: Template, binding: Binding, names: Mapping[str, str] | None = None
 ) -> SeemlDocument:
-    """Substitute bound terms into the body and re-parse it, markup intact."""
+    """Substitute bound terms, as literal text, into the body's text and attribute values."""
 
     def replace(m: re.Match[str]) -> str:
         var = Symbol(m.group(0))
         if var not in binding:
             raise InstantiationError(f"template '{template.id}': unbound variable {var}")
-        return _escape_text(render_term(binding[var], names))
+        return render_term(binding[var], names)
 
-    return parse_seeml(_VAR_RE.sub(replace, template.body))
+    return substitute(template.body, lambda text: _VAR_RE.sub(replace, text))
 
 
 def record_usage(history: UsageHistory, template_id: str, now: float) -> UsageHistory:

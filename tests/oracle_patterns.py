@@ -3,7 +3,10 @@
 This is the matcher byrne used before candidates came in keyed form: `unify`
 splits both the pattern and the ground term with `parse_keyed` on every call,
 and `rule_universe` flattens and sorts the board for every rule. It is kept
-verbatim in behaviour so the keyed matcher can be checked against it.
+verbatim in behaviour so the keyed matcher can be checked against it. Only
+the pool's duplicate check follows byrne's: it compares each structure's view
+(type, target and cause) with the matcher's term equality, so a symbol never
+equals a quoted string.
 """
 
 from __future__ import annotations
@@ -145,10 +148,7 @@ def apply_rules(
                 structures = [s for s in structures if unify(probe, s.view(), {}) is None]
             for schema in rule.additions:
                 new = _instantiate(schema, binding, now)
-                if any(
-                    s.type == new.type and s.target == new.target and s.cause == new.cause
-                    for s in structures
-                ):
+                if any(_equal(s.view(), new.view()) for s in structures):
                     continue
                 structures.append(new)
     return EmotionPool(tuple(structures))

@@ -240,6 +240,20 @@ class TestApplyRules:
             "(pass from: a2 to: a3)",
         }
 
+    @pytest.mark.parametrize(
+        "target, cause", [(None, "(heard ?w)"), (Symbol("?w"), "(shouting)")], ids=["cause", "target"]
+    )
+    def test_symbol_and_quoted_string_stay_apart(self, target, cause):
+        # the board keeps (shout by: a) and (shout by: "a") apart, and so does the pool
+        rule = EmotionRule(
+            preconditions=(read_one("(shout by: ?w)"),),
+            additions=(EmotionSchema("interest", 4.0, target, read_one(cause), RECIPROCAL),),
+        )
+        board = board_of(fact_of("(shout by: a)", 5), fact_of('(shout by: "a")', 5))
+        assert len(board.entries) == 2
+        pool = apply_rules(EmotionPool(), board, [], [rule], 0.0)
+        assert len({to_text(s.view()) for s in pool.structures}) == 2
+
     def test_rules_fire_in_profile_order(self):
         add_then_delete = [
             EmotionRule(

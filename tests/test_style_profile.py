@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 from random import Random
 
 import hypothesis.strategies as st
@@ -30,6 +29,11 @@ class TestLoadStyle:
         broken = MINIMAL_STYLE.replace("disgust = AU9:0.8 AU10:0.4\n", "")
         with pytest.raises(StyleError, match="disgust"):
             load_style(broken)
+
+    def test_expression_outside_the_six_named_with_its_line(self):
+        # the markup admits no other expression name, so such an entry could never be read
+        with pytest.raises(StyleError, match=r"line 9: unknown key 'smirk' in \[expressions\]"):
+            load_style(MINIMAL_STYLE.replace("\n\n[aural]", "\nsmirk = AU1:0.5\n\n[aural]"))
 
     def test_missing_sections(self):
         with pytest.raises(StyleError, match=r"\[expressions\]"):
@@ -145,6 +149,13 @@ def _expect_diagnostic(text: str, fragment: str) -> None:
     assert any(fragment in d for d in err.value.diagnostics), err.value.diagnostics
 
 
+_MARKUP_PIECES = st.sampled_from([
+    "<su>", "</su>", "<seg>", "</seg>", '<RATE SPEED="?s">', "</RATE>", '<AURAL NAME="?s"/>',
+    '<AU NUM="99">', '<EXPR NAME="?s">', "</EXPR>", "<BREAK/>", "&amp;", "&", "?s", "?x", '"',
+    "\\", "<", ">", "goal ",
+])
+
+
 class TestProfileValidation:
     def test_behavior_cycle_named(self):
         _expect_diagnostic(
@@ -218,6 +229,26 @@ class TestProfileValidation:
             '(template id: broken (pre (corner team: ?t)) (text "<su><seg>?t</wrong></su>"))',
             "broken",
         )
+
+    def test_body_that_fails_to_parse_still_has_its_variables_checked(self):
+        with pytest.raises(ProfileError) as err:
+            load_profile(
+                '(template id: broken (pre (corner team: ?t)) (text "<su><seg>?who</wrong></su>"))\n'
+                '(template id: broken (pre (corner team: ?t)) (text "<su><seg>?t</seg></su>"))\n'
+            )
+        assert err.value.diagnostics == [
+            "line 1: template 'broken' body: closing tag </wrong> does not match <seg>",
+            "line 1: template 'broken' uses unbound variable ?who",
+            "line 2: duplicate template id 'broken'",
+        ]
+
+    @given(st.one_of(st.text(), st.lists(_MARKUP_PIECES).map("".join)))
+    @settings(max_examples=200, deadline=None)
+    def test_any_template_text_loads_or_fails_to_load(self, text):
+        try:
+            load_profile(f"(template id: t (pre (chant words: ?s)) (text {to_text(text)}))")
+        except ProfileError:
+            pass
 
     def test_bad_emotion_type_and_intensity(self):
         _expect_diagnostic(
@@ -343,15 +374,6 @@ class TestCheckAgainstStyle:
             "behavior 'horn' uses aural event 'bell', which the style's [aural] section lacks",
             "template 'honk' uses aural event 'hooter', which the style's [aural] section lacks",
         ]
-
-    def test_expression_names_checked(self, minimal_style):
-        profile = load_profile(
-            "(behavior id: grin group: face (motivated-by happiness)"
-            " (directives (expr smile 0.5 utterance)))\n"
-        )
-        narrow = replace(minimal_style, expressions={"sadness": ((1, 0.8),)})
-        with pytest.raises(ProfileError, match=r"behavior 'grin' uses expression 'smile'.*\[expressions\]"):
-            check_against_style(profile, narrow)
 
     def test_name_bound_per_utterance_left_to_the_replay(self, minimal_style):
         profile = load_profile(

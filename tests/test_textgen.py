@@ -5,6 +5,7 @@ from collections import Counter
 from random import Random
 
 import hypothesis.strategies as st
+import oracle_textgen as oracle
 import pytest
 from conftest import MINIMAL_STYLE, fact_of
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from byrne.facts import TickUpdate
 from byrne.patterns import keyed
 from byrne.pipeline import UTTERANCE_START, initial_state, step
 from byrne.profile import load_profile
-from byrne.seeml import parse_seeml, serialize_seeml, strip_text
+from byrne.seeml import SeemlError, parse_seeml, serialize_seeml, strip_text
 from byrne.sexpr import Symbol, read_one
 from byrne.style import load_style
 from byrne.textgen import (
@@ -29,7 +30,7 @@ from byrne.textgen import (
 PASS_TEMPLATE = Template(
     "pass-basic",
     (read_one("(pass from: ?x to: ?y)"),),
-    '<su><seg>?x passes</seg> <seg>to ?y</seg></su>',
+    parse_seeml('<su><seg>?x passes</seg> <seg>to ?y</seg></su>'),
 )
 PASS_TERM = keyed(read_one("(pass from: a1 to: a2 fromloc: (30 10) toloc: (20 10))"))
 
@@ -73,7 +74,7 @@ class TestSelectTemplate:
             select_template(keyed(read_one("(corner team: b)")), [PASS_TEMPLATE], UsageHistory(), 0.0)
 
     def test_never_returns_non_matching_template(self):
-        corner = Template("corner", (read_one("(corner team: ?t)"),), "<su><seg>corner</seg></su>")
+        corner = Template("corner", (read_one("(corner team: ?t)"),), parse_seeml("<su><seg>corner</seg></su>"))
         chosen, _ = select_template(PASS_TERM, [corner, PASS_TEMPLATE], UsageHistory(), 0.0)
         assert chosen is PASS_TEMPLATE
 
@@ -81,7 +82,7 @@ class TestSelectTemplate:
         biased = Template(
             "homer",
             (read_one("(pass from: ?x to: ?y)"), read_one("(supports team: ?t)")),
-            "<su><seg>?x to ?y great stuff from ?t</seg></su>",
+            parse_seeml("<su><seg>?x to ?y great stuff from ?t</seg></su>"),
         )
         with pytest.raises(CoverageError):
             select_template(PASS_TERM, [biased], UsageHistory(), 0.0)
@@ -110,14 +111,14 @@ class TestInstantiate:
         assert serialize_seeml(doc) == "<su><seg>a1 passes</seg> <seg>to a2</seg></su>"
 
     def test_no_variables_is_identity(self):
-        t = Template("plain", (), "<su><seg>what a match</seg></su>")
-        assert serialize_seeml(instantiate(t, {})) == t.body
+        t = Template("plain", (), parse_seeml("<su><seg>what a match</seg></su>"))
+        assert instantiate(t, {}) == t.body
 
     def test_hardcoded_gesture_survives(self):
         t = Template(
             "save",
             (read_one("(save player: ?p)"),),
-            '<su><seg>saved by ?p</seg> <seg><AU LEVEL="0.5" NUM="5">what a stop</AU></seg></su>',
+            parse_seeml('<su><seg>saved by ?p</seg> <seg><AU LEVEL="0.5" NUM="5">what a stop</AU></seg></su>'),
         )
         doc = instantiate(t, {Symbol("?p"): Symbol("b1")})
         assert '<AU LEVEL="0.5" NUM="5">what a stop</AU>' in serialize_seeml(doc)
@@ -128,7 +129,9 @@ class TestInstantiate:
         assert strip_text(doc) == "Angus passes to Brodie"
 
     def test_coordinate_terms_render(self):
-        t = Template("loc", (read_one("(move toloc: ?where)"),), "<su><seg>moving to ?where</seg></su>")
+        t = Template(
+            "loc", (read_one("(move toloc: ?where)"),), parse_seeml("<su><seg>moving to ?where</seg></su>")
+        )
         doc = instantiate(t, {Symbol("?where"): (10, 20)})
         assert strip_text(doc) == "moving to (10 20)"
 
@@ -151,6 +154,87 @@ class TestInstantiate:
             names={"a1": "R&B <star>"},
         )
         assert strip_text(doc) == "R&B <star> passes to a2"
+
+
+# --- substitution on the parsed body ----------------------------------------------
+
+_VARS = ("?a", "?b", "?c")
+# Raw markup pieces. None is a bare `&`, so no variable ever follows one: a value
+# could then complete an entity, which only the re-parsing oracle would read.
+_LITERAL = st.sampled_from(["goal", " ", "to", "&amp;", "&lt;", "&gt;", "&quot;", ";", "? ", "!"])
+# A variable ends at its suffix, never at a following name character.
+_VARIABLE = st.tuples(st.sampled_from(_VARS), st.sampled_from([" ", ";", ".", "'s", "!"])).map("".join)
+_RUN = st.lists(st.one_of(_LITERAL, _VARIABLE), max_size=5).map("".join)
+
+# Tags whose attribute values `_validate` does not restrict, with that attribute.
+_WRAPPING = [("seg", ""), ("EMPH", ""), ("w", ""), ("RATE", "SPEED"), ("PITCH", "BASE"), ("AFFECT", "TYPE")]
+_CHILDLESS = [("AURAL", "NAME"), ("AUDIO", "SRC")]
+
+
+def _open(tag: str, attr: str, value: str) -> str:
+    return f'<{tag} {attr}="{value}"' if attr else f"<{tag}"
+
+
+_NODES = st.recursive(
+    _RUN,
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(_WRAPPING), _RUN, st.lists(kids, max_size=3)).map(
+            lambda t: f"{_open(*t[0], t[1])}>{''.join(t[2])}</{t[0][0]}>"
+        ),
+        st.tuples(st.sampled_from(_CHILDLESS), _RUN.filter(bool)).map(lambda t: f"{_open(*t[0], t[1])}/>"),
+    ),
+    max_leaves=8,
+)
+_BODIES = st.lists(_NODES, max_size=4).map(lambda kids: f"<su>{''.join(kids)}</su>")
+
+# Rendered terms hold `& < >` but never `"`, which only the oracle cannot take
+# inside an attribute value.
+_CHARS = st.text(alphabet="ab &<>;?-1", max_size=6)
+_TERMS = st.one_of(
+    _CHARS.filter(bool).map(Symbol),
+    _CHARS,
+    st.integers(-50, 50),
+    st.floats(-10, 10, allow_nan=False),
+    st.lists(st.one_of(st.sampled_from(["a1", "b2"]).map(Symbol), st.integers(0, 99)), max_size=3).map(tuple),
+)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (InstantiationError, SeemlError) as e:
+        return type(e), str(e)
+
+
+class TestSubstitutionOnTheTree:
+    @given(
+        _BODIES,
+        st.dictionaries(st.sampled_from(_VARS).map(Symbol), _TERMS, min_size=2),
+        st.dictionaries(st.sampled_from(["a1", "b2", "&"]), _CHARS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_gives_the_reparsing_oracles_document(self, body, binding, names):
+        template = Template("t", (), parse_seeml(body))
+        new = _outcome(lambda: instantiate(template, binding, names))
+        assert new == _outcome(lambda: oracle.instantiate("t", body, binding, names))
+
+    def _chant(self, text: str) -> Template:
+        (template,) = load_profile(f'(template id: t (pre (chant words: ?s)) (text "{text}"))').templates
+        return template
+
+    def test_quote_in_an_attribute_value_is_kept(self):
+        template = self._chant('<su><seg><RATE SPEED=\\"?s\\">go</RATE></seg></su>')
+        doc = instantiate(template, {Symbol("?s"): 'say "hi"'})
+        assert serialize_seeml(doc) == '<su><seg><RATE SPEED="say &quot;hi&quot;">go</RATE></seg></su>'
+
+    def test_changed_attribute_value_is_checked_again(self):
+        template = self._chant('<su><seg>listen</seg><AURAL NAME=\\"?s\\"/></su>')
+        with pytest.raises(SeemlError, match="AURAL needs a NAME"):
+            instantiate(template, {Symbol("?s"): ""})
+
+    def test_value_that_would_complete_an_entity_stays_text(self):
+        doc = instantiate(self._chant("<su><seg>R&?s;</seg></su>"), {Symbol("?s"): Symbol("amp")})
+        assert strip_text(doc) == "R&amp;"
 
 
 class TestRecordUsage:
