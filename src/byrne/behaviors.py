@@ -16,7 +16,6 @@ from .emotions import EmotionPool, EmotionStructure, intensity_at
 from .errors import ByrneError
 from .patterns import Binding, Keyed, match_all, unify
 from .seeml import Directive
-from .sexpr import Sexpr
 
 
 class BehaviorError(ByrneError):
@@ -26,7 +25,7 @@ class BehaviorError(ByrneError):
 @dataclass(frozen=True)
 class MotivationPattern:
     emotion_type: str
-    target: Sexpr | None = None
+    target: Keyed | None = None
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,7 @@ class BehaviorSpec:
     id: str
     group: str
     motivated_by: tuple[MotivationPattern, ...] = ()
-    preconditions: tuple[Sexpr, ...] = ()
+    preconditions: tuple[Keyed, ...] = ()
     children: tuple[str, ...] = ()
     directives: tuple[Directive, ...] = ()
 
@@ -74,7 +73,7 @@ def bind_statics(specs: Iterable[BehaviorSpec], statics: Iterable[Keyed]) -> tup
     return tuple(out)
 
 
-def _target_matches(pattern: Sexpr, structure: EmotionStructure, static_bindings) -> bool:
+def _target_matches(pattern: Keyed, structure: EmotionStructure, static_bindings) -> bool:
     actual = structure.matchable.pairs["target"]  # the keyed target, nil when absent
     return any(unify(pattern, actual, b) is not None for b in static_bindings)
 

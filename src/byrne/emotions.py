@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ByrneError
 from .facts import FactBoard
-from .patterns import Binding, Ground, Keyed, equal, is_ground, keyed, match_all, substitute, unify
+from .patterns import Binding, Form, Keyed, equal, is_ground, keyed, match_all, substitute, unify
 from .sexpr import Sexpr, Symbol, kw, to_text
 
 EMOTION_TYPES = ("fear", "anger", "sadness", "happiness", "disgust", "surprise", "interest")
@@ -84,7 +84,7 @@ class EmotionStructure:
         return (kw("type"), Symbol(self.type), kw("target"), target, kw("cause"), self.cause)
 
     @cached_property
-    def matchable(self) -> Ground:
+    def matchable(self) -> Form:
         """The keyed form of `view()`, built once per structure."""
         return keyed(self.view())
 
@@ -108,8 +108,10 @@ class EmotionSchema:
 
 @dataclass(frozen=True)
 class EmotionRule:
-    preconditions: tuple[Sexpr, ...]
+    preconditions: tuple[Keyed, ...]
     additions: tuple[EmotionSchema, ...] = ()
+    # Kept raw and substituted per binding: a substituted subterm matches by
+    # keyword subset, where a bound variable would need exact equality.
     deletions: tuple[Sexpr, ...] = ()
 
 
@@ -159,7 +161,7 @@ def apply_rules(
         bindings = match_all(rule.preconditions, universe)
         for binding in bindings:
             for pattern in rule.deletions:
-                probe = substitute(pattern, binding)
+                probe = keyed(substitute(pattern, binding))  # once, not per structure
                 structures = [s for s in structures if unify(probe, s.matchable, {}) is None]
             for schema in rule.additions:
                 new = _instantiate(schema, binding, now)

@@ -8,10 +8,10 @@ extra keywords on the candidate are ignored, so ``(scores team: ?t)`` matches
 match positionally. Candidates are always ground, so this is matching rather
 than full unification.
 
-Candidates come in keyed form (`keyed`): each compound ground term is split
-into head and keyword map, or into positional items, once where the term is
-born (a fact joining the board, an emotion structure, a profile static), so
-only the pattern side is split on each `unify` call.
+Both sides come in keyed form (`keyed`): each compound term is split into
+head and keyword map, or into positional items, once where it is born (a
+profile's statics and patterns at load, a fact joining the board, an emotion
+structure, a deletion probe once per binding), so `unify` splits nothing.
 """
 
 from __future__ import annotations
@@ -73,12 +73,12 @@ def parse_keyed(form: Sexpr) -> Optional[tuple[Optional[Symbol], dict[str, Sexpr
     return head, pairs
 
 
-class Ground:
-    """A compound ground term split once: `pairs` maps each keyword name to a
-    keyed sub-term when the term is keyword-shaped (`head` is then its
-    predicate, or None when headless), otherwise `items` holds the keyed
-    sub-terms in order. `term` is the term itself, which is what variables
-    bind to."""
+class Form:
+    """A compound term, ground or pattern, split once: `pairs` maps each
+    keyword name to a keyed sub-term when the term is keyword-shaped (`head`
+    is then its predicate, or None when headless), otherwise `items` holds the
+    keyed sub-terms in order. `term` is the term itself, which is what
+    variables bind to; forms compare and hash by it."""
 
     __slots__ = ("term", "head", "pairs", "items")
 
@@ -93,13 +93,19 @@ class Ground:
             self.pairs = {name: keyed(v) for name, v in split[1].items()}
             self.items = None
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Form) and self.term == other.term
 
-Keyed = Union[Ground, Symbol, str, int, float]
+    def __hash__(self) -> int:
+        return hash(self.term)
+
+
+Keyed = Union[Form, Symbol, str, int, float]
 
 
 def keyed(term: Sexpr) -> Keyed:
-    """The keyed form `unify` takes as a candidate; an atom is its own."""
-    return Ground(term) if isinstance(term, tuple) else term
+    """The keyed form `unify` takes on both sides; an atom is its own."""
+    return Form(term) if isinstance(term, tuple) else term
 
 
 def _atoms_match(pattern: Sexpr, value: Sexpr) -> bool:
@@ -113,44 +119,41 @@ def _atoms_match(pattern: Sexpr, value: Sexpr) -> bool:
     return False
 
 
-def unify(pattern: Sexpr, value: Keyed, binding: Binding) -> Optional[Binding]:
-    """Extend `binding` so that `pattern` matches the keyed ground `value`, or None."""
-    if is_variable(pattern):
-        term = value.term if isinstance(value, Ground) else value
-        bound = binding.get(pattern)
-        if bound is None:
-            out = dict(binding)
-            out[pattern] = term
-            return out
-        return binding if equal(bound, term) else None
-    if isinstance(pattern, tuple) and isinstance(value, Ground):
-        pk = parse_keyed(pattern)
-        if pk is not None and value.pairs is not None:
-            ph, pp = pk
-            vh, vp = value.head, value.pairs
-            if (ph is None) != (vh is None) or (ph is not None and str(ph) != str(vh)):
+def unify(pattern: Keyed, value: Keyed, binding: Binding) -> Optional[Binding]:
+    """Extend `binding` so that the keyed `pattern` matches the keyed ground `value`, or None."""
+    if isinstance(pattern, Form) and isinstance(value, Form):
+        if pattern.pairs is not None:
+            vp = value.pairs
+            if vp is None or pattern.head != value.head:
                 return None
             b: Optional[Binding] = binding
-            for name, pv in pp.items():
+            for name, pv in pattern.pairs.items():
                 if name not in vp:
                     return None
                 b = unify(pv, vp[name], b)
                 if b is None:
                     return None
             return b
-        if pk is None and value.pairs is None:
-            if len(pattern) != len(value.items):
+        if value.pairs is not None or len(pattern.items) != len(value.items):
+            return None
+        b = binding
+        for p, v in zip(pattern.items, value.items):
+            b = unify(p, v, b)
+            if b is None:
                 return None
-            b = binding
-            for p, v in zip(pattern, value.items):
-                b = unify(p, v, b)
-                if b is None:
-                    return None
-            return b
-        return None
-    if isinstance(value, tuple):
-        raise TypeError(f"candidate {to_text(value)} is not in keyed form; build it with keyed()")
-    if isinstance(pattern, tuple) or isinstance(value, Ground):
+        return b
+    if isinstance(pattern, tuple) or isinstance(value, tuple):
+        raw = pattern if isinstance(pattern, tuple) else value
+        raise TypeError(f"{to_text(raw)} is not in keyed form; build it with keyed()")
+    if is_variable(pattern):
+        term = value.term if isinstance(value, Form) else value
+        bound = binding.get(pattern)
+        if bound is None:
+            out = dict(binding)
+            out[pattern] = term
+            return out
+        return binding if equal(bound, term) else None
+    if isinstance(pattern, Form) or isinstance(value, Form):
         return None
     return binding if _atoms_match(pattern, value) else None
 
@@ -174,11 +177,11 @@ def substitute(x: Sexpr, binding: Binding) -> Sexpr:
 
 
 def match_all(
-    patterns: Iterable[Sexpr],
+    patterns: Iterable[Keyed],
     candidates: Iterable[Keyed],
     binding: Optional[Binding] = None,
 ) -> list[Binding]:
-    """Every binding satisfying all patterns against the keyed candidate set.
+    """Every binding satisfying all keyed patterns against the keyed candidate set.
 
     Patterns are tried left to right against candidates in their given order,
     so the result order is deterministic; duplicate bindings are dropped.

@@ -100,7 +100,7 @@ def _begin_utterance(
                 profile.templates_for(board.entries[identity].predicate),
                 state.history,
                 now,
-                statics=profile.keyed_statics,
+                statics=profile.statics,
                 lambda_use_penalty=profile.lambda_use_penalty,
             )
         except CoverageError:
@@ -137,7 +137,7 @@ def step(
     board = apply_tick(state.board, update)
     now = board.clock
     pool = decay_pool(
-        apply_rules(state.pool, board, profile.keyed_statics, profile.emotion_rules, now), now
+        apply_rules(state.pool, board, profile.statics, profile.emotion_rules, now), now
     )
     current = state.in_progress
 

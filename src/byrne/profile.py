@@ -3,7 +3,8 @@
 One declarative file defines a character, so the same announcer can front any
 content source. Everything is s-expressions; see the README for the grammar.
 Loading validates the whole profile and reports every problem it finds, each
-diagnostic naming the offending rule, behavior, template, or variable.
+diagnostic naming the offending rule, behavior, template, or variable. It keys
+every static and pattern the replay matches (`patterns.keyed`) once.
 """
 
 from __future__ import annotations
@@ -56,20 +57,18 @@ class ProfileError(ByrneError):
 
 @dataclass(frozen=True)
 class CharacterProfile:
-    statics: tuple[Sexpr, ...] = ()
+    statics: tuple[Keyed, ...] = ()
     names: tuple[tuple[str, str], ...] = ()
     emotion_rules: tuple[EmotionRule, ...] = ()
     behaviors: tuple[BehaviorSpec, ...] = ()
     templates: tuple[Template, ...] = ()
     lambda_use_penalty: float = 5.0
     # Derived from the fields above when the profile is built; no tick changes them.
-    keyed_statics: tuple[Keyed, ...] = field(init=False, repr=False, compare=False)
     bound_behaviors: tuple[BoundSpec, ...] = field(init=False, repr=False, compare=False)
     _template_index: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "keyed_statics", tuple(keyed(s) for s in self.statics))
-        object.__setattr__(self, "bound_behaviors", bind_statics(self.behaviors, self.keyed_statics))
+        object.__setattr__(self, "bound_behaviors", bind_statics(self.behaviors, self.statics))
         object.__setattr__(self, "_template_index", index_templates(self.templates, self.statics))
 
     def name_table(self) -> dict[str, str]:
@@ -179,7 +178,7 @@ def _parse_motivations(form: tuple) -> tuple[MotivationPattern, ...]:
                 raise SexprError("target: before any emotion type in motivated-by")
             if i + 1 >= len(form):
                 raise SexprError("target: has no pattern")
-            out[-1] = MotivationPattern(out[-1].emotion_type, form[i + 1])
+            out[-1] = MotivationPattern(out[-1].emotion_type, keyed(form[i + 1]))
             i += 2
             continue
         if not isinstance(item, Symbol) or str(item) not in EMOTION_TYPES:
@@ -221,7 +220,7 @@ def _body_variables(body: str) -> set[Symbol]:
 def load_profile(text: str) -> CharacterProfile:
     """Parse and validate a profile; raises ProfileError listing every diagnostic."""
     diags: list[str] = []
-    statics: list[Sexpr] = []
+    statics: list[Keyed] = []
     names: list[tuple[str, str]] = []
     rules: list[EmotionRule] = []
     behaviors: list[BehaviorSpec] = []
@@ -244,7 +243,7 @@ def load_profile(text: str) -> CharacterProfile:
                     raise SexprError("expected (static <fact>)")
                 if not is_ground(form[1]):
                     raise SexprError(f"static fact contains variables: {to_text(form[1])}")
-                statics.append(form[1])
+                statics.append(keyed(form[1]))
             elif head == "names":
                 for entry in form[1:]:
                     if (
@@ -314,7 +313,7 @@ def _load_rule(form: tuple, line: int, diags: list[str]) -> EmotionRule:
         used |= variables_in(p)
     for var in sorted(used - bound):
         diags.append(f"line {line}: emotion-rule uses unbound variable {var}")
-    return EmotionRule(preconditions, additions, deletions)
+    return EmotionRule(tuple(map(keyed, preconditions)), additions, deletions)
 
 
 def _load_behavior(form: tuple, line: int, diags: list[str]) -> Optional[BehaviorSpec]:
@@ -345,7 +344,7 @@ def _load_behavior(form: tuple, line: int, diags: list[str]) -> Optional[Behavio
         id=str(bid),
         group=str(group),
         motivated_by=_parse_motivations(motivated) if motivated else (),
-        preconditions=tuple(pre[1:]) if pre else (),
+        preconditions=tuple(map(keyed, pre[1:])) if pre else (),
         children=child_ids,
         directives=tuple(parsed),
     )
@@ -375,7 +374,7 @@ def _load_template(form: tuple, line: int, diags: list[str]) -> Optional[Templat
         bound |= variables_in(p)
     for var in sorted(_body_variables(text) - bound):
         diags.append(f"line {line}: template '{tid}' uses unbound variable {var}")
-    return Template(str(tid), preconditions, body)
+    return Template(str(tid), tuple(map(keyed, preconditions)), body)
 
 
 def check_against_style(profile: CharacterProfile, style: StyleFile) -> None:
@@ -383,19 +382,21 @@ def check_against_style(profile: CharacterProfile, style: StyleFile) -> None:
     raises ProfileError naming each missing one and its user.
 
     Expression names need no check: the markup admits only the six, and the
-    style must map all six. A name holding a template variable is only known
-    per utterance, so it is left to the replay.
+    style must map all six. A name holding a variable in a template body is
+    only known per utterance, so it is left to the replay; a directive is never
+    substituted, so its name is checked as written.
     """
-    users = [(f"behavior '{b.id}'", [d.mark for d in b.directives]) for b in profile.behaviors]
-    users += [(f"template '{t.id}'", t.body.children) for t in profile.templates]
+    users = [(f"behavior '{b.id}'", [d.mark for d in b.directives], False) for b in profile.behaviors]
+    users += [(f"template '{t.id}'", t.body.children, True) for t in profile.templates]
     diags: list[str] = []
-    for user, nodes in users:
+    for user, nodes, substituted in users:
         for el in elements(nodes):
             name = el.attr("NAME")
-            if el.tag == "AURAL" and name not in style.aural and not _VAR_RE.search(name):
-                diag = f"{user} uses aural event '{name}', which the style's [aural] section lacks"
-                if diag not in diags:
-                    diags.append(diag)
+            if el.tag != "AURAL" or name in style.aural or (substituted and _VAR_RE.search(name)):
+                continue
+            diag = f"{user} uses aural event '{name}', which the style's [aural] section lacks"
+            if diag not in diags:
+                diags.append(diag)
     if diags:
         raise ProfileError(diags)
 

@@ -141,9 +141,8 @@ def element(
     if canon is None:
         raise SeemlError(f"unknown tag <{tag}>")
     case = str.lower if canon in GDA_TAGS else str.upper
-    items = dict(attrs)
     attr_map: dict[str, str] = {}
-    for name, value in items.items():
+    for name, value in attrs.items() if isinstance(attrs, Mapping) else attrs:
         key = case(name)
         if key in attr_map:
             raise SeemlError(f"duplicate attribute {key} on <{canon}>")
@@ -211,12 +210,7 @@ def parse_seeml(text: str) -> SeemlDocument:
                 raise SeemlError(f"closing tag </{name}> does not match <{open_el.tag}>")
             attach(Element(open_el.tag, open_el.attrs, _normalize(kids)))
             continue
-        attrs = {}
-        for am in _ATTR_RE.finditer(attr_text):
-            key, value = am.group(1), _unescape(am.group(2))
-            if key.lower() in {k.lower() for k in attrs}:
-                raise SeemlError(f"duplicate attribute {key} on <{name}>")
-            attrs[key] = value
+        attrs = [(am.group(1), _unescape(am.group(2))) for am in _ATTR_RE.finditer(attr_text)]
         el = element(name, attrs)
         if selfclose or el.tag in CHILDLESS_TAGS:
             attach(el)

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .errors import ByrneError
-from .patterns import Binding, Ground, Keyed, is_variable, match_all
+from .patterns import Binding, Form, Keyed, match_all
 from .seeml import SeemlDocument, substitute
-from .sexpr import Sexpr, Symbol, is_keyword, to_text
+from .sexpr import Sexpr, Symbol, to_text
 
 
 class CoverageError(ByrneError):
@@ -31,7 +31,7 @@ class InstantiationError(ByrneError):
 @dataclass(frozen=True)
 class Template:
     id: str
-    preconditions: tuple[Sexpr, ...]
+    preconditions: tuple[Keyed, ...]
     body: SeemlDocument
 
 
@@ -50,7 +50,7 @@ class UsageHistory:
 
 
 def select_template(
-    fact: Ground,
+    fact: Form,
     templates: Iterable[Template],
     history: UsageHistory,
     now: float,
@@ -81,35 +81,23 @@ def select_template(
     return best[1], best[2]
 
 
-def _head(pattern: Sexpr) -> Optional[str]:
-    """The predicate a pattern can only match under, if it names one.
-
-    Keyed or positional, a pattern led by a plain symbol only matches a ground
-    form led by the same symbol.
-    """
-    if isinstance(pattern, tuple) and pattern:
-        first = pattern[0]
-        if isinstance(first, Symbol) and not is_keyword(first) and not is_variable(first):
-            return str(first)
-    return None
-
-
 def index_templates(
-    templates: Iterable[Template], statics: Iterable[Sexpr]
+    templates: Iterable[Template], statics: Iterable[Keyed]
 ) -> tuple[dict[str, tuple[Template, ...]], tuple[Template, ...]]:
     """The templates that can match a fact of each predicate, in profile order.
 
     `select_template` matches preconditions against the fact plus the statics,
-    so a precondition whose head no static has can only match the fact. A
-    template with one such head is a candidate for that predicate alone, one
-    with none for every predicate, and one with two for none. Returns the
-    per-predicate candidates and the candidates for any other predicate.
+    so a keyword-shaped precondition whose head no static has can only match
+    the fact, which is keyword-shaped with its predicate as head. A template
+    with one such head is a candidate for that predicate alone, one with none
+    for every predicate, and one with two for none. Returns the per-predicate
+    candidates and the candidates for any other predicate.
     """
-    static_heads = {h for h in map(_head, statics) if h is not None}
-    owns: list[tuple[Template, set[str]]] = []
-    for t in templates:
-        heads = {h for h in map(_head, t.preconditions) if h is not None}
-        owns.append((t, heads - static_heads))
+    # None, the head of a positional or headless form, names no predicate
+    static_heads = {s.head for s in statics if isinstance(s, Form)} | {None}
+    owns = [
+        (t, {p.head for p in t.preconditions if isinstance(p, Form)} - static_heads) for t in templates
+    ]
     anywhere = tuple(t for t, own in owns if not own)
     by_head = {
         head: tuple(t for t, own in owns if own <= {head})

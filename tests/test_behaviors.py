@@ -66,7 +66,7 @@ class TestActivation:
         assert activate_behaviors(bind_statics(specs, []), pool, 0.0) == []
 
     def test_static_preconditions_gate_activation(self):
-        spec = leaf("beam", "face", "happiness", preconditions=(read_one("(supports team: ?t)"),))
+        spec = leaf("beam", "face", "happiness", preconditions=(keyed(read_one("(supports team: ?t)")),))
         pool = EmotionPool((emotion("happiness", 8),))
         assert activate_behaviors(bind_statics([spec], []), pool, 0.0) == []
         statics = [keyed(read_one("(supports team: a)"))]

@@ -85,7 +85,7 @@ class TestIntensity:
 
 
 SCORING_RULE = EmotionRule(
-    preconditions=(read_one("(supports team: ?team)"), read_one("(scores team: ?team)")),
+    preconditions=(keyed(read_one("(supports team: ?team)")), keyed(read_one("(scores team: ?team)"))),
     additions=(
         EmotionSchema(
             "happiness", 8.0, None, read_one("(scores team: ?team)"), RECIPROCAL
@@ -107,7 +107,7 @@ class TestMatchRule:
         assert match_all(SCORING_RULE.preconditions, rule_universe(board, statics, EmotionPool())) == []
 
     def test_precondition_on_active_emotion(self):
-        rule = EmotionRule(preconditions=(read_one("(type: sadness)"),))
+        rule = EmotionRule(preconditions=(keyed(read_one("(type: sadness)")),))
         pool = EmotionPool((sadness10(),))
         assert match_all(rule.preconditions, rule_universe(FactBoard(), [], pool)) == [{}]
         assert match_all(rule.preconditions, rule_universe(FactBoard(), [], EmotionPool())) == []
@@ -126,7 +126,7 @@ class TestMatchRule:
         for _ in range(40):
             board = board_of(*(random_fact(rng) for _ in range(5)))
             chosen = tuple(rng.sample(patterns, rng.randrange(1, 3)))
-            rule = EmotionRule(preconditions=chosen)
+            rule = EmotionRule(preconditions=tuple(map(keyed, chosen)))
             got = match_all(rule.preconditions, rule_universe(board, [], EmotionPool()))
             got_keys = {tuple(sorted((str(k), to_text(v)) for k, v in b.items())) for b in got}
 
@@ -215,7 +215,7 @@ class TestApplyRules:
 
     def test_deletion_patterns_remove(self):
         rule = EmotionRule(
-            preconditions=(read_one("(scores team: ?t)"),),
+            preconditions=(keyed(read_one("(scores team: ?t)")),),
             deletions=(read_one("(type: sadness)"),),
         )
         board = board_of(fact_of("(scores team: a)", 10))
@@ -225,7 +225,7 @@ class TestApplyRules:
 
     def test_same_type_different_causes_coexist(self):
         rule = EmotionRule(
-            preconditions=(read_one("(pass from: ?x to: ?y)"),),
+            preconditions=(keyed(read_one("(pass from: ?x to: ?y)")),),
             additions=(
                 EmotionSchema("interest", 4.0, Symbol("?y"), read_one("(pass from: ?x to: ?y)"), RECIPROCAL),
             ),
@@ -246,7 +246,7 @@ class TestApplyRules:
     def test_symbol_and_quoted_string_stay_apart(self, target, cause):
         # the board keeps (shout by: a) and (shout by: "a") apart, and so does the pool
         rule = EmotionRule(
-            preconditions=(read_one("(shout by: ?w)"),),
+            preconditions=(keyed(read_one("(shout by: ?w)")),),
             additions=(EmotionSchema("interest", 4.0, target, read_one(cause), RECIPROCAL),),
         )
         board = board_of(fact_of("(shout by: a)", 5), fact_of('(shout by: "a")', 5))
@@ -257,13 +257,13 @@ class TestApplyRules:
     def test_rules_fire_in_profile_order(self):
         add_then_delete = [
             EmotionRule(
-                preconditions=(read_one("(scores team: ?t)"),),
+                preconditions=(keyed(read_one("(scores team: ?t)")),),
                 additions=(
                     EmotionSchema("happiness", 8.0, None, read_one("(scores team: ?t)"), RECIPROCAL),
                 ),
             ),
             EmotionRule(
-                preconditions=(read_one("(scores team: ?t)"),),
+                preconditions=(keyed(read_one("(scores team: ?t)")),),
                 deletions=(read_one("(type: happiness)"),),
             ),
         ]
@@ -313,7 +313,7 @@ class TestDecayPool:
         statics = [keyed(read_one("(supports team: a)"))]
         board = board_of(fact_of("(scores team: a)", 10))
         rule = EmotionRule(
-            preconditions=(read_one("(scores team: ?t)"),),
+            preconditions=(keyed(read_one("(scores team: ?t)")),),
             deletions=(read_one("(type: sadness)"),),
         )
         old = EmotionPool((sadness10(created=0.0), _interest("a1"), _interest("a2")))

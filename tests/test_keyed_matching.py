@@ -1,11 +1,14 @@
 """The keyed matcher against the reference matcher over plain terms.
 
 `oracle_patterns` keeps the matcher that split both sides of every `unify`
-call; the keyed matcher must return the same bindings in the same order, and
+call and takes patterns and candidates raw; byrne's side gets both keyed. The
+keyed matcher must return the same bindings in the same order, and
 `apply_rules` must leave the same pool.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import oracle_patterns as oracle
@@ -23,7 +26,7 @@ from byrne.emotions import (
     apply_rules,
 )
 from byrne.facts import FactBoard, GameFact, TickUpdate, apply_tick, fact_from_sexpr, parse_game_log
-from byrne.patterns import keyed, match_all, parse_keyed, variables_in
+from byrne.patterns import Form, keyed, match_all, parse_keyed, unify, variables_in
 from byrne.pipeline import driver_ticks, initial_state, step
 from byrne.sexpr import Symbol, kw, read_one, to_text
 
@@ -83,7 +86,7 @@ def _typed(bindings) -> list[list[tuple[str, str]]]:
 
 
 def _same_bindings(patterns, candidates, binding=None):
-    got = match_all(patterns, [keyed(c) for c in candidates], binding)
+    got = match_all([keyed(p) for p in patterns], [keyed(c) for c in candidates], binding)
     expected = oracle.match_all(patterns, candidates, binding)
     assert _typed(got) == _typed(expected)
     return got
@@ -129,7 +132,14 @@ def test_cases_a_careless_key_would_merge(pattern, candidate, matches):
 
 def test_a_candidate_not_in_keyed_form_is_refused():
     with pytest.raises(TypeError, match="keyed form"):
-        match_all([read_one("(p k: ?x)")], [read_one("(p k: 1)")])
+        match_all([keyed(read_one("(p k: ?x)"))], [read_one("(p k: 1)")])
+
+
+def test_a_pattern_not_in_keyed_form_is_refused():
+    with pytest.raises(TypeError, match="keyed form"):
+        unify(read_one("(p k: ?x)"), keyed(read_one("(p k: 1)")), {})
+    with pytest.raises(TypeError, match="keyed form"):
+        unify(read_one("(p k: ?x)"), Symbol("a"), {})
 
 
 # apply_rules over generated boards, statics and pools
@@ -178,6 +188,14 @@ def rule_problems(draw):
     return pool, board, statics, draw(st.lists(rules(terms), min_size=1, max_size=4))
 
 
+def _keyed_rules(rules_: list[EmotionRule]) -> list[EmotionRule]:
+    return [replace(r, preconditions=tuple(map(keyed, r.preconditions))) for r in rules_]
+
+
+def _raw(terms) -> tuple:
+    return tuple(t.term if isinstance(t, Form) else t for t in terms)
+
+
 def _pool_text(pool: EmotionPool) -> list[tuple]:
     return [
         (s.type, s.base_intensity, None if s.target is None else to_text(s.target), to_text(s.cause), s.created_at)
@@ -189,7 +207,7 @@ def _pool_text(pool: EmotionPool) -> list[tuple]:
 @settings(max_examples=200, deadline=None)
 def test_apply_rules_leaves_the_oracles_pool(problem):
     pool, board, statics, rule_list = problem
-    got = apply_rules(pool, board, [keyed(s) for s in statics], rule_list, 11.0)
+    got = apply_rules(pool, board, [keyed(s) for s in statics], _keyed_rules(rule_list), 11.0)
     expected = oracle.apply_rules(pool, board, statics, rule_list, 11.0)
     assert _pool_text(got) == _pool_text(expected)
 
@@ -197,10 +215,13 @@ def test_apply_rules_leaves_the_oracles_pool(problem):
 def test_apply_rules_matches_the_oracle_over_the_demo_replay(demo_profile, demo_style):
     state = initial_state()
     updates = parse_game_log((DEMO / "game.log").read_text(encoding="utf-8"))
+    rules_ = demo_profile.emotion_rules
+    raw_rules = [replace(r, preconditions=_raw(r.preconditions)) for r in rules_]
+    raw_statics = _raw(demo_profile.statics)
     for update in driver_ticks(updates, 1.0):
-        board, now, rules_ = apply_tick(state.board, update), update.tick_time, demo_profile.emotion_rules
-        got = apply_rules(state.pool, board, demo_profile.keyed_statics, rules_, now)
-        expected = oracle.apply_rules(state.pool, board, demo_profile.statics, rules_, now)
+        board, now = apply_tick(state.board, update), update.tick_time
+        got = apply_rules(state.pool, board, demo_profile.statics, rules_, now)
+        expected = oracle.apply_rules(state.pool, board, raw_statics, raw_rules, now)
         assert _pool_text(got) == _pool_text(expected)
         state, _ = step(state, update, demo_profile, demo_style)
 

@@ -223,6 +223,28 @@ class TestRunReplay:
         assert "'klaxonist'" in err and "'klaxon'" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_variable_aural_name_in_a_directive_exits_1(self, tmp_path, capsys):
+        # only template bodies are substituted; a directive's ?x stays the literal name
+        profile = tmp_path / "p.profile"
+        profile.write_text(
+            TINY_PROFILE
+            + """
+(emotion-rule (pre (move player: ?p))
+  (add (type: interest intensity: 5 target: ?p cause: (move player: ?p) decay: 1/t)))
+(behavior id: howler group: sound (motivated-by interest)
+  (directives (aural ?x (point end))))
+"""
+        )
+        style = tmp_path / "s.style"
+        style.write_text(MINIMAL_STYLE)
+        log = tmp_path / "g.log"
+        log.write_text("(tick 1)\n(fact (move player: a1) relevance: 5)\n")
+        code = run_replay(log, profile, style, tmp_path / "o")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "behavior 'howler'" in err and "'?x'" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_aural_name_in_template_body_missing_from_style_exits_1(self, tmp_path, capsys):
         profile = tmp_path / "p.profile"
         profile.write_text(

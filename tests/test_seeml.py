@@ -101,6 +101,15 @@ class TestParse:
         with pytest.raises(SeemlError):
             parse_seeml('<w pos="n" pos="v">x</w>')
 
+    def test_repeated_attribute_pair_rejected_not_overwritten(self):
+        with pytest.raises(SeemlError, match="duplicate attribute NUM on <AU>"):
+            element("AU", [("NUM", "1"), ("NUM", "2")])
+
+    @pytest.mark.parametrize("text", ['<AU NUM="1" NUM="2"/>', '<au num="1" NUM="2"/>'])
+    def test_repeated_attribute_in_markup_rejected_whatever_its_case(self, text):
+        with pytest.raises(SeemlError, match="duplicate attribute NUM on <AU>"):
+            parse_seeml(text)
+
     def test_attribute_values_escape_and_round_trip(self):
         doc = document([element("AUDIO", {"SRC": 'clips/"a&b".wav'})])
         text = serialize_seeml(doc)

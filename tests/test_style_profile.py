@@ -7,6 +7,7 @@ import pytest
 from conftest import DEMO, MINIMAL_STYLE
 from hypothesis import given, settings
 
+from byrne.patterns import keyed
 from byrne.profile import ProfileError, check_against_style, load_profile
 from byrne.sexpr import read_one, read_top_level, to_text
 from byrne.style import StyleError, load_style
@@ -108,7 +109,7 @@ VALID_PROFILE = """
 class TestLoadProfile:
     def test_single_static(self):
         profile = load_profile('(static (supports team: a))')
-        assert profile.statics == (read_one("(supports team: a)"),)
+        assert profile.statics == (keyed(read_one("(supports team: a)")),)
 
     def test_empty_profile_is_a_silent_commentator(self):
         profile = load_profile("")
@@ -331,6 +332,13 @@ class TestProfileValidation:
             "repeated key SPEED:",
         )
 
+    def test_speech_attribute_repeated_in_another_case_named(self):
+        _expect_diagnostic(
+            "(behavior id: hurry group: voice (motivated-by fear)"
+            " (directives (speech RATE (point end) SPEED: 1 speed: 2)))",
+            "duplicate attribute SPEED on <RATE>",
+        )
+
     def test_speech_directive_markup_checked_at_load(self):
         _expect_diagnostic(
             "(behavior id: blinker group: face (motivated-by fear)"
@@ -373,6 +381,17 @@ class TestCheckAgainstStyle:
             "behavior 'horn' uses aural event 'klaxon', which the style's [aural] section lacks",
             "behavior 'horn' uses aural event 'bell', which the style's [aural] section lacks",
             "template 'honk' uses aural event 'hooter', which the style's [aural] section lacks",
+        ]
+
+    def test_variable_name_in_a_directive_is_checked_as_written(self, minimal_style):
+        # a directive's markup is never substituted, so ?x is the name the replay looks up
+        profile = load_profile(
+            "(behavior id: howl group: sound (motivated-by fear) (directives (aural ?x (point end))))\n"
+        )
+        with pytest.raises(ProfileError) as err:
+            check_against_style(profile, minimal_style)
+        assert err.value.diagnostics == [
+            "behavior 'howl' uses aural event '?x', which the style's [aural] section lacks"
         ]
 
     def test_name_bound_per_utterance_left_to_the_replay(self, minimal_style):

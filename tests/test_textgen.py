@@ -29,7 +29,7 @@ from byrne.textgen import (
 
 PASS_TEMPLATE = Template(
     "pass-basic",
-    (read_one("(pass from: ?x to: ?y)"),),
+    (keyed(read_one("(pass from: ?x to: ?y)")),),
     parse_seeml('<su><seg>?x passes</seg> <seg>to ?y</seg></su>'),
 )
 PASS_TERM = keyed(read_one("(pass from: a1 to: a2 fromloc: (30 10) toloc: (20 10))"))
@@ -74,14 +74,14 @@ class TestSelectTemplate:
             select_template(keyed(read_one("(corner team: b)")), [PASS_TEMPLATE], UsageHistory(), 0.0)
 
     def test_never_returns_non_matching_template(self):
-        corner = Template("corner", (read_one("(corner team: ?t)"),), parse_seeml("<su><seg>corner</seg></su>"))
+        corner = Template("corner", (keyed(read_one("(corner team: ?t)")),), parse_seeml("<su><seg>corner</seg></su>"))
         chosen, _ = select_template(PASS_TERM, [corner, PASS_TEMPLATE], UsageHistory(), 0.0)
         assert chosen is PASS_TEMPLATE
 
     def test_static_preconditions_participate(self):
         biased = Template(
             "homer",
-            (read_one("(pass from: ?x to: ?y)"), read_one("(supports team: ?t)")),
+            (keyed(read_one("(pass from: ?x to: ?y)")), keyed(read_one("(supports team: ?t)"))),
             parse_seeml("<su><seg>?x to ?y great stuff from ?t</seg></su>"),
         )
         with pytest.raises(CoverageError):
@@ -117,7 +117,7 @@ class TestInstantiate:
     def test_hardcoded_gesture_survives(self):
         t = Template(
             "save",
-            (read_one("(save player: ?p)"),),
+            (keyed(read_one("(save player: ?p)")),),
             parse_seeml('<su><seg>saved by ?p</seg> <seg><AU LEVEL="0.5" NUM="5">what a stop</AU></seg></su>'),
         )
         doc = instantiate(t, {Symbol("?p"): Symbol("b1")})
@@ -130,7 +130,7 @@ class TestInstantiate:
 
     def test_coordinate_terms_render(self):
         t = Template(
-            "loc", (read_one("(move toloc: ?where)"),), parse_seeml("<su><seg>moving to ?where</seg></su>")
+            "loc", (keyed(read_one("(move toloc: ?where)")),), parse_seeml("<su><seg>moving to ?where</seg></su>")
         )
         doc = instantiate(t, {Symbol("?where"): (10, 20)})
         assert strip_text(doc) == "moving to (10 20)"
@@ -337,7 +337,7 @@ class TestTemplateChoiceInReplay:
                     profile.templates,
                     history,
                     now,
-                    statics=profile.keyed_statics,
+                    statics=profile.statics,
                     lambda_use_penalty=profile.lambda_use_penalty,
                 )
             except CoverageError:
