@@ -172,10 +172,10 @@ def driver_ticks(updates: tuple[TickUpdate, ...], tick_seconds: float) -> list[T
     Filler ticks let utterances start, finish, and be snapshotted between
     sparse log entries; the board itself only changes on log ticks.
     """
-    if not updates:
-        return []
     if tick_seconds <= 0:
         raise ByrneError(f"tick length must be positive, got {tick_seconds:g}")
+    if not updates:
+        return []
     start, last = updates[0].tick_time, updates[-1].tick_time
     times: dict[float, TickUpdate] = {round(u.tick_time, 9): u for u in updates}
     k = 1
@@ -216,8 +216,9 @@ def run_replay(
 ) -> int:
     """Replay a game log and write the commentary outputs; returns the exit code.
 
-    Exit 0 on success, 1 when an input fails to load or `out_dir` cannot be a
-    directory, 2 on a runtime error or when writing the outputs fails.
+    Exit 0 on success, 1 when an input fails to load, `tick_seconds` is not
+    positive or `out_dir` cannot be a directory, 2 on a runtime error or when
+    writing the outputs fails.
     Outputs: per-utterance `utt-<n>.sable` and `utt-<n>.facs`, plus
     `commentary.trace` and `emotions.trace`. Utterance files in `out_dir` that
     this run does not write are deleted, so the directory holds one run; any
@@ -230,6 +231,7 @@ def run_replay(
         profile = load_profile(Path(profile_path).read_text(encoding="utf-8"))
         style = load_style(Path(style_path).read_text(encoding="utf-8"))
         check_against_style(profile, style)
+        ticks = driver_ticks(updates, tick_seconds)
         out = Path(out_dir)
         _check_out_dir(out)
     except (OSError, ByrneError) as e:
@@ -242,7 +244,7 @@ def run_replay(
     bundles: list[tuple[int, OutputBundle]] = []
 
     try:
-        for update in driver_ticks(updates, tick_seconds):
+        for update in ticks:
             state, events = step(state, update, profile, style)
             for ev in events:
                 line = f"{ev.time:.3f}\t{_TRACE_KIND[ev.kind]}\t{ev.utterance}\t{ev.fact_identity}"

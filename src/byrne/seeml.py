@@ -229,11 +229,13 @@ def serialize_seeml(doc: SeemlDocument) -> str:
 def _serialize_node(node: Node) -> str:
     if isinstance(node, Text):
         return _escape_text(node.text)
-    attrs = "".join(f' {k}="{_escape_attr(v)}"' for k, v in node.attrs)
-    if not node.children:
-        return f"<{node.tag}{attrs}/>"
-    inner = "".join(_serialize_node(c) for c in node.children)
-    return f"<{node.tag}{attrs}>{inner}</{node.tag}>"
+    return _tagged(node.tag, node.attrs, "".join(_serialize_node(c) for c in node.children))
+
+
+def _tagged(tag: str, attrs: Iterable[tuple[str, str]], inner: str) -> str:
+    # canonical trees hold no empty text, so empty `inner` means no children
+    attr_text = "".join(f' {k}="{_escape_attr(v)}"' for k, v in attrs)
+    return f"<{tag}{attr_text}>{inner}</{tag}>" if inner else f"<{tag}{attr_text}/>"
 
 
 def elements(nodes: Iterable[Node]) -> Iterable[Element]:
@@ -382,8 +384,13 @@ def apply_directives(doc: SeemlDocument, directives: Sequence[Directive]) -> See
 # --- merge algebra ----------------------------------------------------------
 
 
-def _split_attrs(el: Element) -> tuple[tuple[tuple[str, str], ...], dict[str, tuple[float, str]]]:
-    """Separate absolute attributes from signed relative ("delta") ones."""
+def _identity(el: Element) -> tuple[tuple, dict[str, tuple[float, str]]]:
+    """The merge identity of `el`, and its signed relative ("delta") attributes.
+
+    The identity is the tag, the absolute attributes, and the delta names and
+    units: delta magnitudes are left out, so two RATE tags asking for different
+    signed speed changes count as identical and add up.
+    """
     plain: list[tuple[str, str]] = []
     deltas: dict[str, tuple[float, str]] = {}
     for name, value in el.attrs:
@@ -392,11 +399,8 @@ def _split_attrs(el: Element) -> tuple[tuple[tuple[str, str], ...], dict[str, tu
             deltas[name] = (float(m.group(1)), m.group(2))
         else:
             plain.append((name, value))
-    return tuple(plain), deltas
-
-
-def _format_delta(value: float, unit: str) -> str:
-    return f"{value:+g}{unit}"
+    units = tuple(sorted((name, unit) for name, (_, unit) in deltas.items()))
+    return (el.tag, tuple(plain), units), deltas
 
 
 def merge_tags(doc: SeemlDocument) -> SeemlDocument:
@@ -407,75 +411,41 @@ def merge_tags(doc: SeemlDocument) -> SeemlDocument:
     (the larger scope stands); with delta attributes the tags collapse onto the
     innermost span and their deltas sum.
     """
-    split_memo: dict[int, tuple] = {}
-    below_memo: dict[int, frozenset] = {}
 
-    def split(el: Element) -> tuple:
-        """Merge identity, absolute attributes and deltas of `el`, once per element.
+    def merge(nodes: Iterable[Node], plain_anc: frozenset, sums: dict) -> tuple[list[Node], set]:
+        """The merged `nodes`, and the identities of the delta elements among them.
 
-        The identity is the tag, the absolute attributes, and the delta names
-        and units: delta magnitudes are left out, so two RATE tags asking for
-        different signed speed changes count as identical and add up.
+        `sums` maps a delta identity to the deltas summed over its enclosing
+        copies. A delta element collapses when its identity comes back from
+        below: the innermost copy of a chain always survives, and a delta
+        identity never equals a plain one, since it has units.
         """
-        cached = split_memo.get(id(el))
-        if cached is None:
-            plain, deltas = _split_attrs(el)
-            units = tuple(sorted((name, unit) for name, (_, unit) in deltas.items()))
-            cached = ((el.tag, plain, units), plain, deltas)
-            split_memo[id(el)] = cached
-        return cached
+        out: list[Node] = []
+        found: set = set()
+        for node in nodes:
+            if isinstance(node, Text):
+                out.append(node)
+                continue
+            ident, deltas = _identity(node)
+            if deltas:
+                inherited = sums.get(ident, {})
+                summed = {name: inherited.get(name, 0.0) + mag for name, (mag, _) in deltas.items()}
+                kids, below = merge(node.children, plain_anc, {**sums, ident: summed})
+                if ident not in below:
+                    attrs = [*ident[1], *((n, f"{summed[n]:+g}{u}") for n, (_, u) in deltas.items())]
+                    # the summed deltas are new attribute values, so they are validated again
+                    kids = [element(node.tag, attrs, kids)]
+                    below.add(ident)
+            elif ident in plain_anc:
+                kids, below = merge(node.children, plain_anc, sums)
+            else:
+                kids, below = merge(node.children, plain_anc | {ident}, sums)
+                kids = [_with_children(node, kids)]
+            out.extend(kids)
+            found |= below
+        return out, found
 
-    def idents_below(node: Node) -> frozenset:
-        if isinstance(node, Text):
-            return frozenset()
-        cached = below_memo.get(id(node))
-        if cached is None:
-            found: set = set()
-            for child in node.children:
-                if isinstance(child, Element):
-                    found.add(split(child)[0])
-                found |= idents_below(child)
-            cached = frozenset(found)
-            below_memo[id(node)] = cached
-        return cached
-
-    def rebuild(node: Node, plain_anc: frozenset, delta_in: dict) -> list[Node]:
-        if isinstance(node, Text):
-            return [node]
-        ident, plain, deltas = split(node)
-        if deltas:
-            if ident in idents_below(node):
-                inherited = dict(delta_in.get(ident, {}))
-                for name, (mag, _) in deltas.items():
-                    inherited[name] = inherited.get(name, 0.0) + mag
-                passed = {**delta_in, ident: inherited}
-                out: list[Node] = []
-                for child in node.children:
-                    out.extend(rebuild(child, plain_anc, passed))
-                return out
-            inherited = delta_in.get(ident, {})
-            attrs = dict(plain)
-            for name, (mag, unit) in deltas.items():
-                attrs[name] = _format_delta(inherited.get(name, 0.0) + mag, unit)
-            kids: list[Node] = []
-            for child in node.children:
-                kids.extend(rebuild(child, plain_anc, delta_in))
-            # the summed deltas are new attribute values, so they are validated again
-            return [element(node.tag, attrs, kids)]
-        if ident in plain_anc:
-            out = []
-            for child in node.children:
-                out.extend(rebuild(child, plain_anc, delta_in))
-            return out
-        kids = []
-        for child in node.children:
-            kids.extend(rebuild(child, plain_anc | {ident}, delta_in))
-        return [_with_children(node, kids)]
-
-    roots: list[Node] = []
-    for node in doc.children:
-        roots.extend(rebuild(node, frozenset(), {}))
-    return document(roots)
+    return document(merge(doc.children, frozenset(), {})[0])
 
 
 # --- verifier: timing, split, lip sync ---------------------------------------
@@ -562,42 +532,48 @@ def _unit(intensity: float) -> float:
 
 def verify_and_split(doc: SeemlDocument, style: "StyleFile") -> OutputBundle:
     """Assign word timings, resolve facial markup through the style file, and
-    split the document into a speech script plus a facial/viseme timeline."""
+    split the document into a speech script plus a facial/viseme timeline.
+
+    One walk times the words, records the facial spans and the `<seg>` closes,
+    and writes the spoken side: `EXPR`/`AU` dropped, `AURAL` resolved to `AUDIO`.
+    """
     word_ms = 60000.0 / style.words_per_minute
     words: list[TimedWord] = []
     seg_closes: list[float] = []
     spans: list[tuple[Element, float, float]] = []
     cursor = 0.0
 
-    def walk(node: Node) -> None:
+    def speak(node: Node) -> str:
         nonlocal cursor
         if isinstance(node, Text):
             for token in node.text.split():
                 words.append(TimedWord(token, cursor, word_ms))
                 cursor += word_ms
-            return
+            return _escape_text(node.text)
+        if node.tag == "AURAL":
+            name = node.attr("NAME")
+            path = style.aural.get(name)
+            if path is None:
+                raise VerifyError(f"aural event '{name}' missing from style")
+            return _serialize_node(element("AUDIO", {"SRC": path}))
         if node.tag == "BREAK":
             cursor += style.break_ms
-            return
-        if node.tag == "AURAL":
-            return
         start = cursor
-        for child in node.children:
-            walk(child)
-        end = cursor
+        inner = "".join(speak(child) for child in node.children)
         if node.tag in ("EXPR", "AU"):
-            spans.append((node, start, end))
-        elif node.tag == "seg":
-            seg_closes.append(end)
+            spans.append((node, start, cursor))
+            return inner
+        if node.tag == "seg":
+            seg_closes.append(cursor)
+        return _tagged(node.tag, node.attrs, inner)
 
-    for node in doc.children:
-        walk(node)
+    script = _tagged("SABLE", (), "".join(speak(node) for node in doc.children))
     total = cursor
+    if spans and not words:
+        raise VerifyError("facial mark-up with no words to anchor a timeline")
 
     facs: list[FacsEvent] = []
     for el, start, end in spans:
-        if not words:
-            raise VerifyError("facial mark-up with no words to anchor a timeline")
         if end <= start:  # point gesture: give it a nominal span
             end = start + GESTURE_MS
             total = max(total, end)
@@ -611,30 +587,6 @@ def verify_and_split(doc: SeemlDocument, style: "StyleFile") -> OutputBundle:
             facs.extend(
                 FacsEvent(start, au, _unit(weight * level), duration) for au, weight in weights
             )
-
-    def project(node: Node) -> list[Node]:
-        if isinstance(node, Text):
-            return [node]
-        if node.tag in ("EXPR", "AU"):
-            out: list[Node] = []
-            for child in node.children:
-                out.extend(project(child))
-            return out
-        if node.tag == "AURAL":
-            name = node.attr("NAME")
-            path = style.aural.get(name)
-            if path is None:
-                raise VerifyError(f"aural event '{name}' missing from style")
-            return [element("AUDIO", {"SRC": path})]
-        kids: list[Node] = []
-        for child in node.children:
-            kids.extend(project(child))
-        return [_with_children(node, kids)]
-
-    body: list[Node] = []
-    for node in doc.children:
-        body.extend(project(node))
-    script = serialize_seeml(document([element("SABLE", (), body)]))
 
     timeline = sorted([*facs, *lip_sync(words, style.visemes)], key=_timeline_key)
     return OutputBundle(script, tuple(timeline), total, tuple(sorted(seg_closes)))

@@ -4,7 +4,8 @@ A style maps expression names to weighted action-unit sets, aural events to
 sound files, and fixes the speech timing used in place of synthesizer-reported
 word times. Sections are ``[expressions]``, ``[aural]``, ``[speech]``, and
 ``[visemes]``; only the first and third are mandatory. An unknown section or
-key, or a key repeated within a section, fails the load.
+key, a key repeated within a section, an empty value, or a viseme that is not
+one whitespace-free token fails the load.
 """
 
 from __future__ import annotations
@@ -67,7 +68,13 @@ def load_style(text: str) -> StyleFile:
             )
         if key in sections[section]:
             raise StyleError(f"line {line_no}: repeated key '{key}' in [{section}]")
-        sections[section][key] = value.strip()
+        value = value.strip()
+        if not value:
+            raise StyleError(f"line {line_no}: empty value for '{key}' in [{section}]")
+        # a viseme is one field of a tab-separated .facs row
+        if section == "visemes" and len(value.split()) != 1:
+            raise StyleError(f"line {line_no}: viseme '{key}' must be one token, got '{value}'")
+        sections[section][key] = value
 
     for required in ("expressions", "speech"):
         if required not in sections:
@@ -86,8 +93,6 @@ def load_style(text: str) -> StyleFile:
             if not 0.0 <= weight <= 1.0:
                 raise StyleError(f"expression '{name}': weight {weight} outside [0,1]")
             weights.append((au, weight))
-        if not weights:
-            raise StyleError(f"expression '{name}' maps to no action units")
         expressions[name] = tuple(weights)
     for required in EXPRESSION_NAMES:
         if required not in expressions:

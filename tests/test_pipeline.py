@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import filecmp
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 from conftest import DEMO, GOLDEN, MINIMAL_STYLE, fact_of
+from hypothesis import given, settings
 
 from byrne.errors import ByrneError
 from byrne.facts import TickUpdate, parse_game_log
@@ -19,6 +22,7 @@ from byrne.pipeline import (
     step,
 )
 from byrne.profile import load_profile
+from byrne.style import StyleError, load_style
 
 PAPER_TICK_FACTS = (
     fact_of(
@@ -168,6 +172,8 @@ class TestDriverTicks:
     def test_non_positive_tick_rejected(self):
         with pytest.raises(ByrneError):
             driver_ticks((TickUpdate(0.0), TickUpdate(2.0)), 0.0)
+        with pytest.raises(ByrneError, match="tick length must be positive"):
+            driver_ticks((), 0.0)
 
     def test_empty_log(self):
         assert driver_ticks((), 1.0) == []
@@ -192,6 +198,18 @@ class TestRunReplay:
         )
         assert code == 1
         assert "load error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tick_seconds", [0.0, -1.0])
+    def test_non_positive_tick_exits_1(self, tmp_path, capsys, tick_seconds):
+        out = tmp_path / "o"
+        code = run_replay(
+            DEMO / "game.log", DEMO / "announcer.profile", DEMO / "announcer.style", out,
+            tick_seconds=tick_seconds,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("commentate: load error: ") and "tick length must be positive" in err
+        assert not out.exists()
 
     def test_broken_log_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.log"
@@ -353,6 +371,40 @@ class TestRunReplay:
         for line in (out / "emotions.trace").read_text().splitlines()[1:]:
             intensity = float(line.split("\t")[-1])
             assert intensity >= 1.0
+
+
+# Any text a UTF-8 style file can hold, leaning on what a .facs row or the SABLE markup could
+# trip over.
+_STYLE_VALUES = st.text(
+    st.one_of(st.sampled_from('\t "<>&'), st.characters(codec="utf-8")), max_size=6
+)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_style_values_fail_the_load_or_replay_cleanly(data):
+    lines, section = [], ""
+    for line in (DEMO / "announcer.style").read_text(encoding="utf-8").splitlines():
+        if line.startswith("["):
+            section = line
+        elif section in ("[aural]", "[visemes]") and "=" in line:
+            value = data.draw(st.none() | _STYLE_VALUES)  # None keeps the demo value
+            if value is not None:
+                line = f"{line.partition('=')[0]}= {value}"
+        lines.append(line)
+    text = "\n".join(lines) + "\n"
+    try:
+        load_style(text)
+    except StyleError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        style, out = Path(tmp) / "fuzzed.style", Path(tmp) / "out"
+        style.write_bytes(text.encode("utf-8"))
+        assert run_replay(DEMO / "game.log", DEMO / "announcer.profile", style, out) == 0
+        for facs in out.glob("*.facs"):
+            for row in facs.read_text(encoding="utf-8").splitlines()[1:]:
+                fields = row.split("\t")
+                assert len(fields) == 5 and all(fields), row
 
 
 class TestInterruptionCutsInReplay:

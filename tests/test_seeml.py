@@ -4,6 +4,7 @@ import re
 from random import Random
 
 import hypothesis.strategies as st
+import oracle_seeml as oracle
 import pytest
 from hypothesis import given, settings
 
@@ -473,8 +474,13 @@ class TestMergeTags:
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_merge_property(self, seed):
-        doc = random_document(Random(seed))
+        rng = Random(seed)
+        doc = random_document(rng)
         assert merge_tags(doc) == reference_merge(doc)
+        # behavior markup stacked on template markup, as a replay merges it
+        directives = [random_directive(rng) for _ in range(rng.randrange(1, 8))]
+        layered = apply_directives(random_document(rng), directives)
+        assert merge_tags(layered) == reference_merge(layered)
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=80, deadline=None)
@@ -527,6 +533,11 @@ class TestVerifyAndSplit:
     def test_zero_word_document_with_facial_span_is_an_error(self, minimal_style):
         doc = parse_seeml('<EXPR NAME="smile"><BREAK/></EXPR>')
         with pytest.raises(VerifyError):
+            verify_and_split(doc, minimal_style)
+
+    def test_unknown_aural_name_reported_before_missing_words(self, minimal_style):
+        doc = parse_seeml('<EXPR NAME="smile"><AURAL NAME="klaxon"/></EXPR>')
+        with pytest.raises(VerifyError, match="klaxon"):
             verify_and_split(doc, minimal_style)
 
     def test_break_adds_fixed_pause(self, minimal_style):
@@ -633,6 +644,23 @@ class TestVerifyAndSplit:
             assert "<EXPR" not in bundle.speech_script
             assert "<AU " not in bundle.speech_script and "<AU>" not in bundle.speech_script
             parse_seeml(bundle.speech_script)
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_verifier_property(self, minimal_style, seed):
+        rng = Random(seed)
+        doc = random_document(rng)
+        if rng.random() < 0.5:
+            directives = [random_directive(rng) for _ in range(rng.randrange(1, 8))]
+            doc = apply_directives(doc, directives)
+        doc = merge_tags(doc)
+        try:
+            expected = oracle.verify_and_split(doc, minimal_style)
+        except VerifyError:
+            with pytest.raises(VerifyError):
+                verify_and_split(doc, minimal_style)
+            return
+        assert verify_and_split(doc, minimal_style) == expected
 
 
 class TestLipSync:

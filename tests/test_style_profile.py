@@ -89,6 +89,28 @@ class TestLoadStyle:
         with pytest.raises(StyleError, match=r"line 18: repeated key 'cheer' in \[aural\]"):
             load_style(MINIMAL_STYLE + "\n[aural]\ncheer = sounds/other.wav\n")
 
+    @pytest.mark.parametrize(
+        "line, line_no, section",
+        [
+            ("smile = AU6:0.6 AU12:0.9", 3, "expressions"),
+            ("cheer = sounds/cheer.wav", 12, "aural"),
+            ("words_per_minute = 180", 15, "speech"),
+            ("a = AA", 18, "visemes"),
+        ],
+    )
+    def test_empty_value_named_with_its_line(self, line, line_no, section):
+        # an empty [aural] value would fail the replay as an AUDIO without a SRC
+        key = line.split()[0]
+        text = (MINIMAL_STYLE + "\n[visemes]\na = AA\n").replace(line, f"{key} =")
+        with pytest.raises(StyleError, match=rf"line {line_no}: empty value for '{key}' in \[{section}\]"):
+            load_style(text)
+
+    @pytest.mark.parametrize("value", ["A\tA", "A A"])
+    def test_viseme_must_be_one_token(self, value):
+        # a viseme is one field of a tab-separated .facs row
+        with pytest.raises(StyleError, match=r"line 18: viseme 'a' must be one token"):
+            load_style(MINIMAL_STYLE + f"\n[visemes]\na = {value}\n")
+
 
 VALID_PROFILE = """
 (static (supports team: a))
