@@ -12,7 +12,7 @@ from typing import Collection, Optional
 
 from .errors import ByrneError
 from .patterns import Keyed, is_ground, keyed, parse_keyed
-from .sexpr import SexprError, Sexpr, Symbol, is_keyword, keyword_name, kw, read_one, to_text
+from .sexpr import SexprError, Sexpr, Symbol, is_keyword, keyword_name, read_one, to_text
 
 
 class LogError(ByrneError):
@@ -35,44 +35,36 @@ class LogOrderError(LogError):
 
 @dataclass(frozen=True)
 class GameFact:
-    predicate: Symbol
-    args: tuple[tuple[str, Sexpr], ...]
+    term: tuple  # the ground ``(predicate key: value ...)`` form, as read
     relevance: float
-
-    def as_sexpr(self) -> tuple:
-        items: list[Sexpr] = [self.predicate]
-        for name, term in self.args:
-            items.append(kw(name))
-            items.append(term)
-        return tuple(items)
 
     @property
     def identity(self) -> str:
-        """Canonical text of predicate+args; the relevance score is not part of it.
+        """Canonical text of the term; the relevance score is not part of it.
 
         Built on every access; the board's keys and `InProgress` keep it once.
         """
-        return to_text(self.as_sexpr())
+        return to_text(self.term)
 
     @property
     def end_time(self) -> float | None:
-        for name, term in self.args:
-            if name == "endtime":
-                return float(term) if isinstance(term, (int, float)) else None
+        for key, value in zip(self.term[1::2], self.term[2::2]):
+            if key == "endtime:":
+                return float(value)
         return None
 
 
 def fact_from_sexpr(form: Sexpr, relevance: float, line: int | None = None) -> GameFact:
-    keyed = parse_keyed(form)
-    if keyed is None or keyed[0] is None:
+    split = parse_keyed(form)
+    if split is None or split[0] is None:
         raise LogSyntaxError(f"not a fact form: {to_text(form)}", line)
     if not is_ground(form):
         raise LogSyntaxError(f"fact contains variables: {to_text(form)}", line)
-    head, pairs = keyed
+    pairs = split[1]
     for name in ("begintime", "endtime"):
         if name in pairs and not isinstance(pairs[name], (int, float)):
             raise LogSyntaxError(f"{name} must be a number of seconds", line)
-    return GameFact(head, tuple(pairs.items()), float(relevance))
+    return GameFact(form, float(relevance))
 
 
 @dataclass(frozen=True)
@@ -87,7 +79,7 @@ class FactBoard:
 
     def __post_init__(self) -> None:
         if self.keyed is None:
-            terms = {identity: keyed(f.as_sexpr()) for identity, f in self.entries.items()}
+            terms = {identity: keyed(f.term) for identity, f in self.entries.items()}
             object.__setattr__(self, "keyed", terms)
 
 
@@ -156,7 +148,7 @@ def apply_tick(board: FactBoard, update: TickUpdate) -> FactBoard:
         identity = fact.identity
         entries[identity] = fact
         if identity not in terms:
-            terms[identity] = keyed(fact.as_sexpr())
+            terms[identity] = keyed(fact.term)
     entries = {identity: f for identity, f in entries.items() if f.relevance >= 1.0}
     terms = {identity: terms[identity] for identity in entries}
     return FactBoard(entries, float(update.tick_time), terms)

@@ -14,11 +14,14 @@ extensions but nothing consumes it yet.
 
 from __future__ import annotations
 
+import heapq
 import logging
+import math
 import re
 from dataclasses import dataclass, replace
+from itertools import count, groupby, takewhile
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .behaviors import activate_behaviors, arbitrate, expand
 from .emotions import EmotionPool, apply_rules, decay_pool, intensity_at
@@ -39,11 +42,10 @@ from .textgen import CoverageError, UsageHistory, instantiate, record_usage, sel
 
 logger = logging.getLogger("byrne")
 
-UTTERANCE_START = "start"
-UTTERANCE_END = "end"
-INTERRUPTED = "interrupted"
-
-_TRACE_KIND = {UTTERANCE_START: "START", UTTERANCE_END: "END", INTERRUPTED: "INTERRUPT"}
+# Event kinds, as `commentary.trace` writes them.
+UTTERANCE_START = "START"
+UTTERANCE_END = "END"
+INTERRUPTED = "INTERRUPT"
 
 _UTTERANCE_FILE = re.compile(r"utt-\d+\.(sable|facs)")
 
@@ -97,7 +99,7 @@ def _begin_utterance(
         try:
             template, binding = select_template(
                 board.keyed[identity],
-                profile.templates_for(board.entries[identity].predicate),
+                profile.templates_for(board.keyed[identity].head),
                 state.history,
                 now,
                 statics=profile.statics,
@@ -107,7 +109,7 @@ def _begin_utterance(
             logger.warning("skipping fact with no template: %s", identity)
             uncovered = uncovered | {identity}
             continue
-        doc = instantiate(template, binding, profile.name_table())
+        doc = instantiate(template, binding, profile.names)
         winners = arbitrate(activate_behaviors(profile.bound_behaviors, state.pool, now))
         doc = merge_tags(apply_directives(doc, expand(winners, profile.behaviors)))
         bundle = verify_and_split(doc, style)
@@ -166,24 +168,26 @@ def step(
     return state, events
 
 
-def driver_ticks(updates: tuple[TickUpdate, ...], tick_seconds: float) -> list[TickUpdate]:
-    """Log updates plus empty filler ticks on a uniform grid between them.
+def driver_ticks(updates: tuple[TickUpdate, ...], tick_seconds: float) -> Iterator[TickUpdate]:
+    """Log updates, ascending in time, plus empty filler ticks on a uniform
+    grid between them, made as the replay asks for them.
 
     Filler ticks let utterances start, finish, and be snapshotted between
-    sparse log entries; the board itself only changes on log ticks.
+    sparse log entries; the board itself only changes on log ticks. Of the
+    ticks whose times agree to 9 decimals only one is kept: the last log
+    update, else the first filler.
     """
-    if tick_seconds <= 0:
-        raise ByrneError(f"tick length must be positive, got {tick_seconds:g}")
+    if not 0 < tick_seconds < math.inf:
+        raise ByrneError(f"tick length must be positive and finite, got {tick_seconds:g}")
     if not updates:
-        return []
+        return iter(())
     start, last = updates[0].tick_time, updates[-1].tick_time
-    times: dict[float, TickUpdate] = {round(u.tick_time, 9): u for u in updates}
-    k = 1
-    while (t := start + k * tick_seconds) < last - 1e-9:
-        key = round(t, 9)
-        times.setdefault(key, TickUpdate(t))
-        k += 1
-    return [times[key] for key in sorted(times)]
+    grid = takewhile(lambda t: t < last - 1e-9, (start + k * tick_seconds for k in count(1)))
+    logs = {round(u.tick_time, 9): u for u in updates}
+    fillers = ((round(t, 9), TickUpdate(t)) for t in grid)
+    # both run in key order; on a shared key the merge puts the log update first
+    merged = heapq.merge(logs.items(), fillers, key=lambda tick: tick[0])
+    return (next(ticks)[1] for _, ticks in groupby(merged, key=lambda tick: tick[0]))
 
 
 def _emotion_lines(pool: EmotionPool, now: float) -> list[str]:
@@ -243,22 +247,23 @@ def run_replay(
     emotion_lines = ["# emotions-trace v1"]
     bundles: list[tuple[int, OutputBundle]] = []
 
+    def record(ev: CommentaryEvent) -> None:
+        line = f"{ev.time:.3f}\t{ev.kind}\t{ev.utterance}\t{ev.fact_identity}"
+        commentary_lines.append(line)
+        if echo:
+            print(line)
+        if ev.bundle is not None:
+            bundles.append((ev.utterance, ev.bundle))
+
     try:
         for update in ticks:
             state, events = step(state, update, profile, style)
             for ev in events:
-                line = f"{ev.time:.3f}\t{_TRACE_KIND[ev.kind]}\t{ev.utterance}\t{ev.fact_identity}"
-                commentary_lines.append(line)
-                if echo:
-                    print(line)
-                if ev.bundle is not None:
-                    bundles.append((ev.utterance, ev.bundle))
+                record(ev)
             emotion_lines.extend(_emotion_lines(state.pool, state.board.clock))
-        if state.in_progress is not None:
-            final = state.in_progress
-            commentary_lines.append(
-                f"{final.end_time():.3f}\t{_TRACE_KIND[UTTERANCE_END]}\t{final.index}\t{final.identity}"
-            )
+        final = state.in_progress
+        if final is not None:
+            record(CommentaryEvent(final.end_time(), UTTERANCE_END, final.identity, final.index))
     except ByrneError as e:
         print(f"commentate: runtime error: {e}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ every static and pattern the replay matches (`patterns.keyed`) once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Optional, Sequence
+from typing import Collection, Mapping, Optional, Sequence
 
 from .behaviors import (
     ActivatedBehavior,
@@ -58,7 +58,7 @@ class ProfileError(ByrneError):
 @dataclass(frozen=True)
 class CharacterProfile:
     statics: tuple[Keyed, ...] = ()
-    names: tuple[tuple[str, str], ...] = ()
+    names: Mapping[str, str] = field(default_factory=dict)
     emotion_rules: tuple[EmotionRule, ...] = ()
     behaviors: tuple[BehaviorSpec, ...] = ()
     templates: tuple[Template, ...] = ()
@@ -70,9 +70,6 @@ class CharacterProfile:
     def __post_init__(self) -> None:
         object.__setattr__(self, "bound_behaviors", bind_statics(self.behaviors, self.statics))
         object.__setattr__(self, "_template_index", index_templates(self.templates, self.statics))
-
-    def name_table(self) -> dict[str, str]:
-        return dict(self.names)
 
     def templates_for(self, predicate: str) -> tuple[Template, ...]:
         """The templates that can match a fact with this predicate, in profile order."""
@@ -221,7 +218,7 @@ def load_profile(text: str) -> CharacterProfile:
     """Parse and validate a profile; raises ProfileError listing every diagnostic."""
     diags: list[str] = []
     statics: list[Keyed] = []
-    names: list[tuple[str, str]] = []
+    names: dict[str, str] = {}
     rules: list[EmotionRule] = []
     behaviors: list[BehaviorSpec] = []
     templates: list[Template] = []
@@ -253,7 +250,7 @@ def load_profile(text: str) -> CharacterProfile:
                         or not isinstance(entry[1], str)
                     ):
                         raise SexprError(f"expected (<id> \"<display>\"), got {to_text(entry)}")
-                    names.append((str(entry[0]), str(entry[1])))
+                    names[str(entry[0])] = str(entry[1])
             elif head == "params":
                 lam = _split_form(form[1:], ("lambda",), ())[0].get("lambda")
                 if lam is not None:
@@ -287,7 +284,7 @@ def load_profile(text: str) -> CharacterProfile:
         raise ProfileError(diags)
     return CharacterProfile(
         statics=tuple(statics),
-        names=tuple(names),
+        names=names,
         emotion_rules=tuple(rules),
         behaviors=tuple(behaviors),
         templates=tuple(templates),

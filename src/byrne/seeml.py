@@ -494,11 +494,10 @@ def _letter_class(ch: str) -> str:
 
 
 def lip_sync(
-    words: Sequence[TimedWord], visemes: Mapping[str, str] | None = None
+    words: Sequence[TimedWord], visemes: Mapping[str, str] = DEFAULT_VISEMES
 ) -> list[VisemeEvent]:
-    """Cartoon-style mouth shapes from a letter-class scan, spread evenly per word."""
-    table = dict(DEFAULT_VISEMES)
-    table.update(visemes or {})
+    """Cartoon-style mouth shapes from a letter-class scan, spread evenly per word;
+    `visemes` maps every letter class to its mouth shape."""
     events: list[VisemeEvent] = []
     for w in words:
         runs: list[str] = []
@@ -514,7 +513,7 @@ def lip_sync(
         runs = runs[:cap]
         dur = w.duration_ms / len(runs)
         events.extend(
-            VisemeEvent(w.onset_ms + i * dur, table[cls], dur) for i, cls in enumerate(runs)
+            VisemeEvent(w.onset_ms + i * dur, visemes[cls], dur) for i, cls in enumerate(runs)
         )
     return events
 

@@ -3,11 +3,14 @@
 One reader serves the whole system: game facts, rule patterns, and character
 profiles all use the same notation, e.g. ``(pass from: a1 to: a2 fromloc: (30 10))``.
 Atoms are symbols, integers, floats, or double-quoted strings; ``#`` starts a
-comment that runs to end of line.
+comment that runs to end of line. An atom is a number only when it is a decimal
+literal (`_NUMBER`): ``nan``, ``inf`` and ``1_000`` are symbols, and a literal
+too large for a float fails the read.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Union
 
@@ -33,6 +36,9 @@ class SexprError(ByrneError):
 
 
 _ATOM = re.compile(r'[^\s()"#]+')
+# optional sign; digits with an optional fraction, or a leading-dot fraction;
+# optional exponent. A literal with no fraction and no exponent is an integer.
+_NUMBER = re.compile(r"[+-]?(?:[0-9]+(\.[0-9]*)?|(\.[0-9]+))([eE][+-]?[0-9]+)?")
 _ESCAPES = {"n": "\n", "t": "\t"}
 
 
@@ -75,16 +81,15 @@ def _tokenize(text: str):
             yield "atom", m.group(), line
 
 
-def _atom(token: str) -> Sexpr:
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
-    return Symbol(token)
+def _atom(token: str, line: int) -> Sexpr:
+    m = _NUMBER.fullmatch(token)
+    if m is None:
+        return Symbol(token)
+    # every number must fit a float: the loaders read times, scores and levels as one
+    value = float(token)
+    if math.isinf(value):
+        raise SexprError(f"number {token} is too large", line)
+    return value if m.lastindex else int(token)
 
 
 def read_top_level(text: str) -> list[tuple[Sexpr, int]]:
@@ -104,7 +109,7 @@ def read_top_level(text: str) -> list[tuple[Sexpr, int]]:
             else:
                 out.append((form, open_line))
         else:
-            atom = value if kind == "string" else _atom(value)
+            atom = value if kind == "string" else _atom(value, line)
             if stack:
                 stack[-1][0].append(atom)
             else:

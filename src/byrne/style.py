@@ -27,7 +27,7 @@ class StyleFile:
     aural: dict[str, str] = field(default_factory=dict)
     words_per_minute: float = 180.0
     break_ms: float = 300.0
-    visemes: dict[str, str] = field(default_factory=dict)
+    visemes: dict[str, str] = field(default_factory=DEFAULT_VISEMES.copy)  # every letter class
 
 
 _AU_WEIGHT = re.compile(r"^AU(\d+):([0-9.]+)$", re.IGNORECASE)
@@ -116,5 +116,5 @@ def load_style(text: str) -> StyleFile:
         aural=sections.get("aural", {}),
         words_per_minute=wpm,
         break_ms=break_ms,
-        visemes=sections.get("visemes", {}),
+        visemes={**DEFAULT_VISEMES, **sections.get("visemes", {})},
     )

@@ -97,7 +97,7 @@ def test_criterion_2_fact_selection_oracle():
             },
             clock=120.0,
         )
-        assert str(board.entries[select_fact(board)].predicate) == "pass"
+        assert board.entries[select_fact(board)].term[0] == "pass"
 
         rng = Random(2001)
         for _ in range(1000):
@@ -107,7 +107,7 @@ def test_criterion_2_fact_selection_oracle():
             scale = rng.uniform(0.05, 25.0)
             scaled = FactBoard(
                 {
-                    k: type(f)(f.predicate, f.args, f.relevance * scale)
+                    k: type(f)(f.term, f.relevance * scale)
                     for k, f in board.entries.items()
                 },
                 board.clock,

@@ -25,6 +25,13 @@ def test_demo_run_exits_0_and_writes_the_goldens(tmp_path):
     assert mismatch == [] and errors == []
 
 
+def test_trace_echoes_every_event_of_the_commentary_trace(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert main([*_demo_args(out), "--trace"]) == 0
+    trace = (out / "commentary.trace").read_text(encoding="utf-8").splitlines()
+    assert capsys.readouterr().out.splitlines() == trace[1:]  # all but the header
+
+
 def test_unknown_speech_key_exits_1_with_load_error(tmp_path, capsys):
     style = tmp_path / "extra.style"
     style.write_text(MINIMAL_STYLE + "base_pitch_hz = 120\n", encoding="utf-8")

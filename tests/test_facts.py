@@ -16,6 +16,7 @@ from byrne.facts import (
     select_fact,
     should_interrupt,
 )
+from byrne.sexpr import read_one
 from corpus import random_board, random_fact
 
 PAPER_TICK = (
@@ -36,10 +37,11 @@ class TestParseGameLog:
         (update,) = updates
         assert update.tick_time == 120
         (fact,) = update.facts
-        assert str(fact.predicate) == "pass"
+        assert fact.term == read_one(
+            "(pass from: a1 to: a2 fromloc: (30 10) toloc: (20 10) begintime: 120 endtime: 125)"
+        )
         assert fact.relevance == 10
         assert fact.end_time == 125
-        assert dict(fact.args)["begintime"] == 120 and dict(fact.args)["fromloc"] == (30, 10)
 
     def test_empty_document(self):
         assert parse_game_log("") == ()
@@ -137,7 +139,7 @@ class TestApplyTick:
             t += 1.0
             facts = tuple(random_fact(rng) for _ in range(rng.randrange(3)))
             low = tuple(
-                type(f)(f.predicate, f.args, rng.uniform(0.0, 0.99)) for f in facts[:1]
+                type(f)(f.term, rng.uniform(0.0, 0.99)) for f in facts[:1]
             )
             board = apply_tick(board, TickUpdate(t, facts + low))
             assert all(f.relevance >= 1 for f in board.entries.values())
@@ -156,7 +158,7 @@ class TestSelectFact:
                 "(move player: b1 fromloc: (5 10) toloc: (10 10) begintime: 115 endtime: 120)", 3
             ),
         )
-        assert str(board.entries[select_fact(board)].predicate) == "pass"
+        assert board.entries[select_fact(board)].term[0] == "pass"
 
     def test_empty_board(self):
         assert select_fact(FactBoard()) is None
@@ -175,7 +177,7 @@ class TestSelectFact:
             scale = rng.uniform(0.1, 20.0)
             scaled = FactBoard(
                 {
-                    k: type(f)(f.predicate, f.args, f.relevance * scale)
+                    k: type(f)(f.term, f.relevance * scale)
                     for k, f in board.entries.items()
                 },
                 board.clock,

@@ -177,8 +177,8 @@ def rules(draw, terms):
 def rule_problems(draw):
     facts = draw(st.lists(FACTS, min_size=1, max_size=5))
     board = FactBoard({f.identity: f for f in facts}, clock=10.0)
-    statics = draw(st.lists(st.one_of(FACTS.map(GameFact.as_sexpr), GROUND), max_size=2))
-    terms = [f.as_sexpr() for f in facts] + statics
+    statics = draw(st.lists(st.one_of(FACTS.map(lambda f: f.term), GROUND), max_size=2))
+    terms = [f.term for f in facts] + statics
     pool = EmotionPool(
         tuple(
             EmotionStructure(draw(TYPES), 6.0, draw(st.one_of(st.none(), ATOMS)), draw(st.sampled_from(terms)), DECAY, 0.0)
@@ -247,7 +247,7 @@ def test_board_alone_holds_keyed_forms_for_exactly_its_entries(demo_profile, dem
             assert to_text(term.term) == identity
             if identity in before.keyed:
                 assert term is before.keyed[identity]  # built once, kept across re-scores
-    fields = {"predicate", "args", "relevance"}
+    fields = {"term", "relevance"}
     for update in updates:
         for fact in update.facts:
             assert set(vars(fact)) == fields

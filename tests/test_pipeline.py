@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import filecmp
+import signal
 import tempfile
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -153,6 +155,42 @@ class TestStep:
             step(state, TickUpdate(5.0), demo_profile, demo_style)
 
 
+def tick_list(updates: tuple[TickUpdate, ...], tick_seconds: float) -> list[TickUpdate]:
+    """The reference for `driver_ticks`: every tick built up front into one list."""
+    if not updates:
+        return []
+    start, last = updates[0].tick_time, updates[-1].tick_time
+    times: dict[float, TickUpdate] = {round(u.tick_time, 9): u for u in updates}
+    k = 1
+    while (t := start + k * tick_seconds) < last - 1e-9:
+        key = round(t, 9)
+        times.setdefault(key, TickUpdate(t))
+        k += 1
+    return [times[key] for key in sorted(times)]
+
+
+# Gaps and tick lengths near the 9-decimal rounding, so that log and filler
+# ticks share rounded times.
+_NEAR = [1e-10, 3e-10, 5e-10, 1e-9, 2.5e-9]
+
+
+@st.composite
+def tick_logs(draw):
+    """Ascending log updates, each with its own fact, and a tick length that
+    keeps the grid under 2,000 ticks."""
+    start = draw(st.sampled_from([0.0, 120.0]) | st.floats(-1e3, 1e3))
+    gaps = draw(st.lists(st.sampled_from([*_NEAR, 0.5, 1.0]) | st.floats(1e-10, 3.0), max_size=6))
+    times = [start]
+    for gap in gaps:
+        if times[-1] + gap > times[-1]:
+            times.append(times[-1] + gap)
+    updates = tuple(
+        TickUpdate(t, (fact_of(f"(marker n: {i})", 5),)) for i, t in enumerate(times)
+    )
+    tick_seconds = draw(st.sampled_from([*_NEAR, 0.25, 1.0]) | st.floats(1e-3, 5.0))
+    return updates, max(tick_seconds, (times[-1] - times[0]) / 2000)
+
+
 class TestDriverTicks:
     def test_grid_fills_gaps_between_log_ticks(self):
         updates = (TickUpdate(0.0), TickUpdate(5.0))
@@ -166,7 +204,7 @@ class TestDriverTicks:
 
     def test_tick_length_flag_changes_grid(self):
         updates = (TickUpdate(0.0), TickUpdate(2.0))
-        assert len(driver_ticks(updates, 0.5)) == 5
+        assert len(list(driver_ticks(updates, 0.5))) == 5
         assert [u.tick_time for u in driver_ticks(updates, 10.0)] == [0.0, 2.0]
 
     def test_non_positive_tick_rejected(self):
@@ -176,7 +214,30 @@ class TestDriverTicks:
             driver_ticks((), 0.0)
 
     def test_empty_log(self):
-        assert driver_ticks((), 1.0) == []
+        assert list(driver_ticks((), 1.0)) == []
+
+    @given(tick_logs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_tick_list(self, log):
+        updates, tick_seconds = log
+        assert list(driver_ticks(updates, tick_seconds)) == tick_list(updates, tick_seconds)
+
+    def test_ticks_are_built_as_the_replay_reaches_them(self):
+        # the demo log spans 130 s, so a microsecond grid holds 130 million ticks
+        updates = parse_game_log((DEMO / "game.log").read_text(encoding="utf-8"))
+
+        def too_slow(signum, frame):
+            raise TimeoutError("driver_ticks built more ticks than were asked for")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            first = list(islice(driver_ticks(updates, 1e-6), 5))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert first[0] is updates[0]
+        assert [u.tick_time for u in first[1:]] == [k * 1e-6 for k in range(1, 5)]
 
 
 class TestRunReplay:
@@ -199,7 +260,7 @@ class TestRunReplay:
         assert code == 1
         assert "load error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tick_seconds", [0.0, -1.0])
+    @pytest.mark.parametrize("tick_seconds", [0.0, -1.0, float("nan"), float("inf")])
     def test_non_positive_tick_exits_1(self, tmp_path, capsys, tick_seconds):
         out = tmp_path / "o"
         code = run_replay(
@@ -209,6 +270,24 @@ class TestRunReplay:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("commentate: load error: ") and "tick length must be positive" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("(tick inf)", "tick header needs one numeric time"),
+            ("(tick nan)", "tick header needs one numeric time"),
+            ("(tick 1e400)", "number 1e400 is too large"),
+            ("(fact (kickoff team: b) relevance: 1e400)", "number 1e400 is too large"),
+        ],
+    )
+    def test_non_finite_number_in_log_exits_1(self, tmp_path, capsys, line, error):
+        log = tmp_path / "g.log"
+        log.write_text(f"(tick 0)\n(fact (kickoff team: a) relevance: 6)\n{line}\n")
+        out = tmp_path / "o"
+        assert run_replay(log, DEMO / "announcer.profile", DEMO / "announcer.style", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("commentate: load error: line 3: ") and error in err
         assert not out.exists()
 
     def test_broken_log_exits_1(self, tmp_path, capsys):
@@ -405,6 +484,58 @@ def test_fuzzed_style_values_fail_the_load_or_replay_cleanly(data):
             for row in facs.read_text(encoding="utf-8").splitlines()[1:]:
                 fields = row.split("\t")
                 assert len(fields) == 5 and all(fields), row
+
+
+# Atoms a log line can hold: numbers, spellings the reader takes as symbols
+# ("nan", "inf", "1_000"), a literal too large for a float, symbols and strings.
+_LOG_ATOMS = st.one_of(
+    st.integers(-10**4, 10**4).map(str),
+    st.floats(-1e4, 1e4).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-Infinity", "1e400", "1_000", "a", "a1", "b2", '"a"']),
+)
+
+
+@st.composite
+def _fuzzed_logs(draw):
+    """`(tick ...)` and `(fact ...)` lines, a tick first. Most lines are well
+    formed: their ticks advance the clock, their facts hold symbols and small
+    integers. The rest draw any atom, so ticks also come out of order or are
+    not numbers."""
+    lines, clock = [], 0
+    for _ in range(draw(st.integers(0, 12))):
+        usually = draw(st.integers(0, 7)) > 0
+        if not lines or draw(st.booleans()):
+            if usually:
+                clock += draw(st.integers(1, 30))
+                lines.append(f"(tick {clock})")
+            else:
+                lines.append(f"(tick {draw(_LOG_ATOMS)})")
+            continue
+        head = draw(st.sampled_from(["kickoff", "pass", "scores", "save", "shot", "goal"]))
+        keys = st.sampled_from(["team", "player", "from", "to", "endtime"])
+        term = [head]
+        for key in draw(st.lists(keys, min_size=1, max_size=3, unique=True)):
+            if not usually:
+                term.append(f"{key}: {draw(_LOG_ATOMS)}")
+            elif key == "endtime":
+                term.append(f"{key}: {clock + 5}")
+            else:
+                term.append(f"{key}: {draw(st.sampled_from(['a', 'b', 'a1', 'b2']))}")
+        relevance = draw(st.integers(0, 10)) if usually else draw(_LOG_ATOMS)
+        lines.append(f"(fact ({' '.join(term)}) relevance: {relevance})")
+    return "\n".join(lines) + "\n"
+
+
+@given(_fuzzed_logs())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_log_exits_0_1_or_2(log_text):
+    # Tick times stay within 10^4 s of 0: a replay steps once per tick length
+    # over the log's span, and writes an emotions.trace line per structure per step.
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "fuzzed.log"
+        log.write_text(log_text, encoding="utf-8")
+        out = Path(tmp) / "out"
+        assert run_replay(log, DEMO / "announcer.profile", DEMO / "announcer.style", out) in (0, 1, 2)
 
 
 class TestInterruptionCutsInReplay:

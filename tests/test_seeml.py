@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from byrne.seeml import (
+    DEFAULT_VISEMES,
     EVERY_PHRASE,
     UTTERANCE,
     Element,
@@ -679,7 +680,7 @@ class TestLipSync:
         assert lip_sync([]) == []
 
     def test_viseme_style_overrides(self):
-        events = lip_sync([TimedWord("go", 0.0, 200.0)], {"o": "OH"})
+        events = lip_sync([TimedWord("go", 0.0, 200.0)], {**DEFAULT_VISEMES, "o": "OH"})
         assert [ev.viseme for ev in events] == ["WIDE", "OH"]
 
     def test_rounded_and_labiodental_classes(self):

@@ -13,6 +13,20 @@ def test_atoms():
     assert read_one("a1") == Symbol("a1")
     assert read_one("1/t") == Symbol("1/t")
     assert read_one('"two words"') == "two words"
+    for text, value in [("-7", -7), ("+3", 3), ("1.", 1.0), (".5", 0.5), ("-2.5e-3", -0.0025), ("1E2", 100.0)]:
+        atom = read_one(text)
+        assert atom == value and type(atom) is type(value)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1_000", "0x10", "1e", ".", "-", "\u0663"])
+def test_other_number_spellings_are_symbols(text):
+    assert isinstance(read_one(text), Symbol)
+
+
+@pytest.mark.parametrize("text", ["1e400", "-1e400", pytest.param("9" * 400, id="400-digit-integer")])
+def test_a_number_too_large_for_a_float_fails_the_read(text):
+    with pytest.raises(SexprError, match="line 2: number .* is too large"):
+        read_top_level(f"(a 1)\n(b {text})")
 
 
 def test_nested_form():
@@ -51,6 +65,7 @@ _atoms = st.one_of(
     st.integers(min_value=-10**6, max_value=10**6),
     st.floats(allow_nan=False, allow_infinity=False, width=32),
     st.text(alphabet="abcxyz?-", min_size=1, max_size=6).map(Symbol),
+    st.sampled_from(["nan", "inf", "-inf", "1_000", "1e"]).map(Symbol),
     st.text(alphabet="abc xyz\"\\", max_size=8),
 )
 _sexprs = st.recursive(_atoms, lambda inner: st.tuples(inner, inner, inner), max_leaves=12)

@@ -140,7 +140,7 @@ class TestLoadProfile:
     def test_valid_profile_loads(self):
         profile = load_profile(VALID_PROFILE)
         assert profile.lambda_use_penalty == 3.0
-        assert profile.name_table() == {"a1": "Angus"}
+        assert profile.names == {"a1": "Angus"}
         assert [b.id for b in profile.behaviors] == ["beam"]
 
     def test_demo_profile_depends_on_its_forms_alone(self, demo_profile):

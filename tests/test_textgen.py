@@ -333,7 +333,7 @@ class TestTemplateChoiceInReplay:
             starts = [e for e in events if e.kind == UTTERANCE_START]
             try:
                 template, binding = select_template(
-                    keyed(fact.as_sexpr()),
+                    keyed(fact.term),
                     profile.templates,
                     history,
                     now,
