@@ -27,9 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--character", required=True, help="character profile file")
     parser.add_argument("--style", required=True, help="style file")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument(
-        "--tick-seconds", type=float, default=1.0, help="driver tick length (default 1.0)"
-    )
+    parser.add_argument("--tick-seconds", default="1.0", help="driver tick length (default 1.0)")
     parser.add_argument("--seed", type=int, default=0, help="seed echoed in the trace header")
     parser.add_argument("--trace", action="store_true", help="echo commentary events to stdout")
     return parser

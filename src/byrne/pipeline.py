@@ -36,7 +36,7 @@ from .facts import (
 )
 from .profile import CharacterProfile, check_against_style, load_profile
 from .seeml import OutputBundle, apply_directives, format_face_timeline, merge_tags, verify_and_split
-from .sexpr import to_text
+from .sexpr import atom, to_text
 from .style import StyleFile, load_style
 from .textgen import CoverageError, UsageHistory, instantiate, record_usage, select_template
 
@@ -177,8 +177,8 @@ def driver_ticks(updates: tuple[TickUpdate, ...], tick_seconds: float) -> Iterat
     ticks whose times agree to 9 decimals only one is kept: the last log
     update, else the first filler.
     """
-    if not 0 < tick_seconds < math.inf:
-        raise ByrneError(f"tick length must be positive and finite, got {tick_seconds:g}")
+    if isinstance(tick_seconds, str) or not 0 < tick_seconds < math.inf:
+        raise ByrneError(f"tick length must be positive and finite: --tick-seconds {tick_seconds}")
     if not updates:
         return iter(())
     start, last = updates[0].tick_time, updates[-1].tick_time
@@ -214,15 +214,15 @@ def run_replay(
     style_path: str | Path,
     out_dir: str | Path,
     *,
-    tick_seconds: float = 1.0,
+    tick_seconds: float | str = 1.0,
     seed: int = 0,
     echo: bool = False,
 ) -> int:
     """Replay a game log and write the commentary outputs; returns the exit code.
 
-    Exit 0 on success, 1 when an input fails to load, `tick_seconds` is not
-    positive or `out_dir` cannot be a directory, 2 on a runtime error or when
-    writing the outputs fails.
+    Exit 0 on success, 1 when an input fails to load, `tick_seconds` (a number
+    or a decimal literal) is not positive and finite or `out_dir` cannot be a
+    directory, 2 on a runtime error or when writing the outputs fails.
     Outputs: per-utterance `utt-<n>.sable` and `utt-<n>.facs`, plus
     `commentary.trace` and `emotions.trace`. Utterance files in `out_dir` that
     this run does not write are deleted, so the directory holds one run; any
@@ -235,7 +235,8 @@ def run_replay(
         profile = load_profile(Path(profile_path).read_text(encoding="utf-8"))
         style = load_style(Path(style_path).read_text(encoding="utf-8"))
         check_against_style(profile, style)
-        ticks = driver_ticks(updates, tick_seconds)
+        tick = atom(tick_seconds) if isinstance(tick_seconds, str) else tick_seconds
+        ticks = driver_ticks(updates, tick)
         out = Path(out_dir)
         _check_out_dir(out)
     except (OSError, ByrneError) as e:

@@ -161,6 +161,9 @@ def _parse_directive(form: tuple) -> Directive:
             raise SexprError("expected (speech <TAG> <scope> [ATTR: <value> ...])")
         attrs, _ = _split_form(form[3:], None, ())
         mark = element(str(form[1]), {name: str(value) for name, value in attrs.items()})
+        for name, value in attrs.items():
+            if not isinstance(value, str):  # a bare +10 reads as 10, losing its sign
+                raise SexprError(f"{name}: value must be quoted, got {to_text(value)}")
         return Directive(mark, _parse_scope(form[2]))
     raise SexprError(f"unknown directive ({head} ...)")
 
@@ -364,7 +367,7 @@ def _load_template(form: tuple, line: int, diags: list[str]) -> Optional[Templat
         body = parse_seeml(text)
         if not any(el.tag == "seg" for el in elements(body.children)):
             diags.append(f"line {line}: template '{tid}' body has no <seg> phrase markers")
-    except SeemlError as e:
+    except (SeemlError, SexprError) as e:
         diags.append(f"line {line}: template '{tid}' body: {e}")
     bound: set[Symbol] = set()
     for p in preconditions:

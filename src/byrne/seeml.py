@@ -6,7 +6,8 @@ structural text annotation (lower-case: su, seg, np, vp, w), speech prosody
 facial mark-up (EXPR for whole expressions, AU for single action units), and
 AURAL/AFFECT extras. The verifier turns one merged document into two outputs:
 a speech script that keeps only the spoken side, and a millisecond timeline of
-facial action units and lip-sync visemes.
+facial action units and lip-sync visemes. A ``LEVEL``, an ``AU NUM`` (unsigned)
+and a delta (signed, as ``+10%``) hold decimal literals, read by `sexpr.atom`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ByrneError
+from .sexpr import Symbol, atom
 
 if TYPE_CHECKING:
     from .style import StyleFile
@@ -98,15 +100,23 @@ def _normalize(children: Iterable[Node]) -> tuple[Node, ...]:
     return tuple(out)
 
 
-# A signed relative value ("delta"): merge_tags sums these instead of nesting them.
-_DELTA_RE = re.compile(r"^([+-](?:\d+\.?\d*|\.\d+))(%?)$")
+def _delta(value: str) -> Optional[tuple[float, str]]:
+    """A signed value ("delta") as (magnitude, "%" or ""); merge_tags sums these."""
+    if not value.startswith(("+", "-")):
+        return None
+    number, unit = (value[:-1], "%") if value.endswith("%") else (value, "")
+    magnitude = atom(number)
+    return None if isinstance(magnitude, Symbol) else (magnitude, unit)
 
 
 def _validate(tag: str, attrs: dict[str, str]) -> None:
+    # a signed value is a delta: reading each here fails a too-large literal at load
+    deltas = {name: _delta(value) for name, value in attrs.items() if value.startswith(("+", "-"))}
     if tag == "AU":
-        num = attrs.get("NUM")
-        if num is None or not num.isdigit() or not AU_MIN <= int(num) <= AU_MAX:
-            raise SeemlError(f"AU NUM must lie in {AU_MIN}-{AU_MAX}, got {num!r}")
+        num = attrs.get("NUM", "")
+        value = None if deltas.get("NUM") else atom(num)  # a signed NUM reads as a delta
+        if not isinstance(value, int) or not AU_MIN <= value <= AU_MAX:
+            raise SeemlError(f"AU NUM must be an unsigned integer {AU_MIN}-{AU_MAX}, got {num!r}")
     if tag == "EXPR":
         name = attrs.get("NAME")
         if name not in EXPRESSION_NAMES:
@@ -118,18 +128,14 @@ def _validate(tag: str, attrs: dict[str, str]) -> None:
     if tag == "AUDIO" and not attrs.get("SRC"):
         raise SeemlError("AUDIO needs a SRC attribute")
     if tag in ("EXPR", "AU", "AFFECT") and "LEVEL" in attrs:
-        level = attrs["LEVEL"]
-        delta = _DELTA_RE.match(level)
+        level, delta = attrs["LEVEL"], deltas.get("LEVEL")
         # verify_and_split reads EXPR/AU levels as plain numbers
-        if delta and delta.group(2) and tag != "AFFECT":
+        if delta and delta[1] and tag != "AFFECT":
             raise SeemlError(f"{tag} LEVEL delta cannot be a percentage, got {level!r}")
         if not delta:
-            try:
-                value = float(level)
-            except ValueError:
-                raise SeemlError(f"{tag} LEVEL must be numeric, got {level!r}") from None
-            if not 0.0 <= value <= 1.0:
-                raise SeemlError(f"{tag} LEVEL must lie in [0,1], got {level}")
+            value = atom(level)
+            if isinstance(value, Symbol) or not 0 <= value <= 1:
+                raise SeemlError(f"{tag} LEVEL must be a number in [0,1] or a delta, got {level!r}")
 
 
 def element(
@@ -391,12 +397,10 @@ def _identity(el: Element) -> tuple[tuple, dict[str, tuple[float, str]]]:
     units: delta magnitudes are left out, so two RATE tags asking for different
     signed speed changes count as identical and add up.
     """
-    plain: list[tuple[str, str]] = []
-    deltas: dict[str, tuple[float, str]] = {}
+    plain, deltas = [], {}  # a loop: on the merge's hot path a comprehension costs a frame
     for name, value in el.attrs:
-        m = _DELTA_RE.match(value)
-        if m:
-            deltas[name] = (float(m.group(1)), m.group(2))
+        if delta := _delta(value):
+            deltas[name] = delta
         else:
             plain.append((name, value))
     units = tuple(sorted((name, unit) for name, (_, unit) in deltas.items()))
@@ -577,9 +581,9 @@ def verify_and_split(doc: SeemlDocument, style: "StyleFile") -> OutputBundle:
             end = start + GESTURE_MS
             total = max(total, end)
         duration = max(0.0, min(end, total) - start)
-        level = float(el.attr("LEVEL", "1.0"))
+        level = atom(el.attr("LEVEL", "1.0"))
         if el.tag == "AU":
-            facs.append(FacsEvent(start, int(el.attr("NUM")), _unit(level), duration))
+            facs.append(FacsEvent(start, atom(el.attr("NUM")), _unit(level), duration))
         else:
             # the markup admits only the six names, and the style maps all six
             weights = style.expressions[el.attr("NAME")]

@@ -5,7 +5,7 @@ profiles all use the same notation, e.g. ``(pass from: a1 to: a2 fromloc: (30 10
 Atoms are symbols, integers, floats, or double-quoted strings; ``#`` starts a
 comment that runs to end of line. An atom is a number only when it is a decimal
 literal (`_NUMBER`): ``nan``, ``inf`` and ``1_000`` are symbols, and a literal
-too large for a float fails the read.
+too large for a float fails the read. Every reader of a number calls `atom`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _tokenize(text: str):
         if c == "\n":
             line += 1
             i += 1
-        elif c in " \t\r":
+        elif c.isspace():
             i += 1
         elif c == "#":
             while i < n and text[i] != "\n":
@@ -81,7 +81,7 @@ def _tokenize(text: str):
             yield "atom", m.group(), line
 
 
-def _atom(token: str, line: int) -> Sexpr:
+def atom(token: str, line: int | None = None) -> Union[Symbol, int, float]:
     m = _NUMBER.fullmatch(token)
     if m is None:
         return Symbol(token)
@@ -109,11 +109,11 @@ def read_top_level(text: str) -> list[tuple[Sexpr, int]]:
             else:
                 out.append((form, open_line))
         else:
-            atom = value if kind == "string" else _atom(value, line)
+            item = value if kind == "string" else atom(value, line)
             if stack:
-                stack[-1][0].append(atom)
+                stack[-1][0].append(item)
             else:
-                out.append((atom, line))
+                out.append((item, line))
     if stack:
         raise SexprError("unbalanced '('", stack[-1][1])
     return out

@@ -4,8 +4,9 @@ A style maps expression names to weighted action-unit sets, aural events to
 sound files, and fixes the speech timing used in place of synthesizer-reported
 word times. Sections are ``[expressions]``, ``[aural]``, ``[speech]``, and
 ``[visemes]``; only the first and third are mandatory. An unknown section or
-key, a key repeated within a section, an empty value, or a viseme that is not
-one whitespace-free token fails the load.
+key, a key repeated within a section, an empty value, a viseme that is not one
+whitespace-free token, or a number that is not a decimal literal (`sexpr.atom`)
+fails the load.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import ByrneError
 from .seeml import AU_MAX, AU_MIN, DEFAULT_VISEMES, EXPRESSION_NAMES
+from .sexpr import Symbol, atom
 
 
 class StyleError(ByrneError):
@@ -30,7 +32,7 @@ class StyleFile:
     visemes: dict[str, str] = field(default_factory=DEFAULT_VISEMES.copy)  # every letter class
 
 
-_AU_WEIGHT = re.compile(r"^AU(\d+):([0-9.]+)$", re.IGNORECASE)
+_AU_WEIGHT = re.compile(r"AU([0-9]+):(\S+)", re.IGNORECASE)
 
 # The keys each section accepts; None accepts any name.
 _SECTIONS = {
@@ -84,14 +86,14 @@ def load_style(text: str) -> StyleFile:
     for name, value in sections["expressions"].items():
         weights: list[tuple[int, float]] = []
         for token in value.split():
-            m = _AU_WEIGHT.match(token)
+            m = _AU_WEIGHT.fullmatch(token)
             if m is None:
                 raise StyleError(f"expression '{name}': expected AU<k>:<w> terms, got '{token}'")
-            au, weight = int(m.group(1)), float(m.group(2))
+            au, weight = atom(m.group(1)), atom(m.group(2))
             if not AU_MIN <= au <= AU_MAX:
                 raise StyleError(f"expression '{name}': AU{au} outside {AU_MIN}-{AU_MAX}")
-            if not 0.0 <= weight <= 1.0:
-                raise StyleError(f"expression '{name}': weight {weight} outside [0,1]")
+            if isinstance(weight, Symbol) or not 0 <= weight <= 1:
+                raise StyleError(f"expression '{name}': weight {m.group(2)} not a number in [0,1]")
             weights.append((au, weight))
         expressions[name] = tuple(weights)
     for required in EXPRESSION_NAMES:
@@ -101,15 +103,12 @@ def load_style(text: str) -> StyleFile:
     speech = sections["speech"]
     if "words_per_minute" not in speech:
         raise StyleError("speech section missing words_per_minute")
-    try:
-        wpm = float(speech["words_per_minute"])
-        break_ms = float(speech.get("break_ms", 300.0))
-    except ValueError as e:
-        raise StyleError(f"speech section: {e}") from None
-    if wpm <= 0:
-        raise StyleError(f"words_per_minute must be positive, got {wpm:g}")
-    if break_ms < 0:
-        raise StyleError(f"break_ms must be non-negative, got {break_ms:g}")
+    wpm, break_ms = atom(speech["words_per_minute"]), atom(speech.get("break_ms", "300"))
+    # a word or a pause lasts at most a minute, so the timeline's sums stay finite
+    if isinstance(wpm, Symbol) or wpm < 1:
+        raise StyleError(f"words_per_minute must be a number of at least 1, got {wpm}")
+    if isinstance(break_ms, Symbol) or not 0 <= break_ms <= 60000:
+        raise StyleError(f"break_ms must be a number in [0,60000], got {break_ms}")
 
     return StyleFile(
         expressions=expressions,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import filecmp
 
+import pytest
 from conftest import DEMO, GOLDEN, MINIMAL_STYLE
 
 from byrne.cli import main
@@ -38,5 +39,15 @@ def test_unknown_speech_key_exits_1_with_load_error(tmp_path, capsys):
     assert main(_demo_args(tmp_path / "o", style)) == 1
     err = capsys.readouterr().err
     assert err.startswith("commentate: load error:") and "base_pitch_hz" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("tick", ["abc", "1_0", "١", " 2", "nan", "0"])
+def test_tick_seconds_not_a_positive_decimal_literal_exits_1(tmp_path, capsys, tick):
+    # the flag is read as the log reads numbers
+    assert main([*_demo_args(tmp_path / "o"), "--tick-seconds", tick]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("commentate: load error:") and f"--tick-seconds {tick}\n" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import filecmp
+import re
 import signal
 import tempfile
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
+from random import Random
 
 import hypothesis.strategies as st
 import pytest
@@ -24,7 +26,9 @@ from byrne.pipeline import (
     step,
 )
 from byrne.profile import load_profile
+from byrne.sexpr import to_text
 from byrne.style import StyleError, load_style
+from corpus import random_profile_forms
 
 PAPER_TICK_FACTS = (
     fact_of(
@@ -426,6 +430,24 @@ class TestRunReplay:
         err = capsys.readouterr().err
         assert "grinner" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("num", ["²", "١٢", "+5"])
+    def test_au_num_not_an_unsigned_decimal_literal_in_template_exits_1(self, tmp_path, capsys, num):
+        # a signed NUM would read as a delta to the merge
+        profile = tmp_path / "p.profile"
+        profile.write_text(
+            '(template id: grinner (pre (move player: ?p))'
+            f' (text "<su><seg><AU NUM=\\"{num}\\">?p</AU> runs</seg></su>"))\n',
+            encoding="utf-8",
+        )
+        style = tmp_path / "s.style"
+        style.write_text(MINIMAL_STYLE)
+        log = tmp_path / "g.log"
+        log.write_text("(tick 1)\n(fact (move player: a1) relevance: 5)\n")
+        assert run_replay(log, profile, style, tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert f"template 'grinner' body: AU NUM must be an unsigned integer 1-46, got '{num}'" in err
+        assert "Traceback" not in err
+
     def test_trace_files_and_utterance_outputs_written(self, tmp_path):
         out = tmp_path / "out"
         assert run_replay(
@@ -536,6 +558,109 @@ def test_fuzzed_log_exits_0_1_or_2(log_text):
         log.write_text(log_text, encoding="utf-8")
         out = Path(tmp) / "out"
         assert run_replay(log, DEMO / "announcer.profile", DEMO / "announcer.style", out) in (0, 1, 2)
+
+
+# Tokens of an s-expression file: a string, a parenthesis, or an atom.
+_TOKEN = re.compile(r'"(?:\\.|[^"\\])*"|[()]|[^\s()"]+')
+# Replacements the demo's own tokens do not hold: numbers outside the decimal
+# grammar or out of range, signed and bare speech values, and markup that fails.
+_ODD_TOKENS = [
+    "nan", "inf", "1e400", "-0.5", "+10", "1_0", "١٢", "0", "47", "?x", "(", ")", '""',
+    '"+10%"', '"+1e400%"', '"<su><seg>?p</seg></su>"', '"<AU NUM=\\"²\\"/>"', "SPEED:",
+]
+# Style values: numbers outside the grammar or their range, and weights that fail.
+_ODD_STYLE_VALUES = [
+    "nan", "inf", "1e-320", "1e308", "0", "-1", "١٨٠", "1_80", "0.5", "AU12:1.2.3",
+    "AU١٢:0.9", "AU99:0.5", "AU6:2", "x y", "",
+]
+
+
+@st.composite
+def _mutated_profiles(draw):
+    """The demo profile with a few tokens replaced or deleted, or any text."""
+    text = (DEMO / "announcer.profile").read_text(encoding="utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(max_size=60))
+    spans = [m.span() for m in _TOKEN.finditer(text)]
+    tokens = sorted({text[a:b] for a, b in spans})
+    picks = draw(st.lists(st.sampled_from(spans), max_size=3, unique=True))
+    for start, end in sorted(picks, reverse=True):
+        new = draw(st.sampled_from(_ODD_TOKENS) | st.sampled_from(tokens) | st.just(""))
+        text = text[:start] + new + text[end:]
+    return text
+
+
+@st.composite
+def _mutated_styles(draw):
+    """The demo style with a few values or lines replaced, or any text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(max_size=60))
+    lines = (DEMO / "announcer.style").read_text(encoding="utf-8").splitlines()
+    for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=2, unique=True)):
+        key, sep, _ = lines[i].partition("=")
+        if sep and draw(st.booleans()):
+            lines[i] = f"{key}= {draw(st.sampled_from(_ODD_STYLE_VALUES) | st.text(max_size=6))}"
+        else:
+            lines[i] = draw(st.text(st.characters(codec="utf-8"), max_size=20))
+    return "\n".join(lines) + "\n"
+
+
+@given(_mutated_profiles(), _mutated_styles(), st.sampled_from(["missing", "file", "stale"]))
+@settings(max_examples=120, deadline=None)
+def test_fuzzed_profile_style_and_out_exit_0_1_or_2(profile_text, style_text, out_kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        profile, style, out = Path(tmp) / "p.profile", Path(tmp) / "s.style", Path(tmp) / "out"
+        profile.write_text(profile_text, encoding="utf-8")
+        style.write_text(style_text, encoding="utf-8")
+        if out_kind == "file":
+            out.write_text("a file\n")
+        elif out_kind == "stale":
+            out.mkdir()
+            (out / "utt-999.facs").write_text("left over\n")
+        assert run_replay(DEMO / "game.log", profile, style, out) in (0, 1, 2)
+
+
+@st.composite
+def _generated_replays(draw):
+    """A valid generated profile, and a log of scoring facts it has templates for."""
+    rng = Random(draw(st.integers(0, 10**9)))
+    profile = "\n".join(to_text(form) for form in random_profile_forms(rng))
+    lines, clock = [], 0
+    for _ in range(draw(st.integers(1, 8))):
+        clock += draw(st.integers(1, 6))
+        lines.append(f"(tick {clock})")
+        for team in draw(st.lists(st.sampled_from("ab"), max_size=2, unique=True)):
+            lines.append(f"(fact (scores team: {team}) relevance: {draw(st.integers(1, 10))})")
+    return profile, "\n".join(lines) + "\n"
+
+
+@given(_generated_replays(), _generated_replays())
+@settings(max_examples=40, deadline=None)
+def test_generated_replay_outputs_hold_their_invariants(earlier, replay):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        style = tmp / "s.style"
+        style.write_text(MINIMAL_STYLE)
+
+        def run(inputs, name: str, out: Path) -> None:
+            profile, log = tmp / f"{name}.profile", tmp / f"{name}.log"
+            profile.write_text(inputs[0])
+            log.write_text(inputs[1])
+            assert run_replay(log, profile, style, out) == 0
+
+        # a replay into the earlier replay's directory leaves exactly what a fresh one writes
+        run(earlier, "earlier", tmp / "out")
+        run(replay, "replay", tmp / "out")
+        run(replay, "replay", tmp / "fresh")
+        names = sorted(p.name for p in (tmp / "fresh").iterdir())
+        assert sorted(p.name for p in (tmp / "out").iterdir()) == names
+        _, mismatch, errors = filecmp.cmpfiles(tmp / "out", tmp / "fresh", names, shallow=False)
+        assert mismatch == [] and errors == []
+        for facs in (tmp / "out").glob("*.facs"):
+            rows = [row.split("\t") for row in facs.read_text().splitlines()[1:]]
+            onsets = [int(row[0]) for row in rows]
+            assert onsets == sorted(onsets)
+            assert all(0.0 <= float(row[3]) <= 1.0 for row in rows)
 
 
 class TestInterruptionCutsInReplay:

@@ -90,6 +90,12 @@ class TestParse:
         with pytest.raises(SeemlError, match="percentage"):
             parse_seeml('<EXPR LEVEL="-5%" NAME="smile">x</EXPR>')
 
+    @pytest.mark.parametrize("level", [" 0.5", "١", "+١", "nan", "inf", "1_0", "0.5%", "?x"])
+    def test_level_must_be_a_decimal_literal(self, level):
+        for tag in ('EXPR NAME="smile"', 'AU NUM="12"', 'AFFECT TYPE="interest"'):
+            with pytest.raises(SeemlError, match=r"LEVEL must be a number in \[0,1\] or a delta"):
+                parse_seeml(f'<{tag} LEVEL="{level}">x</{tag.split()[0]}>')
+
     def test_childless_tags_do_not_enclose_text(self):
         parse_seeml('<BREAK/> and <AURAL NAME="hiccup"/>')
         with pytest.raises(SeemlError):
@@ -436,6 +442,13 @@ class TestMergeTags:
             '<RATE SPEED="+1%"><RATE SPEED="+2%"><RATE SPEED="+4%">x</RATE></RATE></RATE>'
         )
         assert serialize_seeml(merge_tags(doc)) == '<RATE SPEED="+7%">x</RATE>'
+
+    def test_only_a_signed_decimal_literal_is_a_delta(self):
+        # other digit scripts are text, and so never sum; an exponent is part of the literal
+        text = '<RATE SPEED="+5%"><RATE SPEED="+١٠%">x</RATE></RATE>'
+        assert serialize_seeml(merge_tags(parse_seeml(text))) == text
+        doc = parse_seeml('<RATE SPEED="+5%"><RATE SPEED="+1e1%">x</RATE></RATE>')
+        assert serialize_seeml(merge_tags(doc)) == '<RATE SPEED="+15%">x</RATE>'
 
     def test_negative_deltas_sum(self):
         doc = parse_seeml('<RATE SPEED="+10%"><RATE SPEED="-4%">x</RATE></RATE>')

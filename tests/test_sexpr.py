@@ -1,10 +1,25 @@
 from __future__ import annotations
 
+import math
+
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from conftest import MINIMAL_STYLE
+from hypothesis import given, settings
 
-from byrne.sexpr import SexprError, Symbol, is_keyword, keyword_name, read_one, read_top_level, to_text
+from byrne.errors import ByrneError
+from byrne.seeml import parse_seeml
+from byrne.sexpr import (
+    _NUMBER,
+    SexprError,
+    Symbol,
+    is_keyword,
+    keyword_name,
+    read_one,
+    read_top_level,
+    to_text,
+)
+from byrne.style import load_style
 
 
 def test_atoms():
@@ -39,6 +54,8 @@ def test_nested_form():
 def test_comments_and_blank_lines():
     forms = read_top_level("# header\n(a 1)\n\n(b 2) # trailing\n")
     assert forms == [((Symbol("a"), 1), 2), ((Symbol("b"), 2), 4)]
+    # every character an atom cannot hold separates atoms, as a space does
+    assert read_top_level("(a\x0c1)\x1f\u2028(b\xa02)") == read_top_level("(a 1) (b 2)")
 
 
 def test_string_escapes():
@@ -74,3 +91,39 @@ _sexprs = st.recursive(_atoms, lambda inner: st.tuples(inner, inner, inner), max
 @given(_sexprs)
 def test_print_read_round_trip(value):
     assert read_one(to_text(value)) == value
+
+
+# Text near the decimal grammar: signs, points, exponents, a percent, an
+# underscore, a space, other scripts' digits and the letters of nan and inf.
+_NEAR_NUMBERS = st.text(st.sampled_from("0123456789+-.eE%_ ١٢²nafi"), max_size=8) | st.from_regex(
+    _NUMBER, fullmatch=True
+)
+
+
+def _decimal(text: str) -> float:
+    # nan, which fails every range check, unless `text` is a decimal literal
+    return float(text) if _NUMBER.fullmatch(text) else math.nan
+
+
+def _accepts(load, source: str) -> bool:
+    try:
+        load(source)
+    except ByrneError:
+        return False
+    return True
+
+
+@given(_NEAR_NUMBERS)
+@settings(max_examples=300, deadline=None)
+def test_style_and_markup_read_a_number_exactly_when_it_is_a_decimal_literal(text):
+    # an EXPR LEVEL is a number in [0,1], or a signed number (a delta) a float can hold
+    level = _decimal(text)
+    signed = text.startswith(("+", "-")) and math.isfinite(level)
+    markup = f'<EXPR LEVEL="{text}" NAME="smile">x</EXPR>'
+    assert _accepts(parse_seeml, markup) == (0 <= level <= 1 or signed)
+    # a style line loses the spaces around it, and a weight ends at a space
+    weight = _decimal(text.rstrip())
+    style = MINIMAL_STYLE.replace("AU6:0.6", f"AU6:{text}")
+    assert _accepts(load_style, style) == (0 <= weight <= 1)
+    pause = _decimal(text.strip())
+    assert _accepts(load_style, MINIMAL_STYLE + f"break_ms = {text}\n") == (0 <= pause <= 60000)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from random import Random
 
 import hypothesis.strategies as st
@@ -43,10 +44,17 @@ class TestLoadStyle:
             load_style(MINIMAL_STYLE.split("[speech]")[0])
 
     def test_words_per_minute_must_be_positive(self):
-        for bad in ("0", "-10", "fast"):
+        # a rate below one word a minute could time a timeline past the largest float
+        for bad in ("0", "-10", "fast", "nan", "inf", "1_80", "١٨٠", "0.5", "1e-320"):
             broken = MINIMAL_STYLE.replace("words_per_minute = 180", f"words_per_minute = {bad}")
-            with pytest.raises(StyleError):
+            with pytest.raises(StyleError, match=f"words_per_minute must be a number .*, got {bad}$"):
                 load_style(broken)
+
+    def test_break_ms_must_be_a_number_of_at_most_a_minute(self):
+        for bad in ("-1", "fast", "nan", "inf", "1_80", "١٨٠", "60001", "60000.5"):
+            with pytest.raises(StyleError, match=rf"break_ms must be a number in \[0,60000\], got {bad}$"):
+                load_style(MINIMAL_STYLE + f"break_ms = {bad}\n")
+        assert load_style(MINIMAL_STYLE + "break_ms = 6e4\n").break_ms == 60000
 
     def test_missing_words_per_minute(self):
         broken = MINIMAL_STYLE.replace("words_per_minute = 180", "pace = brisk")
@@ -57,9 +65,17 @@ class TestLoadStyle:
             load_style(broken)
 
     def test_bad_action_unit_terms(self):
-        for bad in ("AU47:0.5", "AU0:0.5", "AU6:1.5", "six"):
+        for bad, error in (
+            ("AU47:0.5", "AU47 outside 1-46"),
+            ("AU0:0.5", "AU0 outside 1-46"),
+            ("AU6:1.5", "weight 1.5 not a number in"),
+            ("six", "expected AU<k>:<w> terms, got 'six'"),
+            ("AU12:1.2.3", "weight 1.2.3 not a number in"),
+            ("AU12:nan", "weight nan not a number in"),
+            ("AU١٢:0.9", "expected AU<k>:<w> terms, got 'AU١٢:0.9'"),
+        ):
             broken = MINIMAL_STYLE.replace("smile = AU6:0.6 AU12:0.9", f"smile = {bad}")
-            with pytest.raises(StyleError):
+            with pytest.raises(StyleError, match=rf"expression 'smile': {re.escape(error)}"):
                 load_style(broken)
 
     def test_unknown_viseme_class_rejected(self):
@@ -360,6 +376,19 @@ class TestProfileValidation:
             " (directives (speech RATE (point end) SPEED: 1 speed: 2)))",
             "duplicate attribute SPEED on <RATE>",
         )
+
+    @pytest.mark.parametrize("value", ["+10", "-0.5", "10", "(a b)"])
+    def test_speech_attribute_value_must_be_quoted(self, value):
+        # the reader takes +10 as the number 10, which would write SPEED="10", not a delta
+        with pytest.raises(ProfileError) as err:
+            load_profile(
+                "(behavior id: hurry group: voice (motivated-by fear)"
+                f" (directives (speech RATE utterance SPEED: {value})))"
+            )
+        written = to_text(read_one(value))
+        assert err.value.diagnostics == [
+            f"line 1: behavior 'hurry': SPEED: value must be quoted, got {written}"
+        ]
 
     def test_speech_directive_markup_checked_at_load(self):
         _expect_diagnostic(
