@@ -6,6 +6,7 @@ import argparse
 import logging
 import os
 import sys
+from typing import NoReturn
 
 from .pipeline import run_replay
 
@@ -17,8 +18,16 @@ _LOG_LEVELS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        # a usage error is bad input, as a file that fails to load is: exit 1, not
+        # argparse's 2, which the exit-code contract keeps for runtime errors
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="commentate",
         description="Replay a pre-analysed game log as affect-marked commentary: "
         "SABLE speech scripts plus FACS/viseme timelines.",

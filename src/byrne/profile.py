@@ -33,7 +33,9 @@ from .errors import ByrneError
 from .patterns import Keyed, is_ground, keyed, variables_in
 from .sexpr import SexprError, Sexpr, Symbol, is_keyword, keyword_name, read_top_level, to_text
 from .seeml import (
+    CHILDLESS_TAGS,
     EVERY_PHRASE,
+    MAX_NESTING,
     UTTERANCE,
     Directive,
     Scope,
@@ -42,6 +44,7 @@ from .seeml import (
     at_point,
     element,
     elements,
+    nesting,
     parse_seeml,
     word_trigger,
 )
@@ -282,6 +285,8 @@ def load_profile(text: str) -> CharacterProfile:
             diags.append(f"line {line}: {e}")
 
     _check_behavior_graph(behaviors, diags)
+    if not diags:
+        _check_nesting(templates, behaviors, diags)
 
     if diags:
         raise ProfileError(diags)
@@ -411,3 +416,38 @@ def _check_behavior_graph(behaviors: list[BehaviorSpec], diags: list[str]) -> No
             if str(e) not in diags:
                 diags.append(str(e))
 
+
+def _levels(directive: Directive, segs: int) -> int:
+    """Levels `directive` can add above a word: one for a wrap, one per `<seg>`
+    on the path for an every-phrase wrap, none for a mark set beside its span."""
+    if directive.mark.tag in CHILDLESS_TAGS or directive.scope.kind == "point":
+        return 0
+    return segs if directive.scope == EVERY_PHRASE else 1
+
+
+def _check_nesting(
+    templates: list[Template], behaviors: list[BehaviorSpec], diags: list[str]
+) -> None:
+    """The deepest template body, wrapped in the most markup one utterance's
+    winning behaviors can add, must nest at most `seeml.MAX_NESTING` deep. Each
+    group has one winner, so a group adds the most any of its motivated
+    behaviors expands to."""
+    if not templates:
+        return
+    depth, deepest = max((nesting(t.body.children), t.id) for t in templates)
+    # a speech directive may itself be a <seg>, for every-phrase wraps that follow it
+    seg_marks = sum(d.mark.tag == "seg" for b in behaviors for d in b.directives)
+    segs = max(nesting(t.body.children, "seg") for t in templates) + seg_marks
+    heaviest: dict[str, tuple[int, str]] = {}
+    for b in behaviors:
+        if b.motivated_by:
+            leaves = expand([ActivatedBehavior(b, 0.0, ())], behaviors)
+            levels = sum(_levels(d, segs) for d in leaves)
+            heaviest[b.group] = max(heaviest.get(b.group, (0, "")), (levels, b.id))
+    added = sum(n for n, _ in heaviest.values())
+    if depth + added > MAX_NESTING:
+        names = ", ".join(f"'{bid}'" for n, bid in sorted(heaviest.values(), reverse=True) if n)
+        diags.append(
+            f"template '{deepest}' nests {depth} deep and behaviors {names} can wrap "
+            f"{added} more levels around it; markup nests at most {MAX_NESTING} deep"
+        )

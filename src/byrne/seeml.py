@@ -44,6 +44,11 @@ AU_MIN, AU_MAX = 1, 46
 
 _CANONICAL = {t.lower(): t for t in (*GDA_TAGS, *SABLE_TAGS, *FACE_TAGS, *SUPPLEMENT_TAGS)}
 
+# Elements on one path from a document's top. The directive, merge and verify
+# walks recurse once or twice per level, so the profile loader holds a template
+# body plus the most markup one utterance's behaviors can wrap around it to this.
+MAX_NESTING = 200
+
 MIN_VISEME_MS = 60.0  # cartoon coarseness: at most one mouth shape per 60 ms
 GESTURE_MS = 250.0  # nominal span for a point gesture that encloses no words
 
@@ -218,6 +223,8 @@ def parse_seeml(text: str) -> SeemlDocument:
             continue
         attrs = [(am.group(1), _unescape(am.group(2))) for am in _ATTR_RE.finditer(attr_text)]
         el = element(name, attrs)
+        if len(stack) >= MAX_NESTING:
+            raise SeemlError(f"markup nests deeper than {MAX_NESTING} elements at offset {lt}")
         if selfclose or el.tag in CHILDLESS_TAGS:
             attach(el)
         else:
@@ -250,6 +257,18 @@ def elements(nodes: Iterable[Node]) -> Iterable[Element]:
         if isinstance(node, Element):
             yield node
             yield from elements(node.children)
+
+
+def nesting(nodes: Iterable[Node], tag: Optional[str] = None) -> int:
+    """The most elements (only `tag` ones, when given) on one path down from `nodes`."""
+    deepest, todo = 0, [(node, 0) for node in nodes]
+    while todo:
+        node, above = todo.pop()
+        if isinstance(node, Element):
+            here = above + (tag is None or node.tag == tag)
+            deepest = max(deepest, here)
+            todo.extend((child, here) for child in node.children)
+    return deepest
 
 
 def substitute(doc: SeemlDocument, fill: Callable[[str], str]) -> SeemlDocument:

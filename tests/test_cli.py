@@ -51,3 +51,30 @@ def test_tick_seconds_not_a_positive_decimal_literal_exits_1(tmp_path, capsys, t
     assert err.startswith("commentate: load error:") and f"--tick-seconds {tick}\n" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "drop, extra, message",
+    [
+        ((), ["--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (("--log",), [], "the following arguments are required: --log"),
+    ],
+)
+def test_usage_error_exits_1(tmp_path, capsys, drop, extra, message):
+    # bad arguments are bad input, as an input that fails to load is; 2 is for runtime errors
+    args = _demo_args(tmp_path / "o")
+    for flag in drop:
+        del args[args.index(flag) : args.index(flag) + 2]
+    with pytest.raises(SystemExit) as exited:
+        main([*args, *extra])
+    assert exited.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: commentate") and f"commentate: error: {message}\n" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: commentate")

@@ -3,19 +3,21 @@
 `oracle_patterns` keeps the matcher that split both sides of every `unify`
 call and takes patterns and candidates raw; byrne's side gets both keyed. The
 keyed matcher must return the same bindings in the same order, and
-`apply_rules` must leave the same pool.
+`apply_rules` must leave the same pool, also where `step` skips firing it.
 """
 
 from __future__ import annotations
 
+import filecmp
 from dataclasses import replace
 
 import hypothesis.strategies as st
 import oracle_patterns as oracle
 import pytest
-from conftest import DEMO
+from conftest import DEMO, GOLDEN
 from hypothesis import given, settings
 
+from byrne import pipeline
 from byrne.emotions import (
     EMOTION_TYPES,
     DecayFunction,
@@ -24,10 +26,12 @@ from byrne.emotions import (
     EmotionSchema,
     EmotionStructure,
     apply_rules,
+    decay_pool,
 )
 from byrne.facts import FactBoard, GameFact, TickUpdate, apply_tick, fact_from_sexpr, parse_game_log
 from byrne.patterns import Form, keyed, match_all, parse_keyed, unify, variables_in
-from byrne.pipeline import driver_ticks, initial_state, step
+from byrne.pipeline import driver_ticks, initial_state, run_replay, step
+from byrne.profile import CharacterProfile
 from byrne.sexpr import Symbol, kw, read_one, to_text
 
 VARIABLES = [Symbol("?x"), Symbol("?y"), Symbol("?z")]
@@ -224,6 +228,111 @@ def test_apply_rules_matches_the_oracle_over_the_demo_replay(demo_profile, demo_
         expected = oracle.apply_rules(state.pool, board, raw_statics, raw_rules, now)
         assert _pool_text(got) == _pool_text(expected)
         state, _ = step(state, update, demo_profile, demo_style)
+
+
+# `step` skips firing when the board's identities and the pool's structures
+# are those of the last firing that changed nothing
+
+DECAYS = st.sampled_from([DECAY, DecayFunction("linear", 0.3), DecayFunction("reciprocal")])
+
+
+@st.composite
+def tick_problems(draw):
+    """A profile's rules and statics, a starting pool, and tick updates whose
+    boards cycle through a few identity sets while the pool decays."""
+    facts = draw(st.lists(FACTS, min_size=1, max_size=4, unique_by=lambda f: f.identity))
+    statics = draw(st.lists(GROUND, max_size=1))
+    terms = [f.term for f in facts] + statics
+    # a bare-variable precondition binds the pool's own views: its additions would take them
+    # as causes, one level deeper on every tick, and each firing would be slower than the last
+    grounded = rules(terms).filter(lambda r: not (r.additions and any(isinstance(p, Symbol) for p in r.preconditions)))
+    rule_list = draw(st.lists(grounded, min_size=1, max_size=4))
+    rule_list = [
+        replace(r, additions=tuple(replace(a, decay=draw(DECAYS)) for a in r.additions))
+        for r in rule_list
+    ]
+    if draw(st.booleans()):  # one rule deletes what a later one re-adds
+        kind, cause = draw(TYPES), facts[0].term
+        rule_list += [
+            EmotionRule((cause,), deletions=((kw("type"), Symbol(kind)),)),
+            EmotionRule((cause,), (EmotionSchema(kind, 5.0, None, cause, draw(DECAYS)),)),
+        ]
+    if draw(st.booleans()):  # a rule that reads the pool: one emotion stirs another
+        seen, stirred = draw(TYPES), draw(TYPES)
+        view = (kw("type"), Symbol(seen), kw("cause"), Symbol("?c"))
+        schema = EmotionSchema(stirred, 5.0, None, Symbol("?c"), draw(DECAYS))
+        rule_list.insert(draw(st.integers(0, len(rule_list))), EmotionRule((view,), (schema,)))
+    pool = EmotionPool(
+        tuple(
+            EmotionStructure(draw(TYPES), 6.0, draw(st.one_of(st.none(), ATOMS)), draw(st.sampled_from(terms)), draw(DECAYS), 0.0)
+            for _ in range(draw(st.integers(0, 3)))
+        )
+    )
+    boards = draw(st.lists(st.frozensets(st.sampled_from(facts)), min_size=1, max_size=3))
+    updates, present, now = [], frozenset(), 0.0
+    for _ in range(draw(st.integers(2, 12))):
+        now += draw(st.sampled_from([0.5, 1.0, 3.0]))
+        wanted = draw(st.sampled_from([present, *boards]))  # often the board as it stands
+        joining = wanted if draw(st.booleans()) else wanted - present  # all of them re-scores
+        listed = [replace(f, relevance=draw(st.sampled_from([1.0, 5.0]))) for f in joining]
+        listed += [replace(f, relevance=0.5) for f in present - wanted]  # below 1: purged
+        updates.append(TickUpdate(now, tuple(listed)))
+        present = wanted
+    return pool, statics, rule_list, updates
+
+
+def _step_pools(pool, statics, rule_list, updates, style):
+    """Each tick's pool from `step`, beside the oracle's firing and decay."""
+    profile = CharacterProfile(statics=tuple(map(keyed, statics)), emotion_rules=tuple(_keyed_rules(rule_list)))
+    state, expected = replace(initial_state(), pool=pool), pool
+    for update in updates:
+        board_before = state.board
+        state, _ = step(state, update, profile, style)
+        now = update.tick_time
+        fired = oracle.apply_rules(expected, apply_tick(board_before, update), statics, rule_list, now)
+        expected = decay_pool(fired, now)
+        yield state.pool, expected
+
+
+@given(tick_problems())
+@settings(max_examples=300, deadline=None)
+def test_step_with_skipped_firing_leaves_the_oracles_pools(minimal_style, problem):
+    for got, expected in _step_pools(*problem, minimal_style):
+        assert _pool_text(got) == _pool_text(expected)
+
+
+def test_a_pool_equal_under_eq_but_not_the_same_objects_is_fired_again(minimal_style):
+    # Symbol a == "a", so the two structures compare equal; the rule deletes only the string cause
+    settled = EmotionStructure("happiness", 5.0, None, read_one("(q k: a)"), DECAY, 0.0)
+    lookalike = replace(settled, cause=read_one('(q k: "a")'))
+    assert lookalike == settled
+    rule = EmotionRule((keyed(read_one("(go k: 1)")),), deletions=((kw("cause"), lookalike.cause),))
+    profile = CharacterProfile(emotion_rules=(rule,))
+    go = TickUpdate(1.0, (fact_from_sexpr(read_one("(go k: 1)"), 5.0),))
+    state, _ = step(replace(initial_state(), pool=EmotionPool((settled,))), go, profile, minimal_style)
+    assert state.pool.structures[0] is settled and state.settled is not None  # changed nothing
+    state, _ = step(replace(state, pool=EmotionPool((lookalike,))), TickUpdate(2.0), profile, minimal_style)
+    assert state.pool.structures == ()  # fired again, deleting the string cause
+
+
+def test_demo_replay_fires_rules_on_fewer_ticks_and_matches_the_goldens(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return apply_rules(*args)
+
+    monkeypatch.setattr(pipeline, "apply_rules", counted)
+    updates = parse_game_log((DEMO / "game.log").read_text(encoding="utf-8"))
+    ticks = len(list(driver_ticks(updates, 1.0)))
+    out = tmp_path / "demo"
+    code = run_replay(DEMO / "game.log", DEMO / "announcer.profile", DEMO / "announcer.style", out)
+    assert code == 0
+    assert 0 < len(calls) < ticks
+    names = sorted(p.name for p in GOLDEN.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    _, mismatch, errors = filecmp.cmpfiles(GOLDEN, out, names, shallow=False)
+    assert mismatch == [] and errors == []
 
 
 # keyed forms live on the board, not on the parsed facts

@@ -448,6 +448,54 @@ class TestRunReplay:
         assert f"template 'grinner' body: AU NUM must be an unsigned integer 1-46, got '{num}'" in err
         assert "Traceback" not in err
 
+    @staticmethod
+    def _replay_move(tmp_path, profile_text: str) -> int:
+        profile = tmp_path / "p.profile"
+        profile.write_text(profile_text)
+        style = tmp_path / "s.style"
+        style.write_text(MINIMAL_STYLE)
+        log = tmp_path / "g.log"
+        log.write_text("(tick 1)\n(fact (move player: a1) relevance: 5)\n")
+        return run_replay(log, profile, style, tmp_path / "o")
+
+    @staticmethod
+    def _nested_profile(rates: int, directives: int) -> str:
+        """A template `rates` + 2 deep, and a behavior wrapping it in `directives`
+        distinct AU marks, so the merge keeps every level for the verifier."""
+        opens = "".join(f'<RATE SPEED=\\"{i}\\">' for i in range(rates))
+        marks = " ".join(f"(au {1 + i % 46} {(1 + i // 46) / 100:g} utterance)" for i in range(directives))
+        return (
+            f'(template id: deep (pre (move player: ?p)) (text "<su><seg>{opens}?p runs{"</RATE>" * rates}</seg></su>"))\n'
+            "(emotion-rule (pre (move player: ?p))\n"
+            "  (add (type: interest intensity: 5 target: ?p cause: (move player: ?p) decay: 1/t)))\n"
+            f"(behavior id: layered group: face (motivated-by interest) (directives {marks}))\n"
+        )
+
+    def test_template_nested_beyond_the_bound_exits_1(self, tmp_path, capsys):
+        deep = "<seg>" * 1500 + "?p runs" + "</seg>" * 1500
+        profile = f'(template id: abyss (pre (move player: ?p)) (text "<su>{deep}</su>"))\n'
+        assert self._replay_move(tmp_path, profile) == 1
+        err = capsys.readouterr().err
+        assert "template 'abyss' body: markup nests deeper than 200 elements" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_behavior_wrapping_markup_beyond_the_bound_exits_1(self, tmp_path, capsys):
+        assert self._replay_move(tmp_path, self._nested_profile(0, 1200)) == 1
+        err = capsys.readouterr().err
+        assert "template 'deep' nests 2 deep and behaviors 'layered' can wrap 1200 more" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_markup_nested_to_the_bound_replays(self, tmp_path, capsys):
+        # 100 template levels under 100 wrapping marks: the walks reach the bound and no further
+        assert self._replay_move(tmp_path, self._nested_profile(98, 100)) == 0
+        sable = (tmp_path / "o" / "utt-1.sable").read_text()
+        assert sable.count("<RATE") == 98
+        assert (tmp_path / "o" / "utt-1.facs").read_text().count("\tAU\t") == 100
+        assert self._replay_move(tmp_path, self._nested_profile(98, 101)) == 1
+        assert "can wrap 101 more levels" in capsys.readouterr().err
+
     def test_trace_files_and_utterance_outputs_written(self, tmp_path):
         out = tmp_path / "out"
         assert run_replay(

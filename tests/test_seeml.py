@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from byrne.seeml import (
     DEFAULT_VISEMES,
     EVERY_PHRASE,
+    MAX_NESTING,
     UTTERANCE,
     Element,
     FacsEvent,
@@ -27,6 +28,7 @@ from byrne.seeml import (
     format_face_timeline,
     lip_sync,
     merge_tags,
+    nesting,
     parse_seeml,
     serialize_seeml,
     strip_text,
@@ -54,6 +56,13 @@ class TestParse:
     def test_tags_case_insensitive_on_input(self):
         assert parse_seeml("<SU><SEG>x</SEG></SU>") == parse_seeml("<su><seg>x</seg></su>")
         assert parse_seeml('<rate speed="+10%">x</rate>').children[0].tag == "RATE"
+
+    def test_nesting_is_bounded(self):
+        at_bound = "<su>" + "<np>" * (MAX_NESTING - 2) + "<BREAK/>" + "</np>" * (MAX_NESTING - 2) + "</su>"
+        doc = parse_seeml(at_bound)
+        assert nesting(doc.children) == MAX_NESTING and nesting(doc.children, "np") == MAX_NESTING - 2
+        with pytest.raises(SeemlError, match=f"nests deeper than {MAX_NESTING} elements"):
+            parse_seeml(f"<seg>{at_bound}</seg>")
 
     def test_unknown_tag_listed(self):
         with pytest.raises(SeemlError, match="blink"):
