@@ -2,14 +2,21 @@
 
 Structures carry a base intensity on the 1-10 scale and a decay curve over
 elapsed seconds. There are exactly two ways out of the pool: a rule's deletion
-pattern, or effective intensity sinking below one.
+pattern, or effective intensity sinking below one. A missing target is `nil`.
+
+A firing that changes nothing marks its pool with the board identities, statics
+and rules it read; fired over the same identities and the same statics and
+rules objects, a marked pool comes back as it is (Rete's skip; Forgy, AI 1982).
+That is sound: a firing reads only those (a board term is fixed per identity)
+and the pool's views, and `now` only stamps additions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from operator import is_
 from typing import Iterable, Optional, Sequence
 
 from .errors import ByrneError
@@ -73,15 +80,14 @@ class DecayFunction:
 class EmotionStructure:
     type: str
     base_intensity: float
-    target: Optional[Sexpr]
+    target: Sexpr
     cause: Sexpr
     decay: DecayFunction
     created_at: float
 
     def view(self) -> tuple:
         """Matchable projection: type, target, and cause only."""
-        target = self.target if self.target is not None else NIL
-        return (kw("type"), Symbol(self.type), kw("target"), target, kw("cause"), self.cause)
+        return (kw("type"), Symbol(self.type), kw("target"), self.target, kw("cause"), self.cause)
 
     @cached_property
     def matchable(self) -> Form:
@@ -101,7 +107,7 @@ class EmotionSchema:
 
     type: str
     intensity: float
-    target: Optional[Sexpr]
+    target: Sexpr
     cause: Sexpr
     decay: DecayFunction
 
@@ -118,6 +124,8 @@ class EmotionRule:
 @dataclass(frozen=True)
 class EmotionPool:
     structures: tuple[EmotionStructure, ...] = ()
+    # (board identities, statics, rules) of the firing that left it unchanged
+    mark: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 def rule_universe(
@@ -125,17 +133,14 @@ def rule_universe(
 ) -> list[Keyed]:
     """What preconditions match against, keyed: world facts in identity order,
     statics, active emotions."""
-    facts = [board.keyed[identity] for identity in sorted(board.keyed)]
+    facts = [board.entries[identity].form for identity in sorted(board.entries)]
     return [*facts, *statics, *(e.matchable for e in pool.structures)]
 
 
 def _instantiate(schema: EmotionSchema, binding: Binding, now: float) -> EmotionStructure:
-    target = None
-    if schema.target is not None:
-        t = substitute(schema.target, binding)
-        target = None if t == NIL and isinstance(t, Symbol) else t
+    target = substitute(schema.target, binding)
     cause = substitute(schema.cause, binding)
-    if not is_ground(cause) or (target is not None and not is_ground(target)):
+    if not is_ground(cause) or not is_ground(target):
         raise RuleError(f"emotion cause/target not ground after binding: {to_text(cause)}")
     return EmotionStructure(schema.type, schema.intensity, target, cause, schema.decay, float(now))
 
@@ -154,6 +159,9 @@ def apply_rules(
     matcher compares terms. The universe is built once per call; only its
     emotion tail follows the pool from rule to rule.
     """
+    mark = pool.mark
+    if mark and mark[1] is statics and mark[2] is rules and mark[0] == board.entries.keys():
+        return pool
     structures = list(pool.structures)
     universe = rule_universe(board, statics, pool)
     fixed = len(universe) - len(structures)
@@ -172,9 +180,13 @@ def apply_rules(
                 structures.append(new)
         if bindings:
             universe[fixed:] = [s.matchable for s in structures]
+    # `is`, not `==`: `==` holds between Symbol("a") and "a", and between 1 and 1.0
+    if len(structures) == len(pool.structures) and all(map(is_, structures, pool.structures)):
+        return EmotionPool(pool.structures, (frozenset(board.entries), statics, rules))
     return EmotionPool(tuple(structures))
 
 
 def decay_pool(pool: EmotionPool, now: float) -> EmotionPool:
-    """Drop every structure whose effective intensity has sunk below one."""
-    return EmotionPool(tuple(s for s in pool.structures if intensity_at(s, now) >= 1.0))
+    """Drop every structure whose effective intensity has sunk below one; the same pool if none."""
+    kept = tuple(s for s in pool.structures if intensity_at(s, now) >= 1.0)
+    return pool if len(kept) == len(pool.structures) else EmotionPool(kept)

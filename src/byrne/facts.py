@@ -8,10 +8,10 @@ below one are purged, so the board only ever holds facts worth mentioning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Optional
+from typing import Collection
 
 from .errors import ByrneError
-from .patterns import Keyed, is_ground, keyed, parse_keyed
+from .patterns import Form, is_ground, parse_keyed
 from .sexpr import SexprError, Sexpr, Symbol, is_keyword, keyword_name, read_one, to_text
 
 
@@ -46,12 +46,16 @@ class GameFact:
         """
         return to_text(self.term)
 
+
+@dataclass(frozen=True)
+class BoardFact:
+    form: Form  # the term, keyed when its identity joins the board and kept across re-scores
+    relevance: float
+
     @property
     def end_time(self) -> float | None:
-        for key, value in zip(self.term[1::2], self.term[2::2]):
-            if key == "endtime:":
-                return float(value)
-        return None
+        end = self.form.pairs.get("endtime")
+        return None if end is None else float(end)
 
 
 def fact_from_sexpr(form: Sexpr, relevance: float, line: int | None = None) -> GameFact:
@@ -69,18 +73,8 @@ def fact_from_sexpr(form: Sexpr, relevance: float, line: int | None = None) -> G
 
 @dataclass(frozen=True)
 class FactBoard:
-    entries: dict[str, GameFact] = field(default_factory=dict)
+    entries: dict[str, BoardFact] = field(default_factory=dict)  # by identity
     clock: float = float("-inf")
-    # The keyed form of each entry's term under the same identity key, for the
-    # rule matcher. `apply_tick` builds one only for an identity new to the
-    # board, since a re-score does not change the term; a board built from
-    # entries alone keys them all here.
-    keyed: Optional[dict[str, Keyed]] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.keyed is None:
-            terms = {identity: keyed(f.term) for identity, f in self.entries.items()}
-            object.__setattr__(self, "keyed", terms)
 
 
 @dataclass(frozen=True)
@@ -143,18 +137,16 @@ def apply_tick(board: FactBoard, update: TickUpdate) -> FactBoard:
             f"tick {update.tick_time:g} does not advance past clock {board.clock:g}"
         )
     entries = dict(board.entries)
-    terms = dict(board.keyed)
     for fact in update.facts:
         identity = fact.identity
-        entries[identity] = fact
-        if identity not in terms:
-            terms[identity] = keyed(fact.term)
-    entries = {identity: f for identity, f in entries.items() if f.relevance >= 1.0}
-    terms = {identity: terms[identity] for identity in entries}
-    return FactBoard(entries, float(update.tick_time), terms)
+        joined = entries.get(identity)
+        form = Form(fact.term) if joined is None else joined.form
+        entries[identity] = BoardFact(form, fact.relevance)
+    kept = {identity: f for identity, f in entries.items() if f.relevance >= 1.0}
+    return FactBoard(kept, float(update.tick_time))
 
 
-def _selection_key(entry: tuple[str, GameFact]) -> tuple:
+def _selection_key(entry: tuple[str, BoardFact]) -> tuple:
     identity, fact = entry
     end = fact.end_time
     return (-fact.relevance, -(end if end is not None else float("-inf")), identity)

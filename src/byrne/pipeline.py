@@ -7,10 +7,6 @@ the merged document into outputs. A busy announcer checks whether something
 more relevant has appeared; if so the running utterance is cut at its next
 phrase boundary and the new one starts there.
 
-Rule firing is skipped when it cannot change the pool: the last firing
-returned its pool unchanged, and since then the board has kept the same fact
-identities and the pool the same structure objects (`PipelineState.settled`).
-
 Replays are fully deterministic: identical inputs give byte-identical output
 trees. The seed is recorded in the trace header for future stochastic
 extensions but nothing consumes it yet.
@@ -24,7 +20,6 @@ import math
 import re
 from dataclasses import dataclass, replace
 from itertools import count, groupby, takewhile
-from operator import is_
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -86,12 +81,6 @@ class PipelineState:
     # Board identities no template covers. Coverage depends only on the fact's
     # term and the statics, so a fact found uncovered is never tried again.
     uncovered: frozenset[str] = frozenset()
-    # The last rule firing that returned its pool unchanged: the board's
-    # identities then, and that pool. Firing reads only the keyed board terms
-    # (fixed per identity), the statics, the rules and the pool's views, and
-    # `now` only stamps additions, so under one profile the same identities
-    # and the same structure objects give the same pool again.
-    settled: Optional[tuple[frozenset[str], EmotionPool]] = None
 
 
 def initial_state() -> PipelineState:
@@ -107,10 +96,11 @@ def _begin_utterance(
         identity = select_fact(board, uncovered)
         if identity is None:
             return replace(state, uncovered=uncovered), []
+        form = board.entries[identity].form
         try:
             template, binding = select_template(
-                board.keyed[identity],
-                profile.templates_for(board.keyed[identity].head),
+                form,
+                profile.templates_for(form.head),
                 state.history,
                 now,
                 statics=profile.statics,
@@ -139,11 +129,6 @@ def _begin_utterance(
         return state, [event]
 
 
-def _same_structures(a: EmotionPool, b: EmotionPool) -> bool:
-    # `is`, not `==`: `==` holds between Symbol("a") and "a", and between 1 and 1.0
-    return len(a.structures) == len(b.structures) and all(map(is_, a.structures, b.structures))
-
-
 def step(
     state: PipelineState,
     update: TickUpdate,
@@ -154,12 +139,8 @@ def step(
     events: list[CommentaryEvent] = []
     board = apply_tick(state.board, update)
     now = board.clock
-    pool, settled = state.pool, state.settled
-    if not (settled and board.keyed.keys() == settled[0] and _same_structures(pool, settled[1])):
-        fired = apply_rules(pool, board, profile.statics, profile.emotion_rules, now)
-        settled = (frozenset(board.keyed), fired) if _same_structures(fired, pool) else None
-        pool = fired
-    pool = decay_pool(pool, now)
+    fired = apply_rules(state.pool, board, profile.statics, profile.emotion_rules, now)
+    pool = decay_pool(fired, now)
     current = state.in_progress
 
     if current is not None and current.end_time() <= now:
@@ -180,7 +161,7 @@ def step(
             current = None
             start_at = cut_time
 
-    state = replace(state, board=board, pool=pool, in_progress=current, settled=settled)
+    state = replace(state, board=board, pool=pool, in_progress=current)
     if current is None:
         state, started = _begin_utterance(state, profile, style, start_at)
         events.extend(started)
@@ -210,13 +191,10 @@ def driver_ticks(updates: tuple[TickUpdate, ...], tick_seconds: float) -> Iterat
 
 
 def _emotion_lines(pool: EmotionPool, now: float) -> list[str]:
-    lines = []
-    for e in pool.structures:
-        target = to_text(e.target) if e.target is not None else "nil"
-        lines.append(
-            f"{now:.3f}\t{e.type}\t{target}\t{to_text(e.cause)}\t{intensity_at(e, now):.3f}"
-        )
-    return lines
+    return [
+        f"{now:.3f}\t{e.type}\t{to_text(e.target)}\t{to_text(e.cause)}\t{intensity_at(e, now):.3f}"
+        for e in pool.structures
+    ]
 
 
 def _check_out_dir(out: Path) -> None:

@@ -30,7 +30,7 @@ from .emotions import (
     RuleError,
 )
 from .errors import ByrneError
-from .patterns import Keyed, is_ground, keyed, variables_in
+from .patterns import Keyed, is_ground, is_variable, keyed, parse_keyed, variables_in
 from .sexpr import SexprError, Sexpr, Symbol, is_keyword, keyword_name, read_top_level, to_text
 from .seeml import (
     CHILDLESS_TAGS,
@@ -204,13 +204,10 @@ def _parse_schema(form: Sexpr) -> EmotionSchema:
     intensity = pairs["intensity"]
     if not isinstance(intensity, (int, float)) or not 0 < float(intensity) <= 10:
         raise SexprError(f"emotion intensity must lie in (0,10], got {to_text(intensity)}")
-    target = pairs.get("target")
-    if isinstance(target, Symbol) and target == NIL:
-        target = None
     return EmotionSchema(
         type=str(etype),
         intensity=float(intensity),
-        target=target,
+        target=pairs.get("target", NIL),
         cause=pairs["cause"],
         decay=DecayFunction.from_sexpr(pairs["decay"]),
     )
@@ -306,19 +303,38 @@ def _load_rule(form: tuple, line: int, diags: list[str]) -> EmotionRule:
     preconditions = tuple(pre[1:]) if pre else ()
     additions = tuple(_parse_schema(s) for s in (add[1:] if add else ()))
     deletions = tuple(dele[1:]) if dele else ()
-    bound: set[Symbol] = set()
-    for p in preconditions:
-        bound |= variables_in(p)
-    used: set[Symbol] = set()
-    for schema in additions:
-        used |= variables_in(schema.cause)
-        if schema.target is not None:
-            used |= variables_in(schema.target)
-    for p in deletions:
-        used |= variables_in(p)
-    for var in sorted(used - bound):
+    bound = set().union(*map(variables_in, preconditions))
+    added = [t for schema in additions for t in (schema.cause, schema.target)]
+    for var in sorted(set().union(*map(variables_in, [*added, *deletions])) - bound):
         diags.append(f"line {line}: emotion-rule uses unbound variable {var}")
+    for var in self_feeding(preconditions, additions):
+        why = "takes it from an emotion view and nests it one level deeper on every tick"
+        diags.append(f"line {line}: emotion-rule feeds on its own additions through {var}: {why}")
     return EmotionRule(tuple(map(keyed, preconditions)), additions, deletions)
+
+
+def self_feeding(preconditions: Sequence[Sexpr], additions: Sequence[EmotionSchema]) -> list[Symbol]:
+    """The variables through which a rule's additions feed on their own views,
+    each firing nesting a view one level deeper than the one it matched.
+
+    Only a bare variable or a headless keyword pattern matches a view. A
+    variable that only bare ones bind may hold a whole view, so no cause or
+    target may use it; one that only view-matching ones bind may hold a part
+    of one, so a cause or target may use it only whole, as `cause: ?c` after
+    `(pre (type: interest cause: ?c))` does. A headed or positional
+    precondition binds from facts and statics alone."""
+    source: dict[Symbol, int] = {}  # 0 a whole view, 1 a part of one, 2 a fact or static
+    for p in preconditions:
+        headless = isinstance(p, tuple) and p and is_keyword(p[0]) and parse_keyed(p) is not None
+        kind = 0 if is_variable(p) else 1 if headless else 2
+        for var in variables_in(p):
+            source[var] = max(source.get(var, 0), kind)
+    found: set[Symbol] = set()
+    for term in (t for schema in additions for t in (schema.cause, schema.target)):
+        # a lone variable copies a part of a view whole, so only a whole view nests there
+        nests = 0 if is_variable(term) else 1
+        found |= {var for var in variables_in(term) if source.get(var, 2) <= nests}
+    return sorted(found)
 
 
 def _load_behavior(form: tuple, line: int, diags: list[str]) -> Optional[BehaviorSpec]:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from byrne.facts import GameFact, fact_from_sexpr
+from byrne.facts import FactBoard, GameFact, TickUpdate, apply_tick, fact_from_sexpr
 from byrne.profile import CharacterProfile, load_profile
 from byrne.sexpr import read_one
 from byrne.style import StyleFile, load_style
@@ -33,6 +33,11 @@ words_per_minute = 180
 
 def fact_of(text: str, relevance: float) -> GameFact:
     return fact_from_sexpr(read_one(text), relevance)
+
+
+def board_of(*facts: GameFact, clock: float = 0.0) -> FactBoard:
+    """A board holding `facts`, built as the replay builds one."""
+    return apply_tick(FactBoard(), TickUpdate(clock, facts))
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from random import Random
 
-from byrne.facts import FactBoard, GameFact
+from byrne.facts import FactBoard, GameFact, TickUpdate, apply_tick
 from byrne.seeml import (
     EXPRESSION_NAMES,
     Directive,
@@ -46,11 +46,8 @@ def random_fact(rng: Random) -> GameFact:
 
 
 def random_board(rng: Random, min_size: int = 1, max_size: int = 8) -> FactBoard:
-    entries: dict[str, GameFact] = {}
-    for _ in range(rng.randrange(min_size, max_size + 1)):
-        fact = random_fact(rng)
-        entries[fact.identity] = fact
-    return FactBoard(entries, clock=float(rng.randrange(0, 1000)))
+    facts = tuple(random_fact(rng) for _ in range(rng.randrange(min_size, max_size + 1)))
+    return apply_tick(FactBoard(), TickUpdate(float(rng.randrange(0, 1000)), facts))
 
 
 def markup(tag: str, scope: Scope, **attrs: str) -> Directive:

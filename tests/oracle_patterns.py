@@ -126,7 +126,7 @@ def match_all(
 
 
 def rule_universe(board: FactBoard, statics: Iterable[Sexpr], pool: EmotionPool) -> list[Sexpr]:
-    facts = sorted((f.term for f in board.entries.values()), key=to_text)
+    facts = sorted((f.form.term for f in board.entries.values()), key=to_text)
     return [*facts, *statics, *(e.view() for e in pool.structures)]
 
 

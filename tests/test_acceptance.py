@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import filecmp
 import time
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
 import pytest
-from conftest import DEMO, fact_of
+from conftest import DEMO, board_of, fact_of
 
-from byrne.emotions import DecayFunction, EmotionPool, EmotionStructure, decay_pool, intensity_at
+from byrne.emotions import NIL, DecayFunction, EmotionPool, EmotionStructure, decay_pool, intensity_at
 from byrne.behaviors import (
     ActivatedBehavior,
     BehaviorSpec,
@@ -62,7 +63,7 @@ class _Budget:
 def test_criterion_1_emotion_decay_oracle():
     with _Budget(1.0):
         sadness = EmotionStructure(
-            "sadness", 10.0, None, read_one("(scored team: a time: 125)"),
+            "sadness", 10.0, NIL, read_one("(scored team: a time: 125)"),
             DecayFunction("reciprocal"), 0.0,
         )
         for second in range(10):
@@ -78,26 +79,21 @@ def test_criterion_1_emotion_decay_oracle():
 
 def test_criterion_2_fact_selection_oracle():
     with _Budget(5.0):
-        board = FactBoard(
-            {
-                f.identity: f
-                for f in (
-                    fact_of(
-                        "(pass from: a1 to: a2 fromloc: (30 10) toloc: (20 10)"
-                        " begintime: 120 endtime: 125)",
-                        10,
-                    ),
-                    fact_of("(has-ball player: a2 location: (20 10))", 5),
-                    fact_of(
-                        "(move player: b1 fromloc: (5 10) toloc: (10 10)"
-                        " begintime: 115 endtime: 120)",
-                        3,
-                    ),
-                )
-            },
+        board = board_of(
+            fact_of(
+                "(pass from: a1 to: a2 fromloc: (30 10) toloc: (20 10)"
+                " begintime: 120 endtime: 125)",
+                10,
+            ),
+            fact_of("(has-ball player: a2 location: (20 10))", 5),
+            fact_of(
+                "(move player: b1 fromloc: (5 10) toloc: (10 10)"
+                " begintime: 115 endtime: 120)",
+                3,
+            ),
             clock=120.0,
         )
-        assert board.entries[select_fact(board)].term[0] == "pass"
+        assert board.entries[select_fact(board)].form.head == "pass"
 
         rng = Random(2001)
         for _ in range(1000):
@@ -106,10 +102,7 @@ def test_criterion_2_fact_selection_oracle():
             assert board.entries[chosen].relevance == max(f.relevance for f in board.entries.values())
             scale = rng.uniform(0.05, 25.0)
             scaled = FactBoard(
-                {
-                    k: type(f)(f.term, f.relevance * scale)
-                    for k, f in board.entries.items()
-                },
+                {k: replace(f, relevance=f.relevance * scale) for k, f in board.entries.items()},
                 board.clock,
             )
             assert select_fact(scaled) == chosen
@@ -172,9 +165,9 @@ def test_criterion_6_arbitration():
     decay = DecayFunction("constant")
     pool = EmotionPool(
         (
-            EmotionStructure("happiness", 4.0, None, read_one("(x y: 1)"), decay, 0.0),
-            EmotionStructure("interest", 5.0, None, read_one("(x y: 2)"), decay, 0.0),
-            EmotionStructure("anger", 8.0, None, read_one("(x y: 3)"), decay, 0.0),
+            EmotionStructure("happiness", 4.0, NIL, read_one("(x y: 1)"), decay, 0.0),
+            EmotionStructure("interest", 5.0, NIL, read_one("(x y: 2)"), decay, 0.0),
+            EmotionStructure("anger", 8.0, NIL, read_one("(x y: 3)"), decay, 0.0),
         )
     )
     winners = arbitrate(activate_behaviors(bind_statics([broad, strong], []), pool, 0.0))

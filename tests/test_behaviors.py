@@ -24,9 +24,8 @@ CONSTANT = DecayFunction("constant")
 
 
 def emotion(etype: str, intensity: float, target: str | None = None) -> EmotionStructure:
-    tgt = Symbol(target) if target else None
     cause = read_one(f"(felt about: {target or 'nothing'} strength: {intensity:g})")
-    return EmotionStructure(etype, intensity, tgt, cause, CONSTANT, 0.0)
+    return EmotionStructure(etype, intensity, Symbol(target or "nil"), cause, CONSTANT, 0.0)
 
 
 def leaf(bid: str, group: str, *motivations: str, **kwargs) -> BehaviorSpec:

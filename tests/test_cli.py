@@ -5,6 +5,7 @@ import filecmp
 import pytest
 from conftest import DEMO, GOLDEN, MINIMAL_STYLE
 
+from byrne import pipeline
 from byrne.cli import main
 
 
@@ -39,6 +40,21 @@ def test_unknown_speech_key_exits_1_with_load_error(tmp_path, capsys):
     assert main(_demo_args(tmp_path / "o", style)) == 1
     err = capsys.readouterr().err
     assert err.startswith("commentate: load error:") and "base_pitch_hz" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_rule_feeding_on_its_own_views_exits_1_at_load(tmp_path, capsys, monkeypatch):
+    # such a rule nests the pool one level deeper on every tick, and the replay would not end
+    monkeypatch.setattr(pipeline, "step", None)  # a replay that started would fail, not hang
+    profile = tmp_path / "feeding.profile"
+    rule = "(emotion-rule (pre ?x) (add (type: interest intensity: 5 cause: ?x decay: constant)))\n"
+    profile.write_text((DEMO / "announcer.profile").read_text(encoding="utf-8") + rule, encoding="utf-8")
+    args = _demo_args(tmp_path / "o")
+    args[args.index("--character") + 1] = str(profile)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("commentate: load error:") and "feeds on its own additions through ?x:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 

@@ -4,7 +4,7 @@ from random import Random
 
 import hypothesis.strategies as st
 import pytest
-from conftest import fact_of
+from conftest import board_of, fact_of
 from hypothesis import given
 
 from byrne.emotions import (
@@ -14,6 +14,7 @@ from byrne.emotions import (
     EmotionRule,
     EmotionSchema,
     EmotionStructure,
+    NIL,
     RuleError,
     apply_rules,
     decay_pool,
@@ -29,12 +30,8 @@ RECIPROCAL = DecayFunction("reciprocal")
 
 def sadness10(created: float = 0.0) -> EmotionStructure:
     return EmotionStructure(
-        "sadness", 10.0, None, read_one("(scored team: a time: 125)"), RECIPROCAL, created
+        "sadness", 10.0, NIL, read_one("(scored team: a time: 125)"), RECIPROCAL, created
     )
-
-
-def board_of(*facts) -> FactBoard:
-    return FactBoard({f.identity: f for f in facts}, clock=0.0)
 
 
 class TestIntensity:
@@ -47,7 +44,7 @@ class TestIntensity:
         assert intensity_at(e, 11.0) < 1.0
 
     def test_constant_decay_everywhere(self):
-        e = EmotionStructure("interest", 4.0, None, read_one("(x y: 1)"), DecayFunction("constant"), 3.0)
+        e = EmotionStructure("interest", 4.0, NIL, read_one("(x y: 1)"), DecayFunction("constant"), 3.0)
         for now in (3.0, 4.5, 100.0, 1e6):
             assert intensity_at(e, now) == 4.0
 
@@ -62,7 +59,7 @@ class TestIntensity:
             DecayFunction("exponential", 0.5),
             DecayFunction("linear", 0.2),
         ):
-            e = EmotionStructure("fear", 6.0, None, read_one("(x y: 1)"), decay, 0.0)
+            e = EmotionStructure("fear", 6.0, NIL, read_one("(x y: 1)"), decay, 0.0)
             assert intensity_at(e, 0.0) == 6.0
 
     @given(
@@ -72,7 +69,7 @@ class TestIntensity:
         st.floats(min_value=0.0, max_value=50.0),
     )
     def test_intensity_non_increasing(self, kind, rate, t, dt):
-        e = EmotionStructure("anger", 8.0, None, read_one("(x y: 1)"), DecayFunction(kind, rate), 0.0)
+        e = EmotionStructure("anger", 8.0, NIL, read_one("(x y: 1)"), DecayFunction(kind, rate), 0.0)
         assert intensity_at(e, t) >= intensity_at(e, t + dt) - 1e-12
 
     def test_decay_parse_forms(self):
@@ -88,7 +85,7 @@ SCORING_RULE = EmotionRule(
     preconditions=(keyed(read_one("(supports team: ?team)")), keyed(read_one("(scores team: ?team)"))),
     additions=(
         EmotionSchema(
-            "happiness", 8.0, None, read_one("(scores team: ?team)"), RECIPROCAL
+            "happiness", 8.0, NIL, read_one("(scores team: ?team)"), RECIPROCAL
         ),
     ),
 )
@@ -201,7 +198,7 @@ class TestApplyRules:
         (added,) = pool.structures
         assert added.type == "happiness"
         assert added.base_intensity == 8.0
-        assert added.target is None
+        assert added.target is NIL
         assert added.cause == read_one("(scores team: a)")
         assert added.decay == RECIPROCAL
         assert added.created_at == 125.0
@@ -241,7 +238,7 @@ class TestApplyRules:
         }
 
     @pytest.mark.parametrize(
-        "target, cause", [(None, "(heard ?w)"), (Symbol("?w"), "(shouting)")], ids=["cause", "target"]
+        "target, cause", [(NIL, "(heard ?w)"), (Symbol("?w"), "(shouting)")], ids=["cause", "target"]
     )
     def test_symbol_and_quoted_string_stay_apart(self, target, cause):
         # the board keeps (shout by: a) and (shout by: "a") apart, and so does the pool
@@ -259,7 +256,7 @@ class TestApplyRules:
             EmotionRule(
                 preconditions=(keyed(read_one("(scores team: ?t)")),),
                 additions=(
-                    EmotionSchema("happiness", 8.0, None, read_one("(scores team: ?t)"), RECIPROCAL),
+                    EmotionSchema("happiness", 8.0, NIL, read_one("(scores team: ?t)"), RECIPROCAL),
                 ),
             ),
             EmotionRule(
@@ -290,13 +287,20 @@ class TestDecayPool:
     def test_empty_pool(self):
         assert decay_pool(EmotionPool(), 50.0) == EmotionPool()
 
+    def test_a_pool_that_loses_nothing_is_returned_as_it_is(self):
+        marked = apply_rules(EmotionPool((sadness10(),)), FactBoard(), (), (), 1.0)
+        assert marked.mark is not None
+        assert decay_pool(marked, 10.0) is marked  # so its mark holds on the next tick
+        decayed = decay_pool(marked, 11.0)
+        assert decayed.structures == () and decayed.mark is None
+
     def test_min_intensity_invariant(self):
         rng = Random(3)
         structures = tuple(
             EmotionStructure(
                 "interest",
                 rng.uniform(1, 10),
-                None,
+                NIL,
                 (Symbol("tick"), rng.randrange(100)),
                 DecayFunction(rng.choice(["reciprocal", "constant", "linear"]), 0.1),
                 float(rng.randrange(0, 5)),

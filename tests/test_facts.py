@@ -2,8 +2,10 @@ from __future__ import annotations
 
 from random import Random
 
+from dataclasses import replace
+
 import pytest
-from conftest import fact_of
+from conftest import board_of, fact_of
 
 from byrne.facts import (
     FactBoard,
@@ -26,10 +28,6 @@ PAPER_TICK = (
 )
 
 
-def board_of(*facts) -> FactBoard:
-    return FactBoard({f.identity: f for f in facts}, clock=0.0)
-
-
 class TestParseGameLog:
     def test_worked_pass_line(self):
         updates = parse_game_log(PAPER_TICK)
@@ -41,7 +39,7 @@ class TestParseGameLog:
             "(pass from: a1 to: a2 fromloc: (30 10) toloc: (20 10) begintime: 120 endtime: 125)"
         )
         assert fact.relevance == 10
-        assert fact.end_time == 125
+        assert board_of(fact).entries[fact.identity].end_time == 125
 
     def test_empty_document(self):
         assert parse_game_log("") == ()
@@ -129,7 +127,8 @@ class TestApplyTick:
                 for f in u.facts:
                     reference[f.identity] = f
                 reference = {k: f for k, f in reference.items() if f.relevance >= 1}
-            assert board.entries == reference
+            got = {k: (f.form.term, f.relevance) for k, f in board.entries.items()}
+            assert got == {k: (f.term, f.relevance) for k, f in reference.items()}
 
     def test_min_relevance_invariant(self):
         rng = Random(7)
@@ -158,7 +157,7 @@ class TestSelectFact:
                 "(move player: b1 fromloc: (5 10) toloc: (10 10) begintime: 115 endtime: 120)", 3
             ),
         )
-        assert board.entries[select_fact(board)].term[0] == "pass"
+        assert board.entries[select_fact(board)].form.head == "pass"
 
     def test_empty_board(self):
         assert select_fact(FactBoard()) is None
@@ -176,10 +175,7 @@ class TestSelectFact:
             board = random_board(rng)
             scale = rng.uniform(0.1, 20.0)
             scaled = FactBoard(
-                {
-                    k: type(f)(f.term, f.relevance * scale)
-                    for k, f in board.entries.items()
-                },
+                {k: replace(f, relevance=f.relevance * scale) for k, f in board.entries.items()},
                 board.clock,
             )
             assert select_fact(board) == select_fact(scaled)
@@ -212,9 +208,9 @@ class TestShouldInterrupt:
         rng = Random(17)
         for _ in range(100):
             board = random_board(rng)
-            reported = rng.choice(list(board.entries.values()))
+            identity, reported = rng.choice(list(board.entries.items()))
             expected = any(f.relevance > reported.relevance for f in board.entries.values())
-            assert should_interrupt(reported.identity, board) == expected
+            assert should_interrupt(identity, board) == expected
 
     def test_strict_maximum_never_interrupted(self):
         rng = Random(23)

@@ -3,7 +3,7 @@
 `oracle_patterns` keeps the matcher that split both sides of every `unify`
 call and takes patterns and candidates raw; byrne's side gets both keyed. The
 keyed matcher must return the same bindings in the same order, and
-`apply_rules` must leave the same pool, also where `step` skips firing it.
+`apply_rules` must leave the same pool, also where it skips a marked pool.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from dataclasses import replace
 import hypothesis.strategies as st
 import oracle_patterns as oracle
 import pytest
-from conftest import DEMO, GOLDEN
+from conftest import DEMO, GOLDEN, board_of, fact_of
 from hypothesis import given, settings
 
-from byrne import pipeline
+from byrne import emotions
 from byrne.emotions import (
     EMOTION_TYPES,
+    NIL,
     DecayFunction,
     EmotionPool,
     EmotionRule,
@@ -28,10 +29,10 @@ from byrne.emotions import (
     apply_rules,
     decay_pool,
 )
-from byrne.facts import FactBoard, GameFact, TickUpdate, apply_tick, fact_from_sexpr, parse_game_log
+from byrne.facts import FactBoard, TickUpdate, apply_tick, fact_from_sexpr, parse_game_log
 from byrne.patterns import Form, keyed, match_all, parse_keyed, unify, variables_in
 from byrne.pipeline import driver_ticks, initial_state, run_replay, step
-from byrne.profile import CharacterProfile
+from byrne.profile import CharacterProfile, self_feeding
 from byrne.sexpr import Symbol, kw, read_one, to_text
 
 VARIABLES = [Symbol("?x"), Symbol("?y"), Symbol("?z")]
@@ -163,14 +164,14 @@ DECAY = DecayFunction("constant")
 def rules(draw, terms):
     preconditions = tuple(draw(st.lists(st.sampled_from(terms).flatmap(patterns_from), min_size=1, max_size=2)))
     bound = sorted(set().union(*(variables_in(p) for p in preconditions)))
-    targets = [None, Symbol("nil"), *bound]
+    targets = [NIL, *bound]
     additions = tuple(
         EmotionSchema(draw(TYPES), 5.0, draw(st.sampled_from(targets)), draw(st.sampled_from(preconditions)), DECAY)
         for _ in range(draw(st.integers(0, 2)))
     )
     deletion = st.one_of(
         TYPES.map(lambda t: (kw("type"), Symbol(t))),
-        st.sampled_from(bound or [Symbol("nil")]).map(lambda v: (kw("target"), v)),
+        st.sampled_from(bound or [NIL]).map(lambda v: (kw("target"), v)),
         st.sampled_from(preconditions).map(lambda p: (kw("cause"), p)),
     )
     deletions = tuple(draw(st.lists(deletion, max_size=2)))
@@ -180,12 +181,12 @@ def rules(draw, terms):
 @st.composite
 def rule_problems(draw):
     facts = draw(st.lists(FACTS, min_size=1, max_size=5))
-    board = FactBoard({f.identity: f for f in facts}, clock=10.0)
+    board = board_of(*facts, clock=10.0)
     statics = draw(st.lists(st.one_of(FACTS.map(lambda f: f.term), GROUND), max_size=2))
     terms = [f.term for f in facts] + statics
     pool = EmotionPool(
         tuple(
-            EmotionStructure(draw(TYPES), 6.0, draw(st.one_of(st.none(), ATOMS)), draw(st.sampled_from(terms)), DECAY, 0.0)
+            EmotionStructure(draw(TYPES), 6.0, draw(st.one_of(st.just(NIL), ATOMS)), draw(st.sampled_from(terms)), DECAY, 0.0)
             for _ in range(draw(st.integers(0, 3)))
         )
     )
@@ -202,7 +203,7 @@ def _raw(terms) -> tuple:
 
 def _pool_text(pool: EmotionPool) -> list[tuple]:
     return [
-        (s.type, s.base_intensity, None if s.target is None else to_text(s.target), to_text(s.cause), s.created_at)
+        (s.type, s.base_intensity, to_text(s.target), to_text(s.cause), s.created_at)
         for s in pool.structures
     ]
 
@@ -230,8 +231,8 @@ def test_apply_rules_matches_the_oracle_over_the_demo_replay(demo_profile, demo_
         state, _ = step(state, update, demo_profile, demo_style)
 
 
-# `step` skips firing when the board's identities and the pool's structures
-# are those of the last firing that changed nothing
+# `apply_rules` skips firing a pool marked by a firing that changed nothing,
+# over the same board identities, statics and rules
 
 DECAYS = st.sampled_from([DECAY, DecayFunction("linear", 0.3), DecayFunction("reciprocal")])
 
@@ -243,9 +244,9 @@ def tick_problems(draw):
     facts = draw(st.lists(FACTS, min_size=1, max_size=4, unique_by=lambda f: f.identity))
     statics = draw(st.lists(GROUND, max_size=1))
     terms = [f.term for f in facts] + statics
-    # a bare-variable precondition binds the pool's own views: its additions would take them
-    # as causes, one level deeper on every tick, and each firing would be slower than the last
-    grounded = rules(terms).filter(lambda r: not (r.additions and any(isinstance(p, Symbol) for p in r.preconditions)))
+    # the loader's own check: a rule feeding on its own views would nest the pool one level
+    # deeper on every tick, and each firing would be slower than the last
+    grounded = rules(terms).filter(lambda r: not self_feeding(r.preconditions, r.additions))
     rule_list = draw(st.lists(grounded, min_size=1, max_size=4))
     rule_list = [
         replace(r, additions=tuple(replace(a, decay=draw(DECAYS)) for a in r.additions))
@@ -255,16 +256,16 @@ def tick_problems(draw):
         kind, cause = draw(TYPES), facts[0].term
         rule_list += [
             EmotionRule((cause,), deletions=((kw("type"), Symbol(kind)),)),
-            EmotionRule((cause,), (EmotionSchema(kind, 5.0, None, cause, draw(DECAYS)),)),
+            EmotionRule((cause,), (EmotionSchema(kind, 5.0, NIL, cause, draw(DECAYS)),)),
         ]
     if draw(st.booleans()):  # a rule that reads the pool: one emotion stirs another
         seen, stirred = draw(TYPES), draw(TYPES)
         view = (kw("type"), Symbol(seen), kw("cause"), Symbol("?c"))
-        schema = EmotionSchema(stirred, 5.0, None, Symbol("?c"), draw(DECAYS))
+        schema = EmotionSchema(stirred, 5.0, NIL, Symbol("?c"), draw(DECAYS))
         rule_list.insert(draw(st.integers(0, len(rule_list))), EmotionRule((view,), (schema,)))
     pool = EmotionPool(
         tuple(
-            EmotionStructure(draw(TYPES), 6.0, draw(st.one_of(st.none(), ATOMS)), draw(st.sampled_from(terms)), draw(DECAYS), 0.0)
+            EmotionStructure(draw(TYPES), 6.0, draw(st.one_of(st.just(NIL), ATOMS)), draw(st.sampled_from(terms)), draw(DECAYS), 0.0)
             for _ in range(draw(st.integers(0, 3)))
         )
     )
@@ -302,33 +303,63 @@ def test_step_with_skipped_firing_leaves_the_oracles_pools(minimal_style, proble
 
 
 def test_a_pool_equal_under_eq_but_not_the_same_objects_is_fired_again(minimal_style):
-    # Symbol a == "a", so the two structures compare equal; the rule deletes only the string cause
-    settled = EmotionStructure("happiness", 5.0, None, read_one("(q k: a)"), DECAY, 0.0)
-    lookalike = replace(settled, cause=read_one('(q k: "a")'))
-    assert lookalike == settled
-    rule = EmotionRule((keyed(read_one("(go k: 1)")),), deletions=((kw("cause"), lookalike.cause),))
-    profile = CharacterProfile(emotion_rules=(rule,))
-    go = TickUpdate(1.0, (fact_from_sexpr(read_one("(go k: 1)"), 5.0),))
-    state, _ = step(replace(initial_state(), pool=EmotionPool((settled,))), go, profile, minimal_style)
-    assert state.pool.structures[0] is settled and state.settled is not None  # changed nothing
-    state, _ = step(replace(state, pool=EmotionPool((lookalike,))), TickUpdate(2.0), profile, minimal_style)
-    assert state.pool.structures == ()  # fired again, deleting the string cause
+    # Symbol a == "a", so the two structures compare equal; the rule swaps the string cause for the symbol
+    symbol = EmotionStructure("happiness", 5.0, NIL, read_one("(q k: a)"), DECAY, 1.0)
+    string = replace(symbol, cause=read_one('(q k: "a")'))
+    assert string == symbol
+    swap = EmotionRule(
+        (keyed(read_one("(go k: 1)")),),
+        (EmotionSchema("happiness", 5.0, NIL, symbol.cause, DECAY),),
+        ((kw("cause"), string.cause),),
+    )
+    profile = CharacterProfile(emotion_rules=(swap,))
+    go = TickUpdate(1.0, (fact_of("(go k: 1)", 5.0),))
+    state, _ = step(replace(initial_state(), pool=EmotionPool((string,))), go, profile, minimal_style)
+    (swapped,) = state.pool.structures
+    assert to_text(swapped.cause) == "(q k: a)" and state.pool.mark is None  # a change, though == holds
+    state, _ = step(state, TickUpdate(2.0), profile, minimal_style)
+    assert state.pool.structures == (swapped,) and state.pool.structures[0] is swapped
+    assert state.pool.mark is not None  # changed nothing
+    state, _ = step(replace(state, pool=EmotionPool((string,))), TickUpdate(3.0), profile, minimal_style)
+    assert [to_text(s.cause) for s in state.pool.structures] == ["(q k: a)"]  # fired again
 
 
-def test_demo_replay_fires_rules_on_fewer_ticks_and_matches_the_goldens(tmp_path, monkeypatch):
+def test_a_marked_pool_fires_again_under_other_identities_statics_or_rules():
+    # each pair compares equal under == (Symbol a == "a") but matches differently
+    symbol, string = (keyed(read_one("(s k: a)")),), (keyed(read_one('(s k: "a")')),)
+    assert symbol == string
+
+    def stir(pre):
+        return (EmotionRule((pre,), (EmotionSchema("interest", 5.0, NIL, read_one("(s k: a)"), DECAY),)),)
+
+    by_symbol, by_string = stir(symbol[0]), stir(string[0])
+    assert by_symbol == by_string
+    empty = FactBoard()
+    marked = apply_rules(EmotionPool(), empty, string, by_symbol, 1.0)
+    assert marked.structures == () and marked.mark is not None
+    assert apply_rules(marked, empty, string, by_symbol, 2.0) is marked
+    assert len(apply_rules(marked, empty, symbol, by_symbol, 2.0).structures) == 1
+    assert len(apply_rules(marked, board_of(fact_of("(s k: a)", 5.0)), string, by_symbol, 2.0).structures) == 1
+    marked = apply_rules(EmotionPool(), empty, symbol, by_string, 1.0)
+    assert marked.structures == () and marked.mark is not None
+    assert len(apply_rules(marked, empty, symbol, by_symbol, 2.0).structures) == 1
+
+
+def test_demo_replay_fires_rules_on_fewer_ticks_and_matches_the_goldens(demo_profile, tmp_path, monkeypatch):
     calls = []
 
     def counted(*args):
-        calls.append(args[-1])
-        return apply_rules(*args)
+        calls.append(args)
+        return match_all(*args)
 
-    monkeypatch.setattr(pipeline, "apply_rules", counted)
+    monkeypatch.setattr(emotions, "match_all", counted)  # once per rule in each firing that is not skipped
     updates = parse_game_log((DEMO / "game.log").read_text(encoding="utf-8"))
     ticks = len(list(driver_ticks(updates, 1.0)))
     out = tmp_path / "demo"
     code = run_replay(DEMO / "game.log", DEMO / "announcer.profile", DEMO / "announcer.style", out)
     assert code == 0
-    assert 0 < len(calls) < ticks
+    firings, rest = divmod(len(calls), len(demo_profile.emotion_rules))
+    assert rest == 0 and 0 < firings < ticks
     names = sorted(p.name for p in GOLDEN.iterdir())
     assert sorted(p.name for p in out.iterdir()) == names
     _, mismatch, errors = filecmp.cmpfiles(GOLDEN, out, names, shallow=False)
@@ -344,18 +375,16 @@ def _tiled_demo(tiles: int) -> tuple[TickUpdate, ...]:
     return tuple(TickUpdate(u.tick_time + k * span, u.facts) for k in range(tiles) for u in one)
 
 
-def test_board_alone_holds_keyed_forms_for_exactly_its_entries(demo_profile, demo_style):
+def test_the_board_keys_each_term_once_and_keeps_it_across_re_scores(demo_profile, demo_style):
     updates = _tiled_demo(3)
     state = initial_state()
     for update in driver_ticks(updates, 1.0):
         before = state.board
         state, _ = step(state, update, demo_profile, demo_style)
-        board = state.board
-        assert board.keyed.keys() == board.entries.keys()
-        for identity, term in board.keyed.items():
-            assert to_text(term.term) == identity
-            if identity in before.keyed:
-                assert term is before.keyed[identity]  # built once, kept across re-scores
+        for identity, entry in state.board.entries.items():
+            assert to_text(entry.form.term) == identity
+            if identity in before.entries:
+                assert entry.form is before.entries[identity].form  # built once, kept across re-scores
     fields = {"term", "relevance"}
     for update in updates:
         for fact in update.facts:

@@ -222,6 +222,36 @@ class TestProfileValidation:
             "?other",
         )
 
+    @pytest.mark.parametrize(
+        "pre, cause, target, var",
+        [
+            ("?x", "?x", "nil", "?x"),  # each firing adds a view holding the one it matched
+            ("?x", "(goal)", "?x", "?x"),
+            ("?x (scores team: ?t)", "(again ?x ?t)", "nil", "?x"),
+            ("(type: interest cause: ?c)", "(again ?c)", "nil", "?c"),  # one level deeper per tick
+            ("(type: interest cause: ?c)", "(goal)", "(at ?c)", "?c"),
+        ],
+    )
+    def test_rule_feeding_on_its_own_views_named_with_its_line(self, pre, cause, target, var):
+        rule = f"(emotion-rule (pre {pre}) (add (type: surprise intensity: 5 target: {target} cause: {cause} decay: constant)))"
+        with pytest.raises(ProfileError) as err:
+            load_profile(f"(static (supports team: a))\n{rule}")
+        (diag,) = err.value.diagnostics
+        assert diag.startswith(f"line 2: emotion-rule feeds on its own additions through {var}:")
+
+    @pytest.mark.parametrize(
+        "pre, cause",
+        [
+            ("(type: interest cause: ?c)", "?c"),  # one emotion stirs another: a part copied whole
+            ("(type: interest target: ?t) (scores team: ?t)", "(again ?t)"),  # ?t is a fact's team
+            ("?x (scores team: ?x)", "(again ?x)"),
+            ("?x", "(goal)"),
+            ("(scores team: ?t)", "(scores team: ?t)"),
+        ],
+    )
+    def test_rule_taking_nothing_deeper_from_a_view_loads(self, pre, cause):
+        load_profile(f"(emotion-rule (pre {pre}) (add (type: surprise intensity: 5 cause: {cause} decay: 1/t)))")
+
     def test_unbound_template_variable_named(self):
         _expect_diagnostic(
             '(template id: t1 (pre (corner team: ?t)) (text "<su><seg>?player takes it</seg></su>"))',
