@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .emotions import EmotionPool, EmotionStructure, intensity_at
 from .errors import ByrneError
-from .patterns import Binding, Keyed, match_all, unify
+from .patterns import Binding, Candidates, Keyed, match_all, unify
 from .seeml import Directive
 
 
@@ -62,7 +62,7 @@ def bind_statics(specs: Iterable[BehaviorSpec], statics: Iterable[Keyed]) -> tup
     This depends on the profile alone, so it is computed once when the profile
     is built rather than on every utterance.
     """
-    statics = list(statics)
+    statics = Candidates(statics)
     out: list[BoundSpec] = []
     for spec in specs:
         if not spec.motivated_by:

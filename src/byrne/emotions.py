@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ByrneError
 from .facts import FactBoard
-from .patterns import Binding, Form, Keyed, equal, is_ground, keyed, match_all, substitute, unify
+from .patterns import Binding, Candidates, Form, Keyed, equal, is_ground, keyed, match_all, substitute, unify
 from .sexpr import Sexpr, Symbol, kw, to_text
 
 EMOTION_TYPES = ("fear", "anger", "sadness", "happiness", "disgust", "surprise", "interest")
@@ -94,6 +94,11 @@ class EmotionStructure:
         """The keyed form of `view()`, built once per structure."""
         return keyed(self.view())
 
+    @cached_property
+    def trace_text(self) -> str:
+        """Type, target and cause as `emotions.trace` prints them, rendered once."""
+        return f"{self.type}\t{to_text(self.target)}\t{to_text(self.cause)}"
+
 
 def intensity_at(e: EmotionStructure, now: float) -> float:
     if now < e.created_at:
@@ -130,11 +135,11 @@ class EmotionPool:
 
 def rule_universe(
     board: FactBoard, statics: Iterable[Keyed], pool: EmotionPool
-) -> list[Keyed]:
-    """What preconditions match against, keyed: world facts in identity order,
-    statics, active emotions."""
+) -> Candidates:
+    """What preconditions match against, keyed and indexed: world facts in
+    identity order, statics, active emotions."""
     facts = [board.entries[identity].form for identity in sorted(board.entries)]
-    return [*facts, *statics, *(e.matchable for e in pool.structures)]
+    return Candidates([*facts, *statics, *(e.matchable for e in pool.structures)])
 
 
 def _instantiate(schema: EmotionSchema, binding: Binding, now: float) -> EmotionStructure:
@@ -156,8 +161,8 @@ def apply_rules(
 
     Re-firing is idempotent: a structure is not added when the pool already
     holds one with the same view (type, target, and cause), compared as the
-    matcher compares terms. The universe is built once per call; only its
-    emotion tail follows the pool from rule to rule.
+    matcher compares terms. The universe is indexed by shape once per call; only
+    its views, all headless, follow the pool from rule to rule.
     """
     mark = pool.mark
     if mark and mark[1] is statics and mark[2] is rules and mark[0] == board.entries.keys():
@@ -165,6 +170,8 @@ def apply_rules(
     structures = list(pool.structures)
     universe = rule_universe(board, statics, pool)
     fixed = len(universe) - len(structures)
+    headless = universe.by_shape.get(None, [])
+    headless = headless[: len(headless) - len(structures)]  # less the views, its tail
     for rule in rules:
         bindings = match_all(rule.preconditions, universe)
         for binding in bindings:
@@ -179,7 +186,8 @@ def apply_rules(
                     continue
                 structures.append(new)
         if bindings:
-            universe[fixed:] = [s.matchable for s in structures]
+            universe[fixed:] = views = [s.matchable for s in structures]
+            universe.by_shape[None] = headless + views
     # `is`, not `==`: `==` holds between Symbol("a") and "a", and between 1 and 1.0
     if len(structures) == len(pool.structures) and all(map(is_, structures, pool.structures)):
         return EmotionPool(pool.structures, (frozenset(board.entries), statics, rules))

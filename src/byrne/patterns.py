@@ -11,7 +11,9 @@ than full unification.
 Both sides come in keyed form (`keyed`): each compound term is split into
 head and keyword map, or into positional items, once where it is born (a
 profile's statics and patterns at load, a fact joining the board, an emotion
-structure, a deletion probe once per binding), so `unify` splits nothing.
+structure, a deletion probe once per binding), so `unify` splits nothing. And
+`match_all` scans a `Candidates` index, built once per candidate set, so each
+pattern scans only the candidates of its own `shape`; it dedups bindings on typed terms.
 """
 
 from __future__ import annotations
@@ -176,6 +178,35 @@ def substitute(x: Sexpr, binding: Binding) -> Sexpr:
     return x
 
 
+def shape(x: Keyed) -> object:
+    """What a term shares with every pattern that matches it: a keyword form's head (None
+    when headless), `()` if positional, `float` for any number, else the atom's type."""
+    if isinstance(x, Form):
+        return () if x.pairs is None else x.head
+    if isinstance(x, tuple):
+        raise TypeError(f"{to_text(x)} is not in keyed form; build it with keyed()")
+    return float if isinstance(x, (int, float)) else type(x)
+
+
+class Candidates(list):
+    """Keyed candidates in order, and in `by_shape` split by `shape`; refuses a raw tuple."""
+
+    __slots__ = ("by_shape",)
+
+    def __init__(self, terms: Iterable[Keyed]) -> None:
+        super().__init__(terms)
+        self.by_shape: dict[object, list[Keyed]] = {}
+        for term in self:
+            self.by_shape.setdefault(shape(term), []).append(term)
+
+
+def _term_key(x: Sexpr) -> object:
+    # apart where to_text keeps them: 1 and 1.0, a and "a", 0.0 and -0.0 (equal, so by repr)
+    if isinstance(x, tuple):
+        return tuple(map(_term_key, x))
+    return (float, repr(x)) if isinstance(x, float) else (type(x), x)
+
+
 def match_all(
     patterns: Iterable[Keyed],
     candidates: Iterable[Keyed],
@@ -185,25 +216,29 @@ def match_all(
 
     Patterns are tried left to right against candidates in their given order,
     so the result order is deterministic; duplicate bindings are dropped.
+    `candidates` is a `Candidates` index, or the candidates to build one from.
     """
     patterns = list(patterns)
-    candidates = list(candidates)
+    index = candidates if isinstance(candidates, Candidates) else Candidates(candidates)
+    scans = [index if is_variable(p) else index.by_shape.get(shape(p), ()) for p in patterns]
+    if not all(scans):
+        return []
     results: list[Binding] = []
 
     def go(i: int, b: Binding) -> None:
         if i == len(patterns):
             results.append(b)
             return
-        for cand in candidates:
+        for cand in scans[i]:
             nb = unify(patterns[i], cand, b)
             if nb is not None:
                 go(i + 1, nb)
 
     go(0, dict(binding or {}))
-    seen: set[tuple] = set()
+    seen: set[frozenset] = set()
     out: list[Binding] = []
     for b in results:
-        key = tuple(sorted((str(k), to_text(v)) for k, v in b.items()))
+        key = frozenset((k, _term_key(v)) for k, v in b.items())
         if key not in seen:
             seen.add(key)
             out.append(b)

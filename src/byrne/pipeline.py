@@ -36,7 +36,7 @@ from .facts import (
 )
 from .profile import CharacterProfile, check_against_style, load_profile
 from .seeml import OutputBundle, apply_directives, format_face_timeline, merge_tags, verify_and_split
-from .sexpr import atom, to_text
+from .sexpr import atom
 from .style import StyleFile, load_style
 from .textgen import CoverageError, UsageHistory, instantiate, record_usage, select_template
 
@@ -191,10 +191,7 @@ def driver_ticks(updates: tuple[TickUpdate, ...], tick_seconds: float) -> Iterat
 
 
 def _emotion_lines(pool: EmotionPool, now: float) -> list[str]:
-    return [
-        f"{now:.3f}\t{e.type}\t{to_text(e.target)}\t{to_text(e.cause)}\t{intensity_at(e, now):.3f}"
-        for e in pool.structures
-    ]
+    return [f"{now:.3f}\t{e.trace_text}\t{intensity_at(e, now):.3f}" for e in pool.structures]
 
 
 def _check_out_dir(out: Path) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .errors import ByrneError
-from .patterns import Binding, Form, Keyed, match_all
+from .patterns import Binding, Candidates, Form, Keyed, match_all
 from .seeml import SeemlDocument, substitute
 from .sexpr import Sexpr, Symbol, to_text
 
@@ -64,7 +64,7 @@ def select_template(
     Score is seconds-since-last-use minus a per-use penalty; a never-used
     template scores infinitely fresh. Ties break on template id.
     """
-    universe = [fact, *statics]
+    universe = Candidates([fact, *statics])  # indexed once for all templates
     best: tuple[tuple, Template, Binding] | None = None
     for template in templates:
         bindings = match_all(template.preconditions, universe)

@@ -17,7 +17,7 @@ import pytest
 from conftest import DEMO, GOLDEN, board_of, fact_of
 from hypothesis import given, settings
 
-from byrne import emotions
+from byrne import emotions, patterns
 from byrne.emotions import (
     EMOTION_TYPES,
     NIL,
@@ -30,15 +30,15 @@ from byrne.emotions import (
     decay_pool,
 )
 from byrne.facts import FactBoard, TickUpdate, apply_tick, fact_from_sexpr, parse_game_log
-from byrne.patterns import Form, keyed, match_all, parse_keyed, unify, variables_in
+from byrne.patterns import Candidates, Form, keyed, match_all, parse_keyed, unify, variables_in
 from byrne.pipeline import driver_ticks, initial_state, run_replay, step
 from byrne.profile import CharacterProfile, self_feeding
 from byrne.sexpr import Symbol, kw, read_one, to_text
 
 VARIABLES = [Symbol("?x"), Symbol("?y"), Symbol("?z")]
 
-# Symbol a and quoted "a", 1 and 1.0: pairs a careless key would merge.
-ATOMS = st.sampled_from([Symbol("a"), Symbol("b"), "a", "b", 0, 1, 1.0, 2.5])
+# Symbol a and quoted "a", 1 and 1.0, 0.0 and -0.0: pairs a careless key would merge.
+ATOMS = st.sampled_from([Symbol("a"), Symbol("b"), "a", "b", 0, 1, 1.0, 2.5, 0.0, -0.0])
 HEADS = st.sampled_from([Symbol("p"), Symbol("q"), Symbol("kickoff")])
 KEYS = st.sampled_from(["k", "m", "n"])
 
@@ -128,11 +128,60 @@ def test_keyed_match_all_extends_an_initial_binding_like_the_oracle(problem, var
         ("(p loc: ((?x 2) ?x))", "(p loc: ((1 2) (1 2)))", False),
         ("(p loc: (?x ?y))", "(p loc: (1 2 3))", False),
         ("()", "()", True),
+        ("1", "1.0", True),  # every number has one shape
+        ("0.0", "-0.0", True),
+        ("a", '"a"', False),
+        ("(k: ?x)", "(1 2)", False),  # a headless form is not a positional one
+        ("(?x 2)", "(k: 2)", False),
     ],
 )
 def test_cases_a_careless_key_would_merge(pattern, candidate, matches):
     got = _same_bindings([read_one(pattern)], [read_one(candidate)])
     assert bool(got) == matches
+
+
+@pytest.mark.parametrize(
+    "pattern, first, second",
+    [
+        ("?x", "1", "1.0"),
+        ("?x", "a", '"a"'),
+        ("?x", "0.0", "-0.0"),  # equal as floats, but to_text prints them apart
+        ("(p k: ?x)", "(p k: 0.0)", "(p k: -0.0)"),
+        ("(p k: ?x)", "(p k: (1 a))", '(p k: (1.0 "a"))'),
+    ],
+)
+def test_bindings_that_to_text_tells_apart_are_all_kept(pattern, first, second):
+    assert len(_same_bindings([read_one(pattern)], [read_one(first), read_one(second)])) == 2
+    assert len(_same_bindings([read_one(pattern)], [read_one(first), read_one(first)])) == 1
+
+
+def test_a_pattern_calls_unify_only_on_candidates_of_its_shape(monkeypatch):
+    texts = ["(p k: 1)", "(q k: 2)", "(r k: 9)", "(p k: 3)", "(k: 4)", "(kickoff)", "(7 8)", "a", '"a"', "5", "6.0"]
+    universe = Candidates(keyed(read_one(t)) for t in texts)
+    text_of = {id(c): t for c, t in zip(universe, texts)}
+    tried = []
+
+    def counted(pattern, value, binding):
+        if id(value) in text_of:  # a top-level call, not one on a sub-term
+            tried.append(text_of[id(value)])
+        return unify(pattern, value, binding)
+
+    monkeypatch.setattr(patterns, "unify", counted)
+
+    def scanned(pattern: str) -> list[str]:
+        tried.clear()
+        match_all([keyed(read_one(pattern))], universe)
+        return list(tried)
+
+    assert scanned("(p k: ?x)") == ["(p k: 1)", "(p k: 3)"]
+    assert scanned("(q k: 2 m: ?x)") == ["(q k: 2)"]
+    assert scanned("(k: ?x)") == ["(k: 4)"]
+    assert scanned("(?x 8)") == ["(kickoff)", "(7 8)"]  # a head with no pairs is positional
+    assert scanned("5.0") == ["5", "6.0"]
+    assert scanned("a") == ["a"]
+    assert scanned('"a"') == ['"a"']
+    assert scanned("(s k: ?x)") == []
+    assert scanned("?x") == texts
 
 
 def test_a_candidate_not_in_keyed_form_is_refused():
@@ -229,6 +278,26 @@ def test_apply_rules_matches_the_oracle_over_the_demo_replay(demo_profile, demo_
         expected = oracle.apply_rules(state.pool, board, raw_statics, raw_rules, now)
         assert _pool_text(got) == _pool_text(expected)
         state, _ = step(state, update, demo_profile, demo_style)
+
+
+def test_later_rules_match_the_views_earlier_rules_added_and_the_headless_statics():
+    go = read_one("(go k: 1)")
+    rule_list = [
+        EmotionRule((go,), (EmotionSchema("happiness", 5.0, NIL, go, DECAY),)),
+        EmotionRule(
+            (read_one("(type: happiness cause: ?c)"),),
+            (EmotionSchema("interest", 5.0, NIL, Symbol("?c"), DECAY),),
+        ),
+        EmotionRule((read_one("(k: ?x)"),), (EmotionSchema("surprise", 5.0, NIL, read_one("(k: ?x)"), DECAY),)),
+    ]
+    board, statics = board_of(fact_of("(go k: 1)", 5.0)), [read_one("(k: 2)")]
+    got = apply_rules(EmotionPool(), board, [keyed(s) for s in statics], _keyed_rules(rule_list), 1.0)
+    assert [(s.type, to_text(s.cause)) for s in got.structures] == [
+        ("happiness", "(go k: 1)"),
+        ("interest", "(go k: 1)"),
+        ("surprise", "(k: 2)"),
+    ]
+    assert _pool_text(got) == _pool_text(oracle.apply_rules(EmotionPool(), board, statics, rule_list, 1.0))
 
 
 # `apply_rules` skips firing a pool marked by a firing that changed nothing,
