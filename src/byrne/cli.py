@@ -37,7 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--style", required=True, help="style file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--tick-seconds", default="1.0", help="driver tick length (default 1.0)")
-    parser.add_argument("--seed", type=int, default=0, help="seed echoed in the trace header")
     parser.add_argument("--trace", action="store_true", help="echo commentary events to stdout")
     return parser
 
@@ -52,7 +51,6 @@ def main(argv: list[str] | None = None) -> int:
         args.style,
         args.out,
         tick_seconds=args.tick_seconds,
-        seed=args.seed,
         echo=args.trace,
     )
 

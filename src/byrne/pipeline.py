@@ -8,8 +8,7 @@ more relevant has appeared; if so the running utterance is cut at its next
 phrase boundary and the new one starts there.
 
 Replays are fully deterministic: identical inputs give byte-identical output
-trees. The seed is recorded in the trace header for future stochastic
-extensions but nothing consumes it yet.
+trees. Nothing is random, so the commentary trace's header is one fixed line.
 """
 
 from __future__ import annotations
@@ -209,7 +208,6 @@ def run_replay(
     out_dir: str | Path,
     *,
     tick_seconds: float | str = 1.0,
-    seed: int = 0,
     echo: bool = False,
 ) -> int:
     """Replay a game log and write the commentary outputs; returns the exit code.
@@ -238,7 +236,7 @@ def run_replay(
         return 1
 
     state = initial_state()
-    commentary_lines = [f"# commentary-trace v1 seed={seed}"]
+    commentary_lines = ["# commentary-trace v1 seed=0"]
     emotion_lines = ["# emotions-trace v1"]
     bundles: list[tuple[int, OutputBundle]] = []
 

@@ -31,7 +31,7 @@ from .emotions import (
 )
 from .errors import ByrneError
 from .patterns import Keyed, is_ground, is_variable, keyed, parse_keyed, variables_in
-from .sexpr import SexprError, Sexpr, Symbol, is_keyword, keyword_name, read_top_level, to_text
+from .sexpr import VARIABLE, SexprError, Sexpr, Symbol, is_keyword, keyword_name, read_top_level, to_text
 from .seeml import (
     CHILDLESS_TAGS,
     EVERY_PHRASE,
@@ -49,7 +49,7 @@ from .seeml import (
     word_trigger,
 )
 from .style import StyleFile
-from .textgen import Template, _VAR_RE, index_templates
+from .textgen import Template, index_templates
 
 
 class ProfileError(ByrneError):
@@ -213,8 +213,11 @@ def _parse_schema(form: Sexpr) -> EmotionSchema:
     )
 
 
-def _body_variables(body: str) -> set[Symbol]:
-    return {Symbol(m.group(0)) for m in _VAR_RE.finditer(body)}
+def _add_once(given: dict, key: str, value: object, what: str) -> None:
+    """Record `key`, which the profile may give only once: a second entry fails the load."""
+    if key in given:
+        raise SexprError(f"duplicate {what} '{key}'")
+    given[key] = value
 
 
 def load_profile(text: str) -> CharacterProfile:
@@ -222,10 +225,10 @@ def load_profile(text: str) -> CharacterProfile:
     diags: list[str] = []
     statics: list[Keyed] = []
     names: dict[str, str] = {}
+    params: dict[str, float] = {}
     rules: list[EmotionRule] = []
-    behaviors: list[BehaviorSpec] = []
-    templates: list[Template] = []
-    lambda_penalty = 5.0
+    behaviors: dict[str, BehaviorSpec] = {}
+    templates: dict[str, Template] = {}
 
     try:
         forms = read_top_level(text)
@@ -253,37 +256,32 @@ def load_profile(text: str) -> CharacterProfile:
                         or not isinstance(entry[1], str)
                     ):
                         raise SexprError(f"expected (<id> \"<display>\"), got {to_text(entry)}")
-                    names[str(entry[0])] = str(entry[1])
+                    _add_once(names, str(entry[0]), str(entry[1]), "name")
             elif head == "params":
                 lam = _split_form(form[1:], ("lambda",), ())[0].get("lambda")
                 if lam is not None:
                     if not isinstance(lam, (int, float)) or float(lam) < 0:
                         raise SexprError("lambda: must be a non-negative number of seconds")
-                    lambda_penalty = float(lam)
+                    _add_once(params, "lambda", float(lam), "param")
             elif head == "emotion-rule":
                 rules.append(_load_rule(form, line, diags))
             elif head == "behavior":
                 spec = _load_behavior(form, line, diags)
                 if spec is not None:
-                    if any(b.id == spec.id for b in behaviors):
-                        diags.append(f"line {line}: duplicate behavior id '{spec.id}'")
-                    else:
-                        behaviors.append(spec)
+                    _add_once(behaviors, spec.id, spec, "behavior id")
             elif head == "template":
                 tmpl = _load_template(form, line, diags)
                 if tmpl is not None:
-                    if any(t.id == tmpl.id for t in templates):
-                        diags.append(f"line {line}: duplicate template id '{tmpl.id}'")
-                    else:
-                        templates.append(tmpl)
+                    _add_once(templates, tmpl.id, tmpl, "template id")
             else:
                 raise SexprError(f"unknown form ({head} ...)")
         except (SexprError, RuleError) as e:
             diags.append(f"line {line}: {e}")
 
-    _check_behavior_graph(behaviors, diags)
+    specs, bodies = tuple(behaviors.values()), tuple(templates.values())
+    _check_behavior_graph(specs, diags)
     if not diags:
-        _check_nesting(templates, behaviors, diags)
+        _check_nesting(bodies, specs, diags)
 
     if diags:
         raise ProfileError(diags)
@@ -291,9 +289,9 @@ def load_profile(text: str) -> CharacterProfile:
         statics=tuple(statics),
         names=names,
         emotion_rules=tuple(rules),
-        behaviors=tuple(behaviors),
-        templates=tuple(templates),
-        lambda_use_penalty=lambda_penalty,
+        behaviors=specs,
+        templates=bodies,
+        lambda_use_penalty=params.get("lambda", CharacterProfile.lambda_use_penalty),
     )
 
 
@@ -393,7 +391,7 @@ def _load_template(form: tuple, line: int, diags: list[str]) -> Optional[Templat
     bound: set[Symbol] = set()
     for p in preconditions:
         bound |= variables_in(p)
-    for var in sorted(_body_variables(text) - bound):
+    for var in sorted({Symbol(m.group(0)) for m in VARIABLE.finditer(text)} - bound):
         diags.append(f"line {line}: template '{tid}' uses unbound variable {var}")
     return Template(str(tid), tuple(map(keyed, preconditions)), body)
 
@@ -413,7 +411,7 @@ def check_against_style(profile: CharacterProfile, style: StyleFile) -> None:
     for user, nodes, substituted in users:
         for el in elements(nodes):
             name = el.attr("NAME")
-            if el.tag != "AURAL" or name in style.aural or (substituted and _VAR_RE.search(name)):
+            if el.tag != "AURAL" or name in style.aural or (substituted and VARIABLE.search(name)):
                 continue
             diag = f"{user} uses aural event '{name}', which the style's [aural] section lacks"
             if diag not in diags:
@@ -422,7 +420,7 @@ def check_against_style(profile: CharacterProfile, style: StyleFile) -> None:
         raise ProfileError(diags)
 
 
-def _check_behavior_graph(behaviors: list[BehaviorSpec], diags: list[str]) -> None:
+def _check_behavior_graph(behaviors: Sequence[BehaviorSpec], diags: list[str]) -> None:
     """Expand every spec with the replay's own walk, so cycles and dangling
     children have one definition; each distinct failure is reported once."""
     for b in behaviors:
@@ -442,7 +440,7 @@ def _levels(directive: Directive, segs: int) -> int:
 
 
 def _check_nesting(
-    templates: list[Template], behaviors: list[BehaviorSpec], diags: list[str]
+    templates: Sequence[Template], behaviors: Sequence[BehaviorSpec], diags: list[str]
 ) -> None:
     """The deepest template body, wrapped in the most markup one utterance's
     winning behaviors can add, must nest at most `seeml.MAX_NESTING` deep. Each

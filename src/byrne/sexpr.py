@@ -6,6 +6,7 @@ Atoms are symbols, integers, floats, or double-quoted strings; ``#`` starts a
 comment that runs to end of line. An atom is a number only when it is a decimal
 literal (`_NUMBER`): ``nan``, ``inf`` and ``1_000`` are symbols, and a literal
 too large for a float fails the read. Every reader of a number calls `atom`.
+Variables have one grammar too, `VARIABLE`: any other ``?name`` fails the read.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ _ATOM = re.compile(r'[^\s()"#]+')
 # optional sign; digits with an optional fraction, or a leading-dot fraction;
 # optional exponent. A literal with no fraction and no exponent is an integer.
 _NUMBER = re.compile(r"[+-]?(?:[0-9]+(\.[0-9]*)?|(\.[0-9]+))([eE][+-]?[0-9]+)?")
+# ? and an ASCII letter, then ASCII letters, digits, _ or -: ?team, ?p2, ?home-side
+VARIABLE = re.compile(r"\?[A-Za-z][A-Za-z0-9_-]*")
 _ESCAPES = {"n": "\n", "t": "\t"}
 
 
@@ -84,6 +87,9 @@ def _tokenize(text: str):
 def atom(token: str, line: int | None = None) -> Union[Symbol, int, float]:
     m = _NUMBER.fullmatch(token)
     if m is None:
+        # a variable no template substitutes would bind and then be spoken as written
+        if token.startswith("?") and len(token) > 1 and not VARIABLE.fullmatch(token):
+            raise SexprError(f"{token} is not a variable: ?, a letter, then [A-Za-z0-9_-]*", line)
         return Symbol(token)
     # every number must fit a float: the loaders read times, scores and levels as one
     value = float(token)

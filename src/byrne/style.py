@@ -12,7 +12,7 @@ fails the load.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ByrneError
 from .seeml import AU_MAX, AU_MIN, DEFAULT_VISEMES, EXPRESSION_NAMES
@@ -26,10 +26,10 @@ class StyleError(ByrneError):
 @dataclass(frozen=True)
 class StyleFile:
     expressions: dict[str, tuple[tuple[int, float], ...]]
-    aural: dict[str, str] = field(default_factory=dict)
-    words_per_minute: float = 180.0
-    break_ms: float = 300.0
-    visemes: dict[str, str] = field(default_factory=DEFAULT_VISEMES.copy)  # every letter class
+    aural: dict[str, str]
+    words_per_minute: float
+    break_ms: float
+    visemes: dict[str, str]  # every letter class
 
 
 _AU_WEIGHT = re.compile(r"AU([0-9]+):(\S+)", re.IGNORECASE)

@@ -1,7 +1,8 @@
 """Template-based surface generation.
 
 Templates pair precondition patterns with a SEEML body, parsed once at load,
-whose ``seg`` elements double as interrupt markers. When several templates
+whose ``seg`` elements double as interrupt markers; its variables are the runs
+of text and attribute values that fit `sexpr.VARIABLE`. When several templates
 cover a fact, the least recently and least often used one wins, keeping the
 phrasing from looping.
 """
@@ -15,7 +16,7 @@ from typing import Iterable, Mapping, Optional
 from .errors import ByrneError
 from .patterns import Binding, Candidates, Form, Keyed, match_all
 from .seeml import SeemlDocument, substitute
-from .sexpr import Sexpr, Symbol, to_text
+from .sexpr import VARIABLE, Sexpr, Symbol, to_text
 
 
 class CoverageError(ByrneError):
@@ -56,7 +57,7 @@ def select_template(
     now: float,
     *,
     statics: Iterable[Keyed] = (),
-    lambda_use_penalty: float = 5.0,
+    lambda_use_penalty: float,
 ) -> tuple[Template, Binding]:
     """Best-scoring template whose preconditions match the keyed fact (plus
     the keyed statics).
@@ -106,9 +107,6 @@ def index_templates(
     return by_head, anywhere
 
 
-_VAR_RE = re.compile(r"\?[A-Za-z][A-Za-z0-9_-]*")
-
-
 def render_term(term: Sexpr, names: Mapping[str, str] | None = None) -> str:
     """Surface form of a bound term; player/team ids go through the name table."""
     if isinstance(term, Symbol):
@@ -133,7 +131,7 @@ def instantiate(
             raise InstantiationError(f"template '{template.id}': unbound variable {var}")
         return render_term(binding[var], names)
 
-    return substitute(template.body, lambda text: _VAR_RE.sub(replace, text))
+    return substitute(template.body, lambda text: VARIABLE.sub(replace, text))
 
 
 def record_usage(history: UsageHistory, template_id: str, now: float) -> UsageHistory:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import filecmp
+import re
 
 import pytest
 from conftest import DEMO, GOLDEN, MINIMAL_STYLE
@@ -59,6 +60,28 @@ def test_rule_feeding_on_its_own_views_exits_1_at_load(tmp_path, capsys, monkeyp
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # ?1p would bind and then be spoken as written: no substitution reads it as a variable
+        (lambda text: re.sub(r"\?p\b", "?1p", text), "line 28: ?1p is not a variable"),
+        (lambda text: text.replace('(b1 "Viktor")', '(b1 "Viktor") (a1 "Alan")'), "line 7: duplicate name 'a1'"),
+        (lambda text: text + "(params lambda: 2)\n", "line 132: duplicate param 'lambda'"),
+    ],
+    ids=["variable-outside-the-grammar", "repeated-name", "second-lambda"],
+)
+def test_demo_profile_entry_the_replay_would_misread_exits_1_naming_its_line(tmp_path, capsys, edit, message):
+    profile = tmp_path / "edited.profile"
+    profile.write_text(edit((DEMO / "announcer.profile").read_text(encoding="utf-8")), encoding="utf-8")
+    args = _demo_args(tmp_path / "o")
+    args[args.index("--character") + 1] = str(profile)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("commentate: load error:") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("tick", ["abc", "1_0", "١", " 2", "nan", "0"])
 def test_tick_seconds_not_a_positive_decimal_literal_exits_1(tmp_path, capsys, tick):
     # the flag is read as the log reads numbers
@@ -72,8 +95,9 @@ def test_tick_seconds_not_a_positive_decimal_literal_exits_1(tmp_path, capsys, t
 @pytest.mark.parametrize(
     "drop, extra, message",
     [
-        ((), ["--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        ((), ["--seed", "abc"], "unrecognized arguments: --seed abc"),
         (("--log",), [], "the following arguments are required: --log"),
+        ((), ["--seed", "1"], "unrecognized arguments: --seed 1"),  # the trace header's seed is fixed
     ],
 )
 def test_usage_error_exits_1(tmp_path, capsys, drop, extra, message):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -11,6 +12,7 @@ from byrne.errors import ByrneError
 from byrne.seeml import parse_seeml
 from byrne.sexpr import (
     _NUMBER,
+    VARIABLE,
     SexprError,
     Symbol,
     is_keyword,
@@ -88,9 +90,33 @@ _atoms = st.one_of(
 _sexprs = st.recursive(_atoms, lambda inner: st.tuples(inner, inner, inner), max_leaves=12)
 
 
+def _symbols(x):
+    if isinstance(x, tuple):
+        for item in x:
+            yield from _symbols(item)
+    elif isinstance(x, Symbol):
+        yield x
+
+
 @given(_sexprs)
 def test_print_read_round_trip(value):
-    assert read_one(to_text(value)) == value
+    # a `?` symbol outside the variable grammar fails the read; everything else comes back
+    if any(s.startswith("?") and len(s) > 1 and not VARIABLE.fullmatch(s) for s in _symbols(value)):
+        with pytest.raises(SexprError):
+            read_one(to_text(value))
+    else:
+        assert read_one(to_text(value)) == value
+
+
+@pytest.mark.parametrize("text", ["?", "?a", "?p2", "?home-side", "?a_b", "a?b", "-?x", "?Team"])
+def test_variables_and_other_question_marks_read_as_symbols(text):
+    assert read_one(text) == Symbol(text)
+
+
+@pytest.mark.parametrize("text", ["?1p", "?-", "??", "?_a", "?a?", "?a:", "?é", "?a.b"])
+def test_a_question_mark_token_outside_the_variable_grammar_fails_with_its_line(text):
+    with pytest.raises(SexprError, match=rf"^line 2: {re.escape(text)} is not a variable"):
+        read_top_level(f"(move player: a1)\n(move player: {text})")
 
 
 # Text near the decimal grammar: signs, points, exponents, a percent, an

@@ -279,6 +279,36 @@ class TestProfileValidation:
             "duplicate template id 'score-line'",
         )
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ('(names (a1 "Alan") (a1 "Bob"))', 1),
+            ('(names (a1 "Alan"))\n(names (b1 "Viktor") (a1 "Bob"))', 2),
+        ],
+        ids=["in-one-form", "across-two-forms"],
+    )
+    def test_repeated_name_id_named_with_its_line(self, text, line):
+        with pytest.raises(ProfileError) as err:
+            load_profile(text)
+        assert err.value.diagnostics == [f"line {line}: duplicate name 'a1'"]
+
+    def test_second_lambda_named_with_its_line(self):
+        with pytest.raises(ProfileError) as err:
+            load_profile("(params lambda: 3)\n(params lambda: 2)")
+        assert err.value.diagnostics == ["line 2: duplicate param 'lambda'"]
+
+    def test_params_without_lambda_leave_the_default(self):
+        assert load_profile("(params)\n(params lambda: 2)").lambda_use_penalty == 2.0
+        assert load_profile("(params)").lambda_use_penalty == 5.0
+
+    def test_pattern_variable_outside_the_grammar_named_with_its_line(self):
+        with pytest.raises(ProfileError) as err:
+            load_profile(
+                '(template id: move-track\n  (pre (move player: ?1p))\n'
+                '  (text "<su><seg>?1p tracking across</seg></su>"))'
+            )
+        assert err.value.diagnostics == ["line 2: ?1p is not a variable: ?, a letter, then [A-Za-z0-9_-]*"]
+
     def test_children_xor_directives(self):
         _expect_diagnostic(
             "(behavior id: both group: g (motivated-by fear)"

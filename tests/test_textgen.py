@@ -37,7 +37,7 @@ PASS_TERM = keyed(read_one("(pass from: a1 to: a2 fromloc: (30 10) toloc: (20 10
 
 class TestSelectTemplate:
     def test_singleton_match(self):
-        chosen, binding = select_template(PASS_TERM, [PASS_TEMPLATE], UsageHistory(), 5.0)
+        chosen, binding = select_template(PASS_TERM, [PASS_TEMPLATE], UsageHistory(), 5.0, lambda_use_penalty=5.0)
         assert chosen is PASS_TEMPLATE
         assert binding == {Symbol("?x"): Symbol("a1"), Symbol("?y"): Symbol("a2")}
 
@@ -45,7 +45,7 @@ class TestSelectTemplate:
         fresh = Template("a-fresh", PASS_TEMPLATE.preconditions, PASS_TEMPLATE.body)
         stale = Template("b-stale", PASS_TEMPLATE.preconditions, PASS_TEMPLATE.body)
         history = record_usage(UsageHistory(), "b-stale", 9.0)
-        chosen, _ = select_template(PASS_TERM, [stale, fresh], history, 10.0)
+        chosen, _ = select_template(PASS_TERM, [stale, fresh], history, 10.0, lambda_use_penalty=5.0)
         assert chosen.id == "a-fresh"
 
     def test_score_formula_hand_check(self):
@@ -54,7 +54,7 @@ class TestSelectTemplate:
         b = Template("b", PASS_TEMPLATE.preconditions, PASS_TEMPLATE.body)
         history = record_usage(UsageHistory(), "a", 4.0)
         history = record_usage(record_usage(history, "b", 2.0), "b", 18.0)
-        chosen, _ = select_template(PASS_TERM, [a, b], history, 20.0)
+        chosen, _ = select_template(PASS_TERM, [a, b], history, 20.0, lambda_use_penalty=5.0)
         assert chosen.id == "a"
 
     def test_equal_use_counts_least_recent_wins(self):
@@ -66,16 +66,18 @@ class TestSelectTemplate:
             if t1 == t2:
                 continue
             history = record_usage(record_usage(UsageHistory(), "a", t1), "b", t2)
-            chosen, _ = select_template(PASS_TERM, [a, b], history, 60.0)
+            chosen, _ = select_template(PASS_TERM, [a, b], history, 60.0, lambda_use_penalty=5.0)
             assert chosen.id == "a"
 
     def test_no_match_raises_coverage_error(self):
         with pytest.raises(CoverageError, match="corner"):
-            select_template(keyed(read_one("(corner team: b)")), [PASS_TEMPLATE], UsageHistory(), 0.0)
+            select_template(
+                keyed(read_one("(corner team: b)")), [PASS_TEMPLATE], UsageHistory(), 0.0, lambda_use_penalty=5.0
+            )
 
     def test_never_returns_non_matching_template(self):
         corner = Template("corner", (keyed(read_one("(corner team: ?t)")),), parse_seeml("<su><seg>corner</seg></su>"))
-        chosen, _ = select_template(PASS_TERM, [corner, PASS_TEMPLATE], UsageHistory(), 0.0)
+        chosen, _ = select_template(PASS_TERM, [corner, PASS_TEMPLATE], UsageHistory(), 0.0, lambda_use_penalty=5.0)
         assert chosen is PASS_TEMPLATE
 
     def test_static_preconditions_participate(self):
@@ -85,9 +87,14 @@ class TestSelectTemplate:
             parse_seeml("<su><seg>?x to ?y great stuff from ?t</seg></su>"),
         )
         with pytest.raises(CoverageError):
-            select_template(PASS_TERM, [biased], UsageHistory(), 0.0)
+            select_template(PASS_TERM, [biased], UsageHistory(), 0.0, lambda_use_penalty=5.0)
         chosen, binding = select_template(
-            PASS_TERM, [biased], UsageHistory(), 0.0, statics=[keyed(read_one("(supports team: a)"))]
+            PASS_TERM,
+            [biased],
+            UsageHistory(),
+            0.0,
+            statics=[keyed(read_one("(supports team: a)"))],
+            lambda_use_penalty=5.0,
         )
         assert binding[Symbol("?t")] == Symbol("a")
 
