@@ -9,6 +9,12 @@ and rules it read; fired over the same identities and the same statics and
 rules objects, a marked pool comes back as it is (Rete's skip; Forgy, AI 1982).
 That is sound: a firing reads only those (a board term is fixed per identity)
 and the pool's views, and `now` only stamps additions.
+
+What the load guarantees is not checked again here. The profile loader binds
+every cause, target and deletion variable in the rule's preconditions, and
+every candidate is ground, so each full binding makes a ground structure. The
+clock only advances (`facts.apply_tick`), so `now` never precedes a structure's
+`created_at`.
 """
 
 from __future__ import annotations
@@ -21,16 +27,12 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ByrneError
 from .facts import FactBoard
-from .patterns import Binding, Candidates, Form, Keyed, equal, is_ground, keyed, match_all, substitute, unify
+from .patterns import Binding, Candidates, Form, Keyed, equal, keyed, match_all, substitute, unify
 from .sexpr import Sexpr, Symbol, kw, to_text
 
 EMOTION_TYPES = ("fear", "anger", "sadness", "happiness", "disgust", "surprise", "interest")
 
 NIL = Symbol("nil")
-
-
-class ClockError(ByrneError):
-    pass
 
 
 class RuleError(ByrneError):
@@ -56,10 +58,8 @@ class DecayFunction:
             v = math.exp(-self.rate * (t - 1.0))
         elif self.kind == "linear":
             v = 1.0 - self.rate * (t - 1.0)
-        elif self.kind == "constant":
+        else:  # constant
             v = 1.0
-        else:
-            raise RuleError(f"unknown decay form '{self.kind}'")
         return min(1.0, max(0.0, v))
 
     @classmethod
@@ -101,9 +101,7 @@ class EmotionStructure:
 
 
 def intensity_at(e: EmotionStructure, now: float) -> float:
-    if now < e.created_at:
-        raise ClockError(f"clock {now:g} precedes creation at {e.created_at:g}")
-    return e.base_intensity * e.decay.value(max(1.0, now - e.created_at))
+    return e.base_intensity * e.decay.value(now - e.created_at)
 
 
 @dataclass(frozen=True)
@@ -145,8 +143,6 @@ def rule_universe(
 def _instantiate(schema: EmotionSchema, binding: Binding, now: float) -> EmotionStructure:
     target = substitute(schema.target, binding)
     cause = substitute(schema.cause, binding)
-    if not is_ground(cause) or not is_ground(target):
-        raise RuleError(f"emotion cause/target not ground after binding: {to_text(cause)}")
     return EmotionStructure(schema.type, schema.intensity, target, cause, schema.decay, float(now))
 
 

@@ -17,7 +17,6 @@ from .sexpr import SexprError, Sexpr, Symbol, is_keyword, keyword_name, read_one
 
 class LogError(ByrneError):
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
 
 

@@ -20,14 +20,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from .errors import ByrneError
 from .sexpr import Sexpr, Symbol, is_keyword, keyword_name, to_text
 
 Binding = dict[Symbol, Sexpr]
-
-
-class PatternError(ByrneError):
-    pass
 
 
 def is_variable(x: Sexpr) -> bool:
@@ -169,9 +164,9 @@ def equal(a: Sexpr, b: Sexpr) -> bool:
 
 
 def substitute(x: Sexpr, binding: Binding) -> Sexpr:
+    """`x` with each variable replaced by its bound term; `binding` binds them all,
+    as a full `match_all` binding does every variable the loader lets a rule use."""
     if is_variable(x):
-        if x not in binding:
-            raise PatternError(f"unbound variable {x}")
         return binding[x]
     if isinstance(x, tuple):
         return tuple(substitute(c, binding) for c in x)

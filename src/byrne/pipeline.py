@@ -37,7 +37,7 @@ from .profile import CharacterProfile, check_against_style, load_profile
 from .seeml import OutputBundle, apply_directives, format_face_timeline, merge_tags, verify_and_split
 from .sexpr import atom
 from .style import StyleFile, load_style
-from .textgen import CoverageError, UsageHistory, instantiate, record_usage, select_template
+from .textgen import UsageHistory, instantiate, record_usage, select_template
 
 logger = logging.getLogger("byrne")
 
@@ -96,19 +96,19 @@ def _begin_utterance(
         if identity is None:
             return replace(state, uncovered=uncovered), []
         form = board.entries[identity].form
-        try:
-            template, binding = select_template(
-                form,
-                profile.templates_for(form.head),
-                state.history,
-                now,
-                statics=profile.statics,
-                lambda_use_penalty=profile.lambda_use_penalty,
-            )
-        except CoverageError:
+        chosen = select_template(
+            form,
+            profile.templates_for(form.head),
+            state.history,
+            now,
+            statics=profile.statics,
+            lambda_use_penalty=profile.lambda_use_penalty,
+        )
+        if chosen is None:
             logger.warning("skipping fact with no template: %s", identity)
             uncovered = uncovered | {identity}
             continue
+        template, binding = chosen
         doc = instantiate(template, binding, profile.names)
         winners = arbitrate(activate_behaviors(profile.bound_behaviors, state.pool, now))
         doc = merge_tags(apply_directives(doc, expand(winners, profile.behaviors)))

@@ -253,9 +253,11 @@ def load_profile(text: str) -> CharacterProfile:
                         not isinstance(entry, tuple)
                         or len(entry) != 2
                         or not isinstance(entry[0], Symbol)
-                        or not isinstance(entry[1], str)
+                        or type(entry[1]) is not str  # a Symbol is a str too: the name must be quoted
                     ):
                         raise SexprError(f"expected (<id> \"<display>\"), got {to_text(entry)}")
+                    if not entry[1].strip():
+                        raise SexprError(f"display name for '{entry[0]}' is blank")
                     _add_once(names, str(entry[0]), str(entry[1]), "name")
             elif head == "params":
                 lam = _split_form(form[1:], ("lambda",), ())[0].get("lambda")

@@ -399,10 +399,8 @@ def apply_directives(doc: SeemlDocument, directives: Sequence[Directive]) -> See
             nodes = [mark, *nodes] if d.scope.position == "start" else [*nodes, mark]
         elif kind == "every-phrase":
             nodes = _wrap_phrases(nodes, mark)
-        elif kind == "word":
+        else:  # word
             nodes = _wrap_words(nodes, mark, d.scope.word.lower(), _word_regex(d.scope.word))
-        else:
-            raise SeemlError(f"unknown directive scope '{kind}'")
     return document(nodes)
 
 

@@ -6,7 +6,8 @@ Atoms are symbols, integers, floats, or double-quoted strings; ``#`` starts a
 comment that runs to end of line. An atom is a number only when it is a decimal
 literal (`_NUMBER`): ``nan``, ``inf`` and ``1_000`` are symbols, and a literal
 too large for a float fails the read. Every reader of a number calls `atom`.
-Variables have one grammar too, `VARIABLE`: any other ``?name`` fails the read.
+Variables have one grammar too, `VARIABLE`: the reader (`read_top_level`) fails
+any other ``?name``, naming its line; `atom` reads such a token as a symbol.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ Sexpr = Union[Symbol, str, int, float, tuple]
 
 class SexprError(ByrneError):
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
@@ -85,11 +85,9 @@ def _tokenize(text: str):
 
 
 def atom(token: str, line: int | None = None) -> Union[Symbol, int, float]:
+    """A decimal literal as an int or a float, any other token as a Symbol."""
     m = _NUMBER.fullmatch(token)
     if m is None:
-        # a variable no template substitutes would bind and then be spoken as written
-        if token.startswith("?") and len(token) > 1 and not VARIABLE.fullmatch(token):
-            raise SexprError(f"{token} is not a variable: ?, a letter, then [A-Za-z0-9_-]*", line)
         return Symbol(token)
     # every number must fit a float: the loaders read times, scores and levels as one
     value = float(token)
@@ -116,6 +114,9 @@ def read_top_level(text: str) -> list[tuple[Sexpr, int]]:
                 out.append((form, open_line))
         else:
             item = value if kind == "string" else atom(value, line)
+            # a variable no template substitutes would bind and then be spoken as written
+            if kind == "atom" and value.startswith("?") and len(value) > 1 and not VARIABLE.fullmatch(value):
+                raise SexprError(f"{value} is not a variable: ?, a letter, then [A-Za-z0-9_-]*", line)
             if stack:
                 stack[-1][0].append(item)
             else:

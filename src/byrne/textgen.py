@@ -19,12 +19,6 @@ from .seeml import SeemlDocument, substitute
 from .sexpr import VARIABLE, Sexpr, Symbol, to_text
 
 
-class CoverageError(ByrneError):
-    def __init__(self, predicate: str):
-        self.predicate = predicate
-        super().__init__(f"no template matches fact predicate '{predicate}'")
-
-
 class InstantiationError(ByrneError):
     pass
 
@@ -58,9 +52,9 @@ def select_template(
     *,
     statics: Iterable[Keyed] = (),
     lambda_use_penalty: float,
-) -> tuple[Template, Binding]:
+) -> Optional[tuple[Template, Binding]]:
     """Best-scoring template whose preconditions match the keyed fact (plus
-    the keyed statics).
+    the keyed statics), with its first binding; None when no template matches.
 
     Score is seconds-since-last-use minus a per-use penalty; a never-used
     template scores infinitely fresh. Ties break on template id.
@@ -77,9 +71,7 @@ def select_template(
         key = (-score, template.id)
         if best is None or key < best[0]:
             best = (key, template, bindings[0])
-    if best is None:
-        raise CoverageError(str(fact.head))
-    return best[1], best[2]
+    return None if best is None else (best[1], best[2])
 
 
 def index_templates(

@@ -67,8 +67,11 @@ def test_rule_feeding_on_its_own_views_exits_1_at_load(tmp_path, capsys, monkeyp
         (lambda text: re.sub(r"\?p\b", "?1p", text), "line 28: ?1p is not a variable"),
         (lambda text: text.replace('(b1 "Viktor")', '(b1 "Viktor") (a1 "Alan")'), "line 7: duplicate name 'a1'"),
         (lambda text: text + "(params lambda: 2)\n", "line 132: duplicate param 'lambda'"),
+        (lambda text: text.replace('(b1 "Viktor")', "(b1 Viktor)"), 'line 7: expected (<id> "<display>"), got (b1 Viktor)'),
+        # a blank name is spoken as nothing, and under facial markup leaves no word to time it
+        (lambda text: text.replace('(b1 "Viktor")', '(b1 " ")'), "line 7: display name for 'b1' is blank"),
     ],
-    ids=["variable-outside-the-grammar", "repeated-name", "second-lambda"],
+    ids=["variable-outside-the-grammar", "repeated-name", "second-lambda", "unquoted-name", "blank-name"],
 )
 def test_demo_profile_entry_the_replay_would_misread_exits_1_naming_its_line(tmp_path, capsys, edit, message):
     profile = tmp_path / "edited.profile"
@@ -82,7 +85,7 @@ def test_demo_profile_entry_the_replay_would_misread_exits_1_naming_its_line(tmp
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("tick", ["abc", "1_0", "١", " 2", "nan", "0"])
+@pytest.mark.parametrize("tick", ["abc", "1_0", "١", " 2", "nan", "0", "?1p"])
 def test_tick_seconds_not_a_positive_decimal_literal_exits_1(tmp_path, capsys, tick):
     # the flag is read as the log reads numbers
     assert main([*_demo_args(tmp_path / "o"), "--tick-seconds", tick]) == 1

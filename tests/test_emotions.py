@@ -8,7 +8,6 @@ from conftest import board_of, fact_of
 from hypothesis import given
 
 from byrne.emotions import (
-    ClockError,
     DecayFunction,
     EmotionPool,
     EmotionRule,
@@ -47,10 +46,6 @@ class TestIntensity:
         e = EmotionStructure("interest", 4.0, NIL, read_one("(x y: 1)"), DecayFunction("constant"), 3.0)
         for now in (3.0, 4.5, 100.0, 1e6):
             assert intensity_at(e, now) == 4.0
-
-    def test_clock_error(self):
-        with pytest.raises(ClockError):
-            intensity_at(sadness10(created=5.0), 4.0)
 
     def test_decay_forms_start_at_base(self):
         for decay in (

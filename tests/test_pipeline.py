@@ -16,6 +16,7 @@ from hypothesis import given, settings
 
 from byrne.errors import ByrneError
 from byrne.facts import TickUpdate, parse_game_log
+from byrne.patterns import is_ground
 from byrne.pipeline import (
     INTERRUPTED,
     UTTERANCE_END,
@@ -709,6 +710,29 @@ def test_generated_replay_outputs_hold_their_invariants(earlier, replay):
             onsets = [int(row[0]) for row in rows]
             assert onsets == sorted(onsets)
             assert all(0.0 <= float(row[3]) <= 1.0 for row in rows)
+
+
+# Binds ?c from the pool's views, and adds and deletes by it.
+_VIEW_RULE = (
+    "(emotion-rule (pre (cause: ?c))"
+    " (add (type: interest intensity: 3 target: ?c cause: ?c decay: 1/t))"
+    " (del (type: fear cause: ?c)))"
+)
+
+
+@given(_generated_replays())
+@settings(max_examples=40, deadline=None)
+def test_stepped_pool_holds_what_the_load_guarantees(replay):
+    # The replay does not check these: the loader binds every variable a rule adds or
+    # deletes by in its preconditions, and apply_tick only lets the clock advance.
+    profile = load_profile(replay[0] + "\n" + _VIEW_RULE)
+    style = load_style(MINIMAL_STYLE)
+    state = initial_state()
+    for update in driver_ticks(parse_game_log(replay[1]), 1.0):
+        state, _ = step(state, update, profile, style)
+        for s in state.pool.structures:
+            assert is_ground(s.cause) and is_ground(s.target)
+            assert s.created_at <= state.board.clock
 
 
 class TestInterruptionCutsInReplay:

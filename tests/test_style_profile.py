@@ -45,14 +45,15 @@ class TestLoadStyle:
 
     def test_words_per_minute_must_be_positive(self):
         # a rate below one word a minute could time a timeline past the largest float
-        for bad in ("0", "-10", "fast", "nan", "inf", "1_80", "١٨٠", "0.5", "1e-320"):
+        # a style has no variables: ?1p is a bad number, named by its key
+        for bad in ("0", "-10", "fast", "nan", "inf", "1_80", "١٨٠", "0.5", "1e-320", "?1p"):
             broken = MINIMAL_STYLE.replace("words_per_minute = 180", f"words_per_minute = {bad}")
-            with pytest.raises(StyleError, match=f"words_per_minute must be a number .*, got {bad}$"):
+            with pytest.raises(StyleError, match=f"words_per_minute must be a number .*, got {re.escape(bad)}$"):
                 load_style(broken)
 
     def test_break_ms_must_be_a_number_of_at_most_a_minute(self):
-        for bad in ("-1", "fast", "nan", "inf", "1_80", "١٨٠", "60001", "60000.5"):
-            with pytest.raises(StyleError, match=rf"break_ms must be a number in \[0,60000\], got {bad}$"):
+        for bad in ("-1", "fast", "nan", "inf", "1_80", "١٨٠", "60001", "60000.5", "?1p"):
+            with pytest.raises(StyleError, match=rf"break_ms must be a number in \[0,60000\], got {re.escape(bad)}$"):
                 load_style(MINIMAL_STYLE + f"break_ms = {bad}\n")
         assert load_style(MINIMAL_STYLE + "break_ms = 6e4\n").break_ms == 60000
 
@@ -72,6 +73,7 @@ class TestLoadStyle:
             ("six", "expected AU<k>:<w> terms, got 'six'"),
             ("AU12:1.2.3", "weight 1.2.3 not a number in"),
             ("AU12:nan", "weight nan not a number in"),
+            ("AU1:?1p", "weight ?1p not a number in"),
             ("AU١٢:0.9", "expected AU<k>:<w> terms, got 'AU١٢:0.9'"),
         ):
             broken = MINIMAL_STYLE.replace("smile = AU6:0.6 AU12:0.9", f"smile = {bad}")
@@ -291,6 +293,22 @@ class TestProfileValidation:
         with pytest.raises(ProfileError) as err:
             load_profile(text)
         assert err.value.diagnostics == [f"line {line}: duplicate name 'a1'"]
+
+    @pytest.mark.parametrize(
+        "text, diagnostic",
+        [
+            ("(names (a1 Alan))", "line 1: expected (<id> \"<display>\"), got (a1 Alan)"),
+            ('(names (a1 "Alan"))\n(names (a2 ?x))', "line 2: expected (<id> \"<display>\"), got (a2 ?x)"),
+            ('(names (a1 "Alan")\n  (b1 " "))', "line 1: display name for 'b1' is blank"),
+            ('(names (b1 ""))', "line 1: display name for 'b1' is blank"),
+        ],
+        ids=["unquoted", "variable", "blank", "empty"],
+    )
+    def test_display_name_not_quoted_or_blank_named_with_its_line(self, text, diagnostic):
+        # an unquoted name could be a variable; a blank one is spoken as nothing
+        with pytest.raises(ProfileError) as err:
+            load_profile(text)
+        assert err.value.diagnostics == [diagnostic]
 
     def test_second_lambda_named_with_its_line(self):
         with pytest.raises(ProfileError) as err:

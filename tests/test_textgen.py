@@ -18,7 +18,6 @@ from byrne.seeml import SeemlError, parse_seeml, serialize_seeml, strip_text
 from byrne.sexpr import Symbol, read_one
 from byrne.style import load_style
 from byrne.textgen import (
-    CoverageError,
     InstantiationError,
     Template,
     UsageHistory,
@@ -69,11 +68,13 @@ class TestSelectTemplate:
             chosen, _ = select_template(PASS_TERM, [a, b], history, 60.0, lambda_use_penalty=5.0)
             assert chosen.id == "a"
 
-    def test_no_match_raises_coverage_error(self):
-        with pytest.raises(CoverageError, match="corner"):
+    def test_no_match_returns_none(self):
+        assert (
             select_template(
                 keyed(read_one("(corner team: b)")), [PASS_TEMPLATE], UsageHistory(), 0.0, lambda_use_penalty=5.0
             )
+            is None
+        )
 
     def test_never_returns_non_matching_template(self):
         corner = Template("corner", (keyed(read_one("(corner team: ?t)")),), parse_seeml("<su><seg>corner</seg></su>"))
@@ -86,8 +87,7 @@ class TestSelectTemplate:
             (keyed(read_one("(pass from: ?x to: ?y)")), keyed(read_one("(supports team: ?t)"))),
             parse_seeml("<su><seg>?x to ?y great stuff from ?t</seg></su>"),
         )
-        with pytest.raises(CoverageError):
-            select_template(PASS_TERM, [biased], UsageHistory(), 0.0, lambda_use_penalty=5.0)
+        assert select_template(PASS_TERM, [biased], UsageHistory(), 0.0, lambda_use_penalty=5.0) is None
         chosen, binding = select_template(
             PASS_TERM,
             [biased],
@@ -338,18 +338,18 @@ class TestTemplateChoiceInReplay:
             state, events = step(state, TickUpdate(now, (*gone, fact)), profile, style)
             previous = fact
             starts = [e for e in events if e.kind == UTTERANCE_START]
-            try:
-                template, binding = select_template(
-                    keyed(fact.term),
-                    profile.templates,
-                    history,
-                    now,
-                    statics=profile.statics,
-                    lambda_use_penalty=profile.lambda_use_penalty,
-                )
-            except CoverageError:
+            chosen = select_template(
+                keyed(fact.term),
+                profile.templates,
+                history,
+                now,
+                statics=profile.statics,
+                lambda_use_penalty=profile.lambda_use_penalty,
+            )
+            if chosen is None:
                 assert starts == []
                 continue
+            template, binding = chosen
             history = record_usage(history, template.id, now)
             (start,) = starts
             spoken = strip_text(parse_seeml(start.bundle.speech_script))
