@@ -17,7 +17,7 @@ import heapq
 import logging
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import count, groupby, takewhile
 from pathlib import Path
 from typing import Iterator, Optional
@@ -80,6 +80,9 @@ class PipelineState:
     # Board identities no template covers. Coverage depends only on the fact's
     # term and the statics, so a fact found uncovered is never tried again.
     uncovered: frozenset[str] = frozenset()
+    # (instantiated document, directives) -> (style, bundle), for one replay:
+    # rendering is a pure function of those two and the style.
+    renders: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def initial_state() -> PipelineState:
@@ -111,8 +114,11 @@ def _begin_utterance(
         template, binding = chosen
         doc = instantiate(template, binding, profile.names)
         winners = arbitrate(activate_behaviors(profile.bound_behaviors, state.pool, now))
-        doc = merge_tags(apply_directives(doc, expand(winners, profile.behaviors)))
-        bundle = verify_and_split(doc, style)
+        directives = tuple(expand(winners, profile.behaviors))
+        rendered_style, bundle = state.renders.get((doc, directives), (None, None))
+        if rendered_style is not style:
+            bundle = verify_and_split(merge_tags(apply_directives(doc, directives)), style)
+            state.renders[doc, directives] = (style, bundle)
         count = state.utterance_count + 1
         utterance = InProgress(
             identity, count, start_at, bundle.total_duration_ms, bundle.seg_boundaries_ms

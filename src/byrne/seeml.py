@@ -234,11 +234,6 @@ def parse_seeml(text: str) -> SeemlDocument:
     return document(top)
 
 
-def serialize_seeml(doc: SeemlDocument) -> str:
-    """Canonical text: attributes sorted and double-quoted, childless tags self-closed."""
-    return "".join(_serialize_node(n) for n in doc.children)
-
-
 def _serialize_node(node: Node) -> str:
     if isinstance(node, Text):
         return _escape_text(node.text)

@@ -6,6 +6,9 @@ closes, a second projects the spoken side as a tree, and the tree is then
 serialized. It differs from `seeml.verify_and_split` only in which error it
 reports first: for a document with an unknown aural name, facial markup and no
 words, it reports the missing words.
+
+It also holds `serialize_seeml`, a document's canonical text, which byrne
+itself writes only inside `verify_and_split`.
 """
 
 from __future__ import annotations
@@ -20,15 +23,20 @@ from byrne.seeml import (
     Text,
     TimedWord,
     VerifyError,
+    _serialize_node,
     _timeline_key,
     _unit,
     _with_children,
     document,
     element,
     lip_sync,
-    serialize_seeml,
 )
 from byrne.style import StyleFile
+
+
+def serialize_seeml(doc: SeemlDocument) -> str:
+    """Canonical text: attributes sorted and double-quoted, childless tags self-closed."""
+    return "".join(_serialize_node(n) for n in doc.children)
 
 
 def verify_and_split(doc: SeemlDocument, style: StyleFile) -> OutputBundle:

@@ -14,6 +14,7 @@ import pytest
 from conftest import DEMO, GOLDEN, MINIMAL_STYLE, fact_of
 from hypothesis import given, settings
 
+from byrne import pipeline, textgen
 from byrne.errors import ByrneError
 from byrne.facts import TickUpdate, parse_game_log
 from byrne.patterns import is_ground
@@ -27,6 +28,7 @@ from byrne.pipeline import (
     step,
 )
 from byrne.profile import load_profile
+from byrne.seeml import Text, apply_directives, merge_tags, verify_and_split
 from byrne.sexpr import to_text
 from byrne.style import StyleError, load_style
 from corpus import random_profile_forms
@@ -752,3 +754,132 @@ class TestInterruptionCutsInReplay:
                     assert any(abs(offset - b) < 1e-6 for b in boundaries)
                     cuts += 1
         assert cuts >= 2
+
+
+# --- one render per distinct input ----------------------------------------------
+
+
+def _record_inputs(mp: pytest.MonkeyPatch) -> list:
+    """Patch `pipeline` so that the returned list gets each started utterance's
+    (instantiated document, expanded directives) key, in order."""
+    inputs: list = []
+    instantiate, expand = pipeline.instantiate, pipeline.expand
+
+    def instantiated(*args):
+        inputs.append(instantiate(*args))
+        return inputs[-1]
+
+    def expanded(*args):
+        directives = expand(*args)
+        inputs[-1] = (inputs[-1], tuple(directives))
+        return directives
+
+    mp.setattr(pipeline, "instantiate", instantiated)
+    mp.setattr(pipeline, "expand", expanded)
+    return inputs
+
+
+def _record_renders(mp: pytest.MonkeyPatch) -> list:
+    """Patch `pipeline` so that the returned list gets the arguments of each
+    `verify_and_split` call, that is of each render."""
+    renders: list = []
+    render = pipeline.verify_and_split
+
+    def counted(*args):
+        renders.append(args)
+        return render(*args)
+
+    mp.setattr(pipeline, "verify_and_split", counted)
+    return renders
+
+
+def _demo_updates() -> tuple[TickUpdate, ...]:
+    return parse_game_log((DEMO / "game.log").read_text(encoding="utf-8"))
+
+
+def _started(mp, updates, profile, *styles) -> list:
+    """(key, style, bundle) of each utterance one state chain starts, tick k
+    stepped under `styles[k % len(styles)]`; each bundle is checked against a
+    fresh render of its key."""
+    inputs = _record_inputs(mp)
+    started, state = [], initial_state()
+    for k, update in enumerate(driver_ticks(updates, 1.0)):
+        style = styles[k % len(styles)]
+        state, events = step(state, update, profile, style)
+        for ev in events:
+            if ev.kind == UTTERANCE_START:
+                doc, directives = key = inputs[ev.utterance - 1]
+                assert ev.bundle == verify_and_split(merge_tags(apply_directives(doc, directives)), style)
+                started.append((key, style, ev.bundle))
+    return started
+
+
+def _leaves(nodes):
+    """Every text and attribute value in and below `nodes`."""
+    for node in nodes:
+        if isinstance(node, Text):
+            yield node.text
+        else:
+            yield from (value for _, value in node.attrs)
+            yield from _leaves(node.children)
+
+
+def test_instantiated_demo_documents_hold_only_plain_str(demo_profile, demo_style, monkeypatch):
+    # A key compares leaves with ==, and Symbol("a") == "a": the key is sound
+    # while every leaf is the plain text it renders.
+    rendered: list = []
+    render_term = textgen.render_term
+
+    def recorded(*args):
+        rendered.append(render_term(*args))
+        return rendered[-1]
+
+    monkeypatch.setattr(textgen, "render_term", recorded)
+    started = _started(monkeypatch, _demo_updates(), demo_profile, demo_style)
+    assert len(started) == 48
+    for (doc, _), _, _ in started:
+        leaves = list(_leaves(doc.children))
+        assert leaves and all(type(leaf) is str for leaf in leaves)
+    assert rendered and all(type(text) is str for text in rendered)
+
+
+def test_each_distinct_demo_input_renders_once_per_replay(tmp_path, monkeypatch):
+    inputs = _record_inputs(monkeypatch)
+    renders = _record_renders(monkeypatch)
+    names = sorted(p.name for p in GOLDEN.iterdir())
+    for run in ("first", "second"):  # the second replay renders as many again
+        inputs.clear()
+        renders.clear()
+        out = tmp_path / run
+        assert run_replay(DEMO / "game.log", DEMO / "announcer.profile", DEMO / "announcer.style", out) == 0
+        assert len(renders) == len(set(inputs)) < len(inputs) == 48
+        assert sorted(p.name for p in out.iterdir()) == names
+        _, mismatch, errors = filecmp.cmpfiles(GOLDEN, out, names, shallow=False)
+        assert mismatch == [] and errors == []
+
+
+def test_a_fresh_state_renders_anew_under_the_same_style(demo_profile, demo_style):
+    for _ in range(2):  # a memo that outlived its state would render less the second time
+        with pytest.MonkeyPatch.context() as mp:
+            renders = _record_renders(mp)
+            started = _started(mp, _demo_updates(), demo_profile, demo_style)
+            assert len(renders) == len({key for key, _, _ in started}) < len(started)
+
+
+@given(_generated_replays())
+@settings(max_examples=40, deadline=None)
+def test_every_generated_bundle_equals_a_fresh_render(replay):
+    profile = load_profile(replay[0])
+    with pytest.MonkeyPatch.context() as mp:
+        _started(mp, parse_game_log(replay[1]), profile, load_style(MINIMAL_STYLE))
+
+
+def test_a_second_style_on_one_chain_gets_its_own_timings(demo_profile, demo_style, monkeypatch):
+    text = (DEMO / "announcer.style").read_text(encoding="utf-8")
+    slow = load_style(re.sub(r"(?m)^words_per_minute = .*$", "words_per_minute = 90", text))
+    started = _started(monkeypatch, _demo_updates(), demo_profile, demo_style, slow)
+    durations: dict = {}
+    for key, style, bundle in started:
+        durations.setdefault(key, {})[style.words_per_minute] = bundle.total_duration_ms
+    both = [d for d in durations.values() if len(d) == 2]
+    assert both and all(d[90] == pytest.approx(2 * d[demo_style.words_per_minute]) for d in both)

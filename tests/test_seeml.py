@@ -30,12 +30,12 @@ from byrne.seeml import (
     merge_tags,
     nesting,
     parse_seeml,
-    serialize_seeml,
     strip_text,
     verify_and_split,
     word_trigger,
 )
 from corpus import markup, random_document
+from oracle_seeml import serialize_seeml
 
 # --- parse / serialize --------------------------------------------------------
 

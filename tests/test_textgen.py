@@ -14,7 +14,7 @@ from byrne.facts import TickUpdate
 from byrne.patterns import keyed
 from byrne.pipeline import UTTERANCE_START, initial_state, step
 from byrne.profile import load_profile
-from byrne.seeml import SeemlError, parse_seeml, serialize_seeml, strip_text
+from byrne.seeml import SeemlError, parse_seeml, strip_text
 from byrne.sexpr import Symbol, read_one
 from byrne.style import load_style
 from byrne.textgen import (
@@ -25,6 +25,7 @@ from byrne.textgen import (
     record_usage,
     select_template,
 )
+from oracle_seeml import serialize_seeml
 
 PASS_TEMPLATE = Template(
     "pass-basic",
