@@ -17,7 +17,7 @@ import heapq
 import logging
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import count, groupby, takewhile
 from pathlib import Path
 from typing import Iterator, Optional
@@ -37,7 +37,7 @@ from .profile import CharacterProfile, check_against_style, load_profile
 from .seeml import OutputBundle, apply_directives, format_face_timeline, merge_tags, verify_and_split
 from .sexpr import atom
 from .style import StyleFile, load_style
-from .textgen import UsageHistory, instantiate, record_usage, select_template
+from .textgen import UsageHistory, fill, instantiate, match_templates, record_usage, select_template
 
 logger = logging.getLogger("byrne")
 
@@ -71,18 +71,33 @@ class InProgress:
 
 
 @dataclass(frozen=True)
+class Memos:
+    """Per-fact and per-render work that one replay does once and reads on
+    every repeat. Each entry keeps the profile, or the style and template, it
+    was worked out under, and is read only while those are the current objects."""
+
+    # board identity -> (profile, the covering (template, binding) pairs in
+    # profile order): matching depends only on the fact's term and the profile.
+    covering: dict = field(default_factory=dict)
+    # (template id, its variables' texts, directives) -> (style, template,
+    # bundle): the instantiated body is a pure function of the template and
+    # those plain strings, and the bundle one of that body, the directives and
+    # the style.
+    renders: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class PipelineState:
     board: FactBoard
     pool: EmotionPool
     history: UsageHistory
     in_progress: Optional[InProgress]
     utterance_count: int = 0
-    # Board identities no template covers. Coverage depends only on the fact's
-    # term and the statics, so a fact found uncovered is never tried again.
+    # Board identities no template covers, the only record of them: a fact
+    # found uncovered is never tried again.
     uncovered: frozenset[str] = frozenset()
-    # (instantiated document, directives) -> (style, bundle), for one replay:
-    # rendering is a pure function of those two and the style.
-    renders: dict = field(default_factory=dict, compare=False, repr=False)
+    # Shared by every state of one chain; never copied.
+    memos: Memos = field(default_factory=Memos, compare=False, repr=False)
 
 
 def initial_state() -> PipelineState:
@@ -93,45 +108,44 @@ def _begin_utterance(
     state: PipelineState, profile: CharacterProfile, style: StyleFile, start_at: float
 ) -> tuple[PipelineState, list[CommentaryEvent]]:
     """Start an utterance on the most relevant covered fact, if there is one."""
-    board, now, uncovered = state.board, state.board.clock, state.uncovered
+    board, now, uncovered, memos = state.board, state.board.clock, state.uncovered, state.memos
     while True:
         identity = select_fact(board, uncovered)
         if identity is None:
-            return replace(state, uncovered=uncovered), []
-        form = board.entries[identity].form
+            if uncovered is not state.uncovered:
+                state = PipelineState(
+                    board, state.pool, state.history, None, state.utterance_count, uncovered, memos
+                )
+            return state, []
+        matched_under, covering = memos.covering.get(identity, (None, ()))
+        if matched_under is not profile:
+            form = board.entries[identity].form
+            covering = match_templates(form, profile.templates_for(form.head), profile.statics)
+            if covering:
+                memos.covering[identity] = (profile, covering)
         chosen = select_template(
-            form,
-            profile.templates_for(form.head),
-            state.history,
-            now,
-            statics=profile.statics,
-            lambda_use_penalty=profile.lambda_use_penalty,
+            covering, state.history, now, lambda_use_penalty=profile.lambda_use_penalty
         )
         if chosen is None:
             logger.warning("skipping fact with no template: %s", identity)
             uncovered = uncovered | {identity}
             continue
         template, binding = chosen
-        doc = instantiate(template, binding, profile.names)
         winners = arbitrate(activate_behaviors(profile.bound_behaviors, state.pool, now))
         directives = tuple(expand(winners, profile.behaviors))
-        rendered_style, bundle = state.renders.get((doc, directives), (None, None))
-        if rendered_style is not style:
+        key = (template.id, fill(template, binding, profile.names), directives)
+        rendered_style, rendered_template, bundle = memos.renders.get(key, (None, None, None))
+        if rendered_style is not style or rendered_template is not template:
+            doc = instantiate(template, binding, profile.names)
             bundle = verify_and_split(merge_tags(apply_directives(doc, directives)), style)
-            state.renders[doc, directives] = (style, bundle)
+            memos.renders[key] = (style, template, bundle)
         count = state.utterance_count + 1
         utterance = InProgress(
             identity, count, start_at, bundle.total_duration_ms, bundle.seg_boundaries_ms
         )
         event = CommentaryEvent(start_at, UTTERANCE_START, identity, count, bundle)
-        state = replace(
-            state,
-            history=record_usage(state.history, template.id, now),
-            in_progress=utterance,
-            utterance_count=count,
-            uncovered=uncovered,
-        )
-        return state, [event]
+        history = record_usage(state.history, template.id, now)
+        return PipelineState(board, state.pool, history, utterance, count, uncovered, memos), [event]
 
 
 def step(
@@ -166,7 +180,9 @@ def step(
             current = None
             start_at = cut_time
 
-    state = replace(state, board=board, pool=pool, in_progress=current)
+    state = PipelineState(
+        board, pool, state.history, current, state.utterance_count, state.uncovered, state.memos
+    )
     if current is None:
         state, started = _begin_utterance(state, profile, style, start_at)
         events.extend(started)

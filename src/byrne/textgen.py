@@ -9,13 +9,12 @@ phrasing from looping.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .errors import ByrneError
 from .patterns import Binding, Candidates, Form, Keyed, match_all
-from .seeml import SeemlDocument, substitute
+from .seeml import SeemlDocument, Text, substitute
 from .sexpr import VARIABLE, Sexpr, Symbol, to_text
 
 
@@ -28,6 +27,21 @@ class Template:
     id: str
     preconditions: tuple[Keyed, ...]
     body: SeemlDocument
+    # The body's variables in document order, found once when the template is built.
+    variables: tuple[Symbol, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        found: dict[Symbol, None] = {}
+        stack = list(reversed(self.body.children))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Text):
+                leaves = [node.text]
+            else:
+                leaves = [value for _, value in node.attrs]
+                stack.extend(reversed(node.children))
+            found.update((Symbol(var), None) for leaf in leaves for var in VARIABLE.findall(leaf))
+        object.__setattr__(self, "variables", tuple(found))
 
 
 @dataclass(frozen=True)
@@ -44,33 +58,41 @@ class UsageHistory:
         return self.records.get(template_id, UsageRecord())
 
 
+def match_templates(
+    fact: Form, templates: Iterable[Template], statics: Iterable[Keyed] = ()
+) -> tuple[tuple[Template, Binding], ...]:
+    """Each template whose preconditions match the keyed fact (plus the keyed
+    statics), with its first binding, in the order given. A pure function of
+    its arguments, so a replay matches each fact once."""
+    universe = Candidates([fact, *statics])  # indexed once for all templates
+    return tuple(
+        (template, bindings[0])
+        for template in templates
+        if (bindings := match_all(template.preconditions, universe))
+    )
+
+
 def select_template(
-    fact: Form,
-    templates: Iterable[Template],
+    covering: Iterable[tuple[Template, Binding]],
     history: UsageHistory,
     now: float,
     *,
-    statics: Iterable[Keyed] = (),
     lambda_use_penalty: float,
 ) -> Optional[tuple[Template, Binding]]:
-    """Best-scoring template whose preconditions match the keyed fact (plus
-    the keyed statics), with its first binding; None when no template matches.
+    """Best-scoring of the covering (template, binding) pairs that
+    `match_templates` returns; None when there are none.
 
     Score is seconds-since-last-use minus a per-use penalty; a never-used
     template scores infinitely fresh. Ties break on template id.
     """
-    universe = Candidates([fact, *statics])  # indexed once for all templates
     best: tuple[tuple, Template, Binding] | None = None
-    for template in templates:
-        bindings = match_all(template.preconditions, universe)
-        if not bindings:
-            continue
+    for template, binding in covering:
         rec = history.record(template.id)
         recency = float("inf") if rec.last_used_tick is None else now - rec.last_used_tick
         score = recency - lambda_use_penalty * rec.use_count
         key = (-score, template.id)
         if best is None or key < best[0]:
-            best = (key, template, bindings[0])
+            best = (key, template, binding)
     return None if best is None else (best[1], best[2])
 
 
@@ -79,7 +101,7 @@ def index_templates(
 ) -> tuple[dict[str, tuple[Template, ...]], tuple[Template, ...]]:
     """The templates that can match a fact of each predicate, in profile order.
 
-    `select_template` matches preconditions against the fact plus the statics,
+    `match_templates` matches preconditions against the fact plus the statics,
     so a keyword-shaped precondition whose head no static has can only match
     the fact, which is keyword-shaped with its predicate as head. A template
     with one such head is a candidate for that predicate alone, one with none
@@ -112,18 +134,25 @@ def render_term(term: Sexpr, names: Mapping[str, str] | None = None) -> str:
     return to_text(term)
 
 
+def fill(
+    template: Template, binding: Binding, names: Mapping[str, str] | None = None
+) -> tuple[str, ...]:
+    """The literal text each of `template.variables` stands for under `binding`.
+    The instantiated body is a pure function of the template and these texts."""
+    texts = []
+    for var in template.variables:
+        if var not in binding:
+            raise InstantiationError(f"template '{template.id}': unbound variable {var}")
+        texts.append(render_term(binding[var], names))
+    return tuple(texts)
+
+
 def instantiate(
     template: Template, binding: Binding, names: Mapping[str, str] | None = None
 ) -> SeemlDocument:
     """Substitute bound terms, as literal text, into the body's text and attribute values."""
-
-    def replace(m: re.Match[str]) -> str:
-        var = Symbol(m.group(0))
-        if var not in binding:
-            raise InstantiationError(f"template '{template.id}': unbound variable {var}")
-        return render_term(binding[var], names)
-
-    return substitute(template.body, lambda text: VARIABLE.sub(replace, text))
+    texts = dict(zip(template.variables, fill(template, binding, names)))
+    return substitute(template.body, lambda text: VARIABLE.sub(lambda m: texts[m.group(0)], text))
 
 
 def record_usage(history: UsageHistory, template_id: str, now: float) -> UsageHistory:

@@ -756,41 +756,53 @@ class TestInterruptionCutsInReplay:
         assert cuts >= 2
 
 
-# --- one render per distinct input ----------------------------------------------
+# --- one match per fact, one instantiation and render per distinct key ------------------
 
 
 def _record_inputs(mp: pytest.MonkeyPatch) -> list:
     """Patch `pipeline` so that the returned list gets each started utterance's
-    (instantiated document, expanded directives) key, in order."""
+    (template, binding, expanded directives, variable texts), in order."""
     inputs: list = []
-    instantiate, expand = pipeline.instantiate, pipeline.expand
+    select, expand, fill = pipeline.select_template, pipeline.expand, pipeline.fill
 
-    def instantiated(*args):
-        inputs.append(instantiate(*args))
-        return inputs[-1]
+    def selected(*args, **kwargs):
+        chosen = select(*args, **kwargs)
+        if chosen is not None:
+            inputs.append(chosen)
+        return chosen
 
     def expanded(*args):
-        directives = expand(*args)
-        inputs[-1] = (inputs[-1], tuple(directives))
+        directives = tuple(expand(*args))
+        inputs[-1] += (directives,)
         return directives
 
-    mp.setattr(pipeline, "instantiate", instantiated)
+    def filled(*args):
+        texts = fill(*args)
+        inputs[-1] += (texts,)
+        return texts
+
+    mp.setattr(pipeline, "select_template", selected)
     mp.setattr(pipeline, "expand", expanded)
+    mp.setattr(pipeline, "fill", filled)
     return inputs
 
 
-def _record_renders(mp: pytest.MonkeyPatch) -> list:
-    """Patch `pipeline` so that the returned list gets the arguments of each
-    `verify_and_split` call, that is of each render."""
-    renders: list = []
-    render = pipeline.verify_and_split
+def _key(template, _binding, directives, texts) -> tuple:
+    """The render memo's key for one recorded input."""
+    return template.id, texts, directives
+
+
+def _record_calls(mp: pytest.MonkeyPatch, name: str) -> list:
+    """Patch `pipeline.<name>` so that the returned list gets the arguments of each call."""
+    calls: list = []
+    original = getattr(pipeline, name)
 
     def counted(*args):
-        renders.append(args)
-        return render(*args)
+        calls.append(args)
+        return original(*args)
 
-    mp.setattr(pipeline, "verify_and_split", counted)
-    return renders
+    mp.setattr(pipeline, name, counted)
+    return calls
 
 
 def _demo_updates() -> tuple[TickUpdate, ...]:
@@ -798,9 +810,10 @@ def _demo_updates() -> tuple[TickUpdate, ...]:
 
 
 def _started(mp, updates, profile, *styles) -> list:
-    """(key, style, bundle) of each utterance one state chain starts, tick k
-    stepped under `styles[k % len(styles)]`; each bundle is checked against a
-    fresh render of its key."""
+    """(key, instantiated document, style, bundle) of each utterance one state
+    chain starts, tick k stepped under `styles[k % len(styles)]`; the document
+    is instantiated afresh, and each bundle is checked against a fresh render
+    of it."""
     inputs = _record_inputs(mp)
     started, state = [], initial_state()
     for k, update in enumerate(driver_ticks(updates, 1.0)):
@@ -808,9 +821,10 @@ def _started(mp, updates, profile, *styles) -> list:
         state, events = step(state, update, profile, style)
         for ev in events:
             if ev.kind == UTTERANCE_START:
-                doc, directives = key = inputs[ev.utterance - 1]
+                template, binding, directives, _ = entry = inputs[ev.utterance - 1]
+                doc = textgen.instantiate(template, binding, profile.names)
                 assert ev.bundle == verify_and_split(merge_tags(apply_directives(doc, directives)), style)
-                started.append((key, style, ev.bundle))
+                started.append((_key(*entry), doc, style, ev.bundle))
     return started
 
 
@@ -825,8 +839,8 @@ def _leaves(nodes):
 
 
 def test_instantiated_demo_documents_hold_only_plain_str(demo_profile, demo_style, monkeypatch):
-    # A key compares leaves with ==, and Symbol("a") == "a": the key is sound
-    # while every leaf is the plain text it renders.
+    # A key compares texts with ==, and Symbol("a") == "a": the key is sound
+    # while every text, and so every leaf, is the plain text it renders.
     rendered: list = []
     render_term = textgen.render_term
 
@@ -837,33 +851,47 @@ def test_instantiated_demo_documents_hold_only_plain_str(demo_profile, demo_styl
     monkeypatch.setattr(textgen, "render_term", recorded)
     started = _started(monkeypatch, _demo_updates(), demo_profile, demo_style)
     assert len(started) == 48
-    for (doc, _), _, _ in started:
+    for (_, texts, _), doc, _, _ in started:
         leaves = list(_leaves(doc.children))
         assert leaves and all(type(leaf) is str for leaf in leaves)
+        assert all(type(text) is str for text in texts)
     assert rendered and all(type(text) is str for text in rendered)
 
 
 def test_each_distinct_demo_input_renders_once_per_replay(tmp_path, monkeypatch):
     inputs = _record_inputs(monkeypatch)
-    renders = _record_renders(monkeypatch)
+    renders = _record_calls(monkeypatch, "verify_and_split")
     names = sorted(p.name for p in GOLDEN.iterdir())
     for run in ("first", "second"):  # the second replay renders as many again
         inputs.clear()
         renders.clear()
         out = tmp_path / run
         assert run_replay(DEMO / "game.log", DEMO / "announcer.profile", DEMO / "announcer.style", out) == 0
-        assert len(renders) == len(set(inputs)) < len(inputs) == 48
+        assert len(renders) == len({_key(*entry) for entry in inputs}) < len(inputs) == 48
         assert sorted(p.name for p in out.iterdir()) == names
         _, mismatch, errors = filecmp.cmpfiles(GOLDEN, out, names, shallow=False)
         assert mismatch == [] and errors == []
 
 
+def test_each_distinct_demo_key_is_instantiated_once(demo_profile, demo_style, monkeypatch):
+    instantiated = _record_calls(monkeypatch, "instantiate")
+    started = _started(monkeypatch, _demo_updates(), demo_profile, demo_style)
+    assert len(instantiated) == len({key for key, _, _, _ in started}) < len(started) == 48
+
+
+def test_each_demo_fact_is_matched_once_per_replay(demo_profile, demo_style, monkeypatch):
+    matched = _record_calls(monkeypatch, "match_templates")
+    started = _started(monkeypatch, _demo_updates(), demo_profile, demo_style)
+    facts = [to_text(form.term) for form, _, _ in matched]
+    assert len(facts) == len(set(facts)) < len(started) == 48
+
+
 def test_a_fresh_state_renders_anew_under_the_same_style(demo_profile, demo_style):
     for _ in range(2):  # a memo that outlived its state would render less the second time
         with pytest.MonkeyPatch.context() as mp:
-            renders = _record_renders(mp)
+            renders = _record_calls(mp, "verify_and_split")
             started = _started(mp, _demo_updates(), demo_profile, demo_style)
-            assert len(renders) == len({key for key, _, _ in started}) < len(started)
+            assert len(renders) == len({key for key, _, _, _ in started}) < len(started)
 
 
 @given(_generated_replays())
@@ -874,12 +902,38 @@ def test_every_generated_bundle_equals_a_fresh_render(replay):
         _started(mp, parse_game_log(replay[1]), profile, load_style(MINIMAL_STYLE))
 
 
+@given(_generated_replays())
+@settings(max_examples=40, deadline=None)
+def test_equal_generated_keys_give_equal_documents(replay):
+    # the key's soundness: the document is a function of the template and its plain-str texts
+    profile = load_profile(replay[0])
+    documents: dict = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for key, doc, _, _ in _started(mp, parse_game_log(replay[1]), profile, load_style(MINIMAL_STYLE)):
+            assert all(type(text) is str for text in key[1])
+            assert documents.setdefault(key[:2], doc) == doc
+
+
 def test_a_second_style_on_one_chain_gets_its_own_timings(demo_profile, demo_style, monkeypatch):
     text = (DEMO / "announcer.style").read_text(encoding="utf-8")
     slow = load_style(re.sub(r"(?m)^words_per_minute = .*$", "words_per_minute = 90", text))
     started = _started(monkeypatch, _demo_updates(), demo_profile, demo_style, slow)
     durations: dict = {}
-    for key, style, bundle in started:
+    for key, _, style, bundle in started:
         durations.setdefault(key, {})[style.words_per_minute] = bundle.total_duration_ms
     both = [d for d in durations.values() if len(d) == 2]
     assert both and all(d[90] == pytest.approx(2 * d[demo_style.words_per_minute]) for d in both)
+
+
+def test_a_second_profile_on_one_chain_speaks_its_own_body(minimal_style):
+    # same template id, same fact, same texts: only the template object tells them apart
+    first = load_profile(TINY_PROFILE)
+    second = load_profile(TINY_PROFILE.replace("?p moves", "?p runs on"))
+    state, spoken = initial_state(), []
+    for now, profile in ((1.0, first), (30.0, second), (60.0, first), (90.0, second)):
+        update = TickUpdate(now, (fact_of("(move player: a1)", 3),))
+        state, events = step(state, update, profile, minimal_style)
+        (start,) = [e for e in events if e.kind == UTTERANCE_START]
+        spoken.append(start.bundle.speech_script)
+    assert ["runs on" in script for script in spoken] == [False, True, False, True]
+    assert ["a1 moves" in script for script in spoken] == [True, False, True, False]

@@ -21,7 +21,9 @@ from byrne.textgen import (
     InstantiationError,
     Template,
     UsageHistory,
+    fill,
     instantiate,
+    match_templates,
     record_usage,
     select_template,
 )
@@ -37,7 +39,8 @@ PASS_TERM = keyed(read_one("(pass from: a1 to: a2 fromloc: (30 10) toloc: (20 10
 
 class TestSelectTemplate:
     def test_singleton_match(self):
-        chosen, binding = select_template(PASS_TERM, [PASS_TEMPLATE], UsageHistory(), 5.0, lambda_use_penalty=5.0)
+        covering = match_templates(PASS_TERM, [PASS_TEMPLATE])
+        chosen, binding = select_template(covering, UsageHistory(), 5.0, lambda_use_penalty=5.0)
         assert chosen is PASS_TEMPLATE
         assert binding == {Symbol("?x"): Symbol("a1"), Symbol("?y"): Symbol("a2")}
 
@@ -45,7 +48,7 @@ class TestSelectTemplate:
         fresh = Template("a-fresh", PASS_TEMPLATE.preconditions, PASS_TEMPLATE.body)
         stale = Template("b-stale", PASS_TEMPLATE.preconditions, PASS_TEMPLATE.body)
         history = record_usage(UsageHistory(), "b-stale", 9.0)
-        chosen, _ = select_template(PASS_TERM, [stale, fresh], history, 10.0, lambda_use_penalty=5.0)
+        chosen, _ = select_template(match_templates(PASS_TERM, [stale, fresh]), history, 10.0, lambda_use_penalty=5.0)
         assert chosen.id == "a-fresh"
 
     def test_score_formula_hand_check(self):
@@ -54,7 +57,7 @@ class TestSelectTemplate:
         b = Template("b", PASS_TEMPLATE.preconditions, PASS_TEMPLATE.body)
         history = record_usage(UsageHistory(), "a", 4.0)
         history = record_usage(record_usage(history, "b", 2.0), "b", 18.0)
-        chosen, _ = select_template(PASS_TERM, [a, b], history, 20.0, lambda_use_penalty=5.0)
+        chosen, _ = select_template(match_templates(PASS_TERM, [a, b]), history, 20.0, lambda_use_penalty=5.0)
         assert chosen.id == "a"
 
     def test_equal_use_counts_least_recent_wins(self):
@@ -66,20 +69,24 @@ class TestSelectTemplate:
             if t1 == t2:
                 continue
             history = record_usage(record_usage(UsageHistory(), "a", t1), "b", t2)
-            chosen, _ = select_template(PASS_TERM, [a, b], history, 60.0, lambda_use_penalty=5.0)
+            chosen, _ = select_template(match_templates(PASS_TERM, [a, b]), history, 60.0, lambda_use_penalty=5.0)
             assert chosen.id == "a"
 
     def test_no_match_returns_none(self):
         assert (
             select_template(
-                keyed(read_one("(corner team: b)")), [PASS_TEMPLATE], UsageHistory(), 0.0, lambda_use_penalty=5.0
+                match_templates(keyed(read_one("(corner team: b)")), [PASS_TEMPLATE]),
+                UsageHistory(),
+                0.0,
+                lambda_use_penalty=5.0,
             )
             is None
         )
 
     def test_never_returns_non_matching_template(self):
         corner = Template("corner", (keyed(read_one("(corner team: ?t)")),), parse_seeml("<su><seg>corner</seg></su>"))
-        chosen, _ = select_template(PASS_TERM, [corner, PASS_TEMPLATE], UsageHistory(), 0.0, lambda_use_penalty=5.0)
+        covering = match_templates(PASS_TERM, [corner, PASS_TEMPLATE])
+        chosen, _ = select_template(covering, UsageHistory(), 0.0, lambda_use_penalty=5.0)
         assert chosen is PASS_TEMPLATE
 
     def test_static_preconditions_participate(self):
@@ -88,13 +95,12 @@ class TestSelectTemplate:
             (keyed(read_one("(pass from: ?x to: ?y)")), keyed(read_one("(supports team: ?t)"))),
             parse_seeml("<su><seg>?x to ?y great stuff from ?t</seg></su>"),
         )
-        assert select_template(PASS_TERM, [biased], UsageHistory(), 0.0, lambda_use_penalty=5.0) is None
+        covering = match_templates(PASS_TERM, [biased])
+        assert covering == () and select_template(covering, UsageHistory(), 0.0, lambda_use_penalty=5.0) is None
         chosen, binding = select_template(
-            PASS_TERM,
-            [biased],
+            match_templates(PASS_TERM, [biased], [keyed(read_one("(supports team: a)"))]),
             UsageHistory(),
             0.0,
-            statics=[keyed(read_one("(supports team: a)"))],
             lambda_use_penalty=5.0,
         )
         assert binding[Symbol("?t")] == Symbol("a")
@@ -107,13 +113,34 @@ class TestSelectTemplate:
         for t in (0.5, 1.0, 2.0):
             history = record_usage(history, "a", t)
         history = record_usage(history, "b", 6.0)
-        chosen, _ = select_template(PASS_TERM, [a, b], history, 10.0, lambda_use_penalty=1.0)
+        chosen, _ = select_template(match_templates(PASS_TERM, [a, b]), history, 10.0, lambda_use_penalty=1.0)
         assert chosen.id == "a"
-        chosen, _ = select_template(PASS_TERM, [a, b], history, 10.0, lambda_use_penalty=5.0)
+        chosen, _ = select_template(match_templates(PASS_TERM, [a, b]), history, 10.0, lambda_use_penalty=5.0)
         assert chosen.id == "b"
 
 
+class TestMatchTemplates:
+    def test_covering_templates_in_the_given_order_with_first_bindings(self):
+        corner = Template("corner", (keyed(read_one("(corner team: ?t)")),), parse_seeml("<su><seg>corner</seg></su>"))
+        later = Template("later", PASS_TEMPLATE.preconditions, PASS_TEMPLATE.body)
+        covering = match_templates(PASS_TERM, [later, corner, PASS_TEMPLATE])
+        assert [t for t, _ in covering] == [later, PASS_TEMPLATE]
+        assert all(b == {Symbol("?x"): Symbol("a1"), Symbol("?y"): Symbol("a2")} for _, b in covering)
+
+
 class TestInstantiate:
+    def test_variables_are_found_once_in_document_order(self):
+        t = Template(
+            "v",
+            (),
+            parse_seeml('<su><seg>?b to ?a</seg><RATE SPEED="?c"><seg>?a ?d</seg></RATE><AURAL NAME="?e"/></su>'),
+        )
+        assert t.variables == tuple(map(Symbol, ("?b", "?a", "?c", "?d", "?e")))
+
+    def test_fill_gives_each_variables_text(self):
+        binding = {Symbol("?x"): Symbol("a1"), Symbol("?y"): (10, 20)}
+        assert fill(PASS_TEMPLATE, binding, names={"a1": "Angus"}) == ("Angus", "(10 20)")
+
     def test_direct_substitution_reparses(self):
         doc = instantiate(PASS_TEMPLATE, {Symbol("?x"): Symbol("a1"), Symbol("?y"): Symbol("a2")})
         assert serialize_seeml(doc) == "<su><seg>a1 passes</seg> <seg>to a2</seg></su>"
@@ -340,11 +367,9 @@ class TestTemplateChoiceInReplay:
             previous = fact
             starts = [e for e in events if e.kind == UTTERANCE_START]
             chosen = select_template(
-                keyed(fact.term),
-                profile.templates,
+                match_templates(keyed(fact.term), profile.templates, profile.statics),
                 history,
                 now,
-                statics=profile.statics,
                 lambda_use_penalty=profile.lambda_use_penalty,
             )
             if chosen is None:
