@@ -86,7 +86,8 @@ def parse_game_log(text: str) -> tuple[TickUpdate, ...]:
     """Parse a line-oriented game log into tick updates, ascending in time.
 
     Lines are ``(tick <seconds>)`` headers or ``(fact <s-expr> relevance: <n>)``
-    entries attached to the preceding header; ``#`` lines are comments.
+    entries attached to the preceding header; ``#`` lines are comments. Each
+    tick must pass the last to 9 decimals, the grid `pipeline.driver_ticks` keys by.
     """
     updates: list[TickUpdate] = []
     current: list[GameFact] | None = None
@@ -111,8 +112,8 @@ def parse_game_log(text: str) -> tuple[TickUpdate, ...]:
             if len(form) != 2 or not isinstance(form[1], (int, float)):
                 raise LogSyntaxError("tick header needs one numeric time", line_no)
             t = float(form[1])
-            if current_time is not None and t <= current_time:
-                raise LogOrderError(f"tick {t:g} does not advance past {current_time:g}", line_no)
+            if current_time is not None and round(t, 9) <= round(current_time, 9):
+                raise LogOrderError(f"tick {t!r} not past {current_time!r} to 9 decimals", line_no)
             flush()
             current, current_time = [], t
         elif head == "fact":

@@ -73,17 +73,20 @@ class InProgress:
 @dataclass(frozen=True)
 class Memos:
     """Per-fact and per-render work that one replay does once and reads on
-    every repeat. Each entry keeps the profile, or the style and template, it
-    was worked out under, and is read only while those are the current objects."""
+    every repeat. All of it belongs to one profile and style: a chain stepped
+    under another starts a fresh `Memos`."""
 
-    # board identity -> (profile, the covering (template, binding) pairs in
-    # profile order): matching depends only on the fact's term and the profile.
+    profile: CharacterProfile
+    style: StyleFile
+    # board identity -> the covering (template, binding) pairs in profile
+    # order, () for none: matching depends only on the fact's term and the profile.
     covering: dict = field(default_factory=dict)
-    # (template id, its variables' texts, directives) -> (style, template,
-    # bundle): the instantiated body is a pure function of the template and
-    # those plain strings, and the bundle one of that body, the directives and
-    # the style.
+    # (template id, its variables' texts, directives) -> bundle: the
+    # instantiated body is a pure function of the template and those plain
+    # strings, and the bundle one of that body, the directives and the style.
     renders: dict = field(default_factory=dict)
+    # Board identities no template covers: a fact found uncovered is never tried again.
+    uncovered: set[str] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,8 @@ class PipelineState:
     history: UsageHistory
     in_progress: Optional[InProgress]
     utterance_count: int = 0
-    # Board identities no template covers, the only record of them: a fact
-    # found uncovered is never tried again.
-    uncovered: frozenset[str] = frozenset()
-    # Shared by every state of one chain; never copied.
-    memos: Memos = field(default_factory=Memos, compare=False, repr=False)
+    # Shared by every state of one chain stepped under one profile and style; never copied.
+    memos: Optional[Memos] = field(default=None, compare=False, repr=False)
 
 
 def initial_state() -> PipelineState:
@@ -108,44 +108,42 @@ def _begin_utterance(
     state: PipelineState, profile: CharacterProfile, style: StyleFile, start_at: float
 ) -> tuple[PipelineState, list[CommentaryEvent]]:
     """Start an utterance on the most relevant covered fact, if there is one."""
-    board, now, uncovered, memos = state.board, state.board.clock, state.uncovered, state.memos
+    board, now, memos = state.board, state.board.clock, state.memos
+    if memos is None or memos.profile is not profile or memos.style is not style:
+        memos = Memos(profile, style)
+        state = PipelineState(board, state.pool, state.history, None, state.utterance_count, memos)
     while True:
-        identity = select_fact(board, uncovered)
+        identity = select_fact(board, memos.uncovered)
         if identity is None:
-            if uncovered is not state.uncovered:
-                state = PipelineState(
-                    board, state.pool, state.history, None, state.utterance_count, uncovered, memos
-                )
             return state, []
-        matched_under, covering = memos.covering.get(identity, (None, ()))
-        if matched_under is not profile:
+        covering = memos.covering.get(identity)
+        if covering is None:
             form = board.entries[identity].form
             covering = match_templates(form, profile.templates_for(form.head), profile.statics)
-            if covering:
-                memos.covering[identity] = (profile, covering)
+            memos.covering[identity] = covering
         chosen = select_template(
             covering, state.history, now, lambda_use_penalty=profile.lambda_use_penalty
         )
         if chosen is None:
             logger.warning("skipping fact with no template: %s", identity)
-            uncovered = uncovered | {identity}
+            memos.uncovered.add(identity)
             continue
         template, binding = chosen
         winners = arbitrate(activate_behaviors(profile.bound_behaviors, state.pool, now))
         directives = tuple(expand(winners, profile.behaviors))
         key = (template.id, fill(template, binding, profile.names), directives)
-        rendered_style, rendered_template, bundle = memos.renders.get(key, (None, None, None))
-        if rendered_style is not style or rendered_template is not template:
+        bundle = memos.renders.get(key)
+        if bundle is None:
             doc = instantiate(template, binding, profile.names)
             bundle = verify_and_split(merge_tags(apply_directives(doc, directives)), style)
-            memos.renders[key] = (style, template, bundle)
+            memos.renders[key] = bundle
         count = state.utterance_count + 1
         utterance = InProgress(
             identity, count, start_at, bundle.total_duration_ms, bundle.seg_boundaries_ms
         )
         event = CommentaryEvent(start_at, UTTERANCE_START, identity, count, bundle)
         history = record_usage(state.history, template.id, now)
-        return PipelineState(board, state.pool, history, utterance, count, uncovered, memos), [event]
+        return PipelineState(board, state.pool, history, utterance, count, memos), [event]
 
 
 def step(
@@ -180,9 +178,7 @@ def step(
             current = None
             start_at = cut_time
 
-    state = PipelineState(
-        board, pool, state.history, current, state.utterance_count, state.uncovered, state.memos
-    )
+    state = PipelineState(board, pool, state.history, current, state.utterance_count, state.memos)
     if current is None:
         state, started = _begin_utterance(state, profile, style, start_at)
         events.extend(started)

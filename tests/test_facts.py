@@ -76,6 +76,11 @@ class TestParseGameLog:
             parse_game_log("(tick 5)\n(tick 5)\n")
         with pytest.raises(LogOrderError):
             parse_game_log("(tick 5)\n(tick 3)\n")
+        # the replay keys ticks by their time to 9 decimals
+        with pytest.raises(LogOrderError, match="line 2: "):
+            parse_game_log("(tick 7)\n(tick 7.0000000004)\n")
+        times = [u.tick_time for u in parse_game_log("(tick 1)\n(tick 1.000000001)\n")]
+        assert times == [1.0, 1.000000001]
 
     def test_fact_with_variables_rejected(self):
         with pytest.raises(LogSyntaxError):

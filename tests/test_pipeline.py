@@ -144,7 +144,7 @@ class TestStep:
             with caplog.at_level("WARNING", logger="byrne"):
                 for update in ticks:
                     if forget:
-                        state = replace(state, uncovered=frozenset())
+                        state = replace(state, memos=None)
                     state, produced = step(state, update, profile, minimal_style)
                     events.extend(produced)
             warned = sum("no template" in r.getMessage() for r in caplog.records)
@@ -155,6 +155,23 @@ class TestStep:
         assert len(starts) >= 3 and all("move" in e.fact_identity for e in starts)
         assert warned == 1
         assert replay(forget=True) == (events, len(starts))
+
+    def test_fact_uncovered_under_one_profile_is_spoken_under_the_next(self, minimal_style, caplog):
+        # what one profile found uncovered says nothing about another profile's templates
+        first = load_profile(TINY_PROFILE)
+        second = load_profile(
+            TINY_PROFILE
+            + '(template id: wet (pre (weather condition: ?c)) (text "<su><seg>it is ?c</seg></su>"))'
+        )
+        weather = TickUpdate(1.0, (fact_of("(weather condition: rain)", 9),))
+        with caplog.at_level("WARNING", logger="byrne"):
+            state, events = step(initial_state(), weather, first, minimal_style)
+        assert events == []
+        assert sum("no template" in r.getMessage() for r in caplog.records) == 1
+        state, events = step(state, TickUpdate(2.0), second, minimal_style)
+        assert [(e.kind, e.fact_identity) for e in events] == [
+            (UTTERANCE_START, "(weather condition: rain)")
+        ]
 
     def test_stale_tick_rejected(self, demo_profile, demo_style):
         state, _ = step(initial_state(), TickUpdate(5.0), demo_profile, demo_style)
@@ -295,6 +312,21 @@ class TestRunReplay:
         assert run_replay(log, DEMO / "announcer.profile", DEMO / "announcer.style", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("commentate: load error: line 3: ") and error in err
+        assert not out.exists()
+
+    def test_ticks_equal_at_9_decimals_exit_1(self, tmp_path, capsys):
+        # the driver keys ticks by their time to 9 decimals, so it would keep
+        # only the second tick and drop the move fact
+        log = tmp_path / "g.log"
+        log.write_text(
+            "(tick 1.0000000001)\n(fact (move player: a1) relevance: 3)\n"
+            "(tick 1.0000000002)\n(fact (shot player: a1) relevance: 5)\n"
+        )
+        out = tmp_path / "o"
+        assert run_replay(log, DEMO / "announcer.profile", DEMO / "announcer.style", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("commentate: load error: line 3: tick 1.0000000002 not past")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_broken_log_exits_1(self, tmp_path, capsys):
@@ -923,6 +955,22 @@ def test_a_second_style_on_one_chain_gets_its_own_timings(demo_profile, demo_sty
         durations.setdefault(key, {})[style.words_per_minute] = bundle.total_duration_ms
     both = [d for d in durations.values() if len(d) == 2]
     assert both and all(d[90] == pytest.approx(2 * d[demo_style.words_per_minute]) for d in both)
+
+
+def test_one_chain_shares_one_memos_per_profile_and_style(demo_profile, demo_style):
+    states, state = [], initial_state()
+    for update in driver_ticks(_demo_updates(), 1.0):
+        state, _ = step(state, update, demo_profile, demo_style)
+        states.append(state)
+    memos = states[0].memos
+    assert all(s.memos is memos for s in states)
+    assert memos.profile is demo_profile and memos.style is demo_style
+    assert memos.covering and memos.renders
+    # an equal style loaded anew is another object, so the chain starts afresh under it
+    other = load_style((DEMO / "announcer.style").read_text(encoding="utf-8"))
+    state, _ = step(state, TickUpdate(state.board.clock + 1000.0), demo_profile, other)
+    assert state.memos is not memos and state.memos.style is other
+    assert state.memos.profile is demo_profile
 
 
 def test_a_second_profile_on_one_chain_speaks_its_own_body(minimal_style):
