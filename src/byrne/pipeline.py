@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import count, groupby, takewhile
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .behaviors import activate_behaviors, arbitrate, expand
 from .emotions import EmotionPool, apply_rules, decay_pool, intensity_at
@@ -211,6 +211,14 @@ def _emotion_lines(pool: EmotionPool, now: float) -> list[str]:
     return [f"{now:.3f}\t{e.trace_text}\t{intensity_at(e, now):.3f}" for e in pool.structures]
 
 
+def _load(path: str | Path, load: Callable, *args):
+    """`load(*args)`, or `load` of the text at `path`; a load error it raises names `path`."""
+    try:
+        return load(*args) if args else load(Path(path).read_text(encoding="utf-8"))
+    except ByrneError as e:
+        raise ByrneError(f"{path}: {e}") from e
+
+
 def _check_out_dir(out: Path) -> None:
     """Fail at load when `out` cannot become a directory: it, or its nearest
     existing ancestor, is something else."""
@@ -230,9 +238,11 @@ def run_replay(
 ) -> int:
     """Replay a game log and write the commentary outputs; returns the exit code.
 
-    Exit 0 on success, 1 when an input fails to load, `tick_seconds` (a number
-    or a decimal literal) is not positive and finite or `out_dir` cannot be a
-    directory, 2 on a runtime error or when writing the outputs fails.
+    Exit 0 on success; 1 when an input fails to load, with the message naming
+    its file, when `tick_seconds` (a number or a decimal literal) is not
+    positive and finite, or when `out_dir` cannot be a directory; 2 when writing
+    the outputs fails, or on an error raised in `step`, which no loaded input
+    reaches.
     Outputs: per-utterance `utt-<n>.sable` and `utt-<n>.facs`, plus
     `commentary.trace` and `emotions.trace`. Utterance files in `out_dir` that
     this run does not write are deleted, so the directory holds one run; any
@@ -241,10 +251,10 @@ def run_replay(
     import sys
 
     try:
-        updates = parse_game_log(Path(log_path).read_text(encoding="utf-8"))
-        profile = load_profile(Path(profile_path).read_text(encoding="utf-8"))
-        style = load_style(Path(style_path).read_text(encoding="utf-8"))
-        check_against_style(profile, style)
+        updates = _load(log_path, parse_game_log)
+        profile = _load(profile_path, load_profile)
+        style = _load(style_path, load_style)
+        _load(profile_path, check_against_style, profile, style)
         tick = atom(tick_seconds) if isinstance(tick_seconds, str) else tick_seconds
         ticks = driver_ticks(updates, tick)
         out = Path(out_dir)

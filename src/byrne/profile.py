@@ -46,6 +46,7 @@ from .seeml import (
     elements,
     nesting,
     parse_seeml,
+    texts,
     word_trigger,
 )
 from .style import StyleFile
@@ -388,6 +389,13 @@ def _load_template(form: tuple, line: int, diags: list[str]) -> Optional[Templat
         body = parse_seeml(text)
         if not any(el.tag == "seg" for el in elements(body.children)):
             diags.append(f"line {line}: template '{tid}' body has no <seg> phrase markers")
+        # a variable fills words, so no fact's value meets a check that markup must pass
+        for el in elements(body.children):
+            for name, value in el.attrs:
+                for var in VARIABLE.findall(value):
+                    diags.append(f"line {line}: template '{tid}' puts {var} in <{el.tag} {name}>, not in text")
+        if not any(VARIABLE.sub("", leaf).split() for leaf in texts(body.children)):
+            diags.append(f"line {line}: template '{tid}' body speaks no word of its own")
     except (SeemlError, SexprError) as e:
         diags.append(f"line {line}: template '{tid}' body: {e}")
     bound: set[Symbol] = set()
@@ -403,17 +411,16 @@ def check_against_style(profile: CharacterProfile, style: StyleFile) -> None:
     raises ProfileError naming each missing one and its user.
 
     Expression names need no check: the markup admits only the six, and the
-    style must map all six. A name holding a variable in a template body is
-    only known per utterance, so it is left to the replay; a directive is never
-    substituted, so its name is checked as written.
+    style must map all six. No variable fills an attribute, so each name is
+    checked as written.
     """
-    users = [(f"behavior '{b.id}'", [d.mark for d in b.directives], False) for b in profile.behaviors]
-    users += [(f"template '{t.id}'", t.body.children, True) for t in profile.templates]
+    users = [(f"behavior '{b.id}'", [d.mark for d in b.directives]) for b in profile.behaviors]
+    users += [(f"template '{t.id}'", t.body.children) for t in profile.templates]
     diags: list[str] = []
-    for user, nodes, substituted in users:
+    for user, nodes in users:
         for el in elements(nodes):
             name = el.attr("NAME")
-            if el.tag != "AURAL" or name in style.aural or (substituted and VARIABLE.search(name)):
+            if el.tag != "AURAL" or name in style.aural:
                 continue
             diag = f"{user} uses aural event '{name}', which the style's [aural] section lacks"
             if diag not in diags:

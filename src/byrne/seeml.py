@@ -13,6 +13,7 @@ and a delta (signed, as ``+10%``) hold decimal literals, read by `sexpr.atom`.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -24,10 +25,6 @@ if TYPE_CHECKING:
 
 
 class SeemlError(ByrneError):
-    pass
-
-
-class VerifyError(ByrneError):
     pass
 
 
@@ -48,6 +45,9 @@ _CANONICAL = {t.lower(): t for t in (*GDA_TAGS, *SABLE_TAGS, *FACE_TAGS, *SUPPLE
 # walks recurse once or twice per level, so the profile loader holds a template
 # body plus the most markup one utterance's behaviors can wrap around it to this.
 MAX_NESTING = 200
+# The largest delta a literal may give: `merge_tags` sums one per element on a
+# path, and the + 1 leaves room for rounding, so no sum reaches infinity.
+_MAX_DELTA = sys.float_info.max / (MAX_NESTING + 1)
 
 MIN_VISEME_MS = 60.0  # cartoon coarseness: at most one mouth shape per 60 ms
 GESTURE_MS = 250.0  # nominal span for a point gesture that encloses no words
@@ -117,6 +117,9 @@ def _delta(value: str) -> Optional[tuple[float, str]]:
 def _validate(tag: str, attrs: dict[str, str]) -> None:
     # a signed value is a delta: reading each here fails a too-large literal at load
     deltas = {name: _delta(value) for name, value in attrs.items() if value.startswith(("+", "-"))}
+    for name, delta in deltas.items():
+        if delta and abs(delta[0]) > _MAX_DELTA:
+            raise SeemlError(f"{tag} {name} delta must lie within ±{_MAX_DELTA:.3g}, got {attrs[name]!r}")
     if tag == "AU":
         num = attrs.get("NUM", "")
         value = None if deltas.get("NUM") else atom(num)  # a signed NUM reads as a delta
@@ -234,12 +237,6 @@ def parse_seeml(text: str) -> SeemlDocument:
     return document(top)
 
 
-def _serialize_node(node: Node) -> str:
-    if isinstance(node, Text):
-        return _escape_text(node.text)
-    return _tagged(node.tag, node.attrs, "".join(_serialize_node(c) for c in node.children))
-
-
 def _tagged(tag: str, attrs: Iterable[tuple[str, str]], inner: str) -> str:
     # canonical trees hold no empty text, so empty `inner` means no children
     attr_text = "".join(f' {k}="{_escape_attr(v)}"' for k, v in attrs)
@@ -266,36 +263,29 @@ def nesting(nodes: Iterable[Node], tag: Optional[str] = None) -> int:
     return deepest
 
 
+def texts(nodes: Iterable[Node]) -> Iterable[str]:
+    """The text of every text node in and below `nodes`, in document order."""
+    for node in nodes:
+        if isinstance(node, Text):
+            yield node.text
+        else:
+            yield from texts(node.children)
+
+
 def substitute(doc: SeemlDocument, fill: Callable[[str], str]) -> SeemlDocument:
-    """`doc` with `fill` applied to every text node and attribute value; what
-    `fill` returns is literal text. An element whose attributes change is built
-    again, so its checks run on the new values."""
+    """`doc` with `fill` applied to every text node; what `fill` returns is
+    literal text. Attribute values are kept as they are."""
 
     def walk(node: Node) -> Node:
         if isinstance(node, Text):
             return Text(fill(node.text))
-        attrs = tuple((name, fill(value)) for name, value in node.attrs)
-        kids = [walk(child) for child in node.children]
-        if attrs != node.attrs:
-            return element(node.tag, attrs, kids)
-        return _with_children(node, kids)
+        return _with_children(node, [walk(child) for child in node.children])
 
     return document(walk(node) for node in doc.children)
 
 
 def strip_text(doc: SeemlDocument) -> str:
-    out: list[str] = []
-
-    def walk(node: Node) -> None:
-        if isinstance(node, Text):
-            out.append(node.text)
-        else:
-            for child in node.children:
-                walk(child)
-
-    for node in doc.children:
-        walk(node)
-    return "".join(out)
+    return "".join(texts(doc.children))
 
 
 # --- directive application -------------------------------------------------
@@ -439,7 +429,8 @@ def merge_tags(doc: SeemlDocument) -> SeemlDocument:
         out: list[Node] = []
         found: set = set()
         for node in nodes:
-            if isinstance(node, Text):
+            # a childless element has no span to merge, and its values are kept as written
+            if isinstance(node, Text) or node.tag in CHILDLESS_TAGS:
                 out.append(node)
                 continue
             ident, deltas = _identity(node)
@@ -449,8 +440,7 @@ def merge_tags(doc: SeemlDocument) -> SeemlDocument:
                 kids, below = merge(node.children, plain_anc, {**sums, ident: summed})
                 if ident not in below:
                     attrs = [*ident[1], *((n, f"{summed[n]:+g}{u}") for n, (_, u) in deltas.items())]
-                    # the summed deltas are new attribute values, so they are validated again
-                    kids = [element(node.tag, attrs, kids)]
+                    kids = [Element(node.tag, tuple(sorted(attrs)), _normalize(kids))]
                     below.add(ident)
             elif ident in plain_anc:
                 kids, below = merge(node.children, plain_anc, sums)
@@ -566,11 +556,8 @@ def verify_and_split(doc: SeemlDocument, style: "StyleFile") -> OutputBundle:
                 cursor += word_ms
             return _escape_text(node.text)
         if node.tag == "AURAL":
-            name = node.attr("NAME")
-            path = style.aural.get(name)
-            if path is None:
-                raise VerifyError(f"aural event '{name}' missing from style")
-            return _serialize_node(element("AUDIO", {"SRC": path}))
+            # the load checks every name against the style; a path is written as the style gives it
+            return _tagged("AUDIO", (("SRC", style.aural[node.attr("NAME")]),), "")
         if node.tag == "BREAK":
             cursor += style.break_ms
         start = cursor
@@ -584,8 +571,6 @@ def verify_and_split(doc: SeemlDocument, style: "StyleFile") -> OutputBundle:
 
     script = _tagged("SABLE", (), "".join(speak(node) for node in doc.children))
     total = cursor
-    if spans and not words:
-        raise VerifyError("facial mark-up with no words to anchor a timeline")
 
     facs: list[FacsEvent] = []
     for el, start, end in spans:

@@ -2,9 +2,9 @@
 
 Templates pair precondition patterns with a SEEML body, parsed once at load,
 whose ``seg`` elements double as interrupt markers; its variables are the runs
-of text and attribute values that fit `sexpr.VARIABLE`. When several templates
-cover a fact, the least recently and least often used one wins, keeping the
-phrasing from looping.
+of its text that fit `sexpr.VARIABLE`, and they fill in words only. When
+several templates cover a fact, the least recently and least often used one
+wins, keeping the phrasing from looping.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import ByrneError
 from .patterns import Binding, Candidates, Form, Keyed, match_all
-from .seeml import SeemlDocument, Text, substitute
+from .seeml import SeemlDocument, substitute, texts
 from .sexpr import VARIABLE, Sexpr, Symbol, to_text
 
 
@@ -31,16 +31,8 @@ class Template:
     variables: tuple[Symbol, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        found: dict[Symbol, None] = {}
-        stack = list(reversed(self.body.children))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Text):
-                leaves = [node.text]
-            else:
-                leaves = [value for _, value in node.attrs]
-                stack.extend(reversed(node.children))
-            found.update((Symbol(var), None) for leaf in leaves for var in VARIABLE.findall(leaf))
+        leaves = texts(self.body.children)
+        found = dict.fromkeys(Symbol(var) for leaf in leaves for var in VARIABLE.findall(leaf))
         object.__setattr__(self, "variables", tuple(found))
 
 
@@ -150,7 +142,7 @@ def fill(
 def instantiate(
     template: Template, binding: Binding, names: Mapping[str, str] | None = None
 ) -> SeemlDocument:
-    """Substitute bound terms, as literal text, into the body's text and attribute values."""
+    """Substitute bound terms, as literal text, into the body's text."""
     texts = dict(zip(template.variables, fill(template, binding, names)))
     return substitute(template.body, lambda text: VARIABLE.sub(lambda m: texts[m.group(0)], text))
 

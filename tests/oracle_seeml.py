@@ -3,12 +3,11 @@
 This is how byrne verified and split a merged document before it did so in one
 walk: one walk times the words and records the facial spans and `<seg>`
 closes, a second projects the spoken side as a tree, and the tree is then
-serialized. It differs from `seeml.verify_and_split` only in which error it
-reports first: for a document with an unknown aural name, facial markup and no
-words, it reports the missing words.
+serialized. Like `seeml.verify_and_split`, it takes a document the loader can
+produce: every aural name is in the style.
 
 It also holds `serialize_seeml`, a document's canonical text, which byrne
-itself writes only inside `verify_and_split`.
+itself writes only inside `verify_and_split`, with the same escapes.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from byrne.seeml import (
     SeemlDocument,
     Text,
     TimedWord,
-    VerifyError,
-    _serialize_node,
+    _escape_text,
+    _tagged,
     _timeline_key,
     _unit,
     _with_children,
@@ -37,6 +36,12 @@ from byrne.style import StyleFile
 def serialize_seeml(doc: SeemlDocument) -> str:
     """Canonical text: attributes sorted and double-quoted, childless tags self-closed."""
     return "".join(_serialize_node(n) for n in doc.children)
+
+
+def _serialize_node(node: Node) -> str:
+    if isinstance(node, Text):
+        return _escape_text(node.text)
+    return _tagged(node.tag, node.attrs, "".join(_serialize_node(c) for c in node.children))
 
 
 def verify_and_split(doc: SeemlDocument, style: StyleFile) -> OutputBundle:
@@ -73,8 +78,6 @@ def verify_and_split(doc: SeemlDocument, style: StyleFile) -> OutputBundle:
 
     facs: list[FacsEvent] = []
     for el, start, end in spans:
-        if not words:
-            raise VerifyError("facial mark-up with no words to anchor a timeline")
         if end <= start:  # point gesture: give it a nominal span
             end = start + GESTURE_MS
             total = max(total, end)
@@ -97,11 +100,7 @@ def verify_and_split(doc: SeemlDocument, style: StyleFile) -> OutputBundle:
                 out.extend(project(child))
             return out
         if node.tag == "AURAL":
-            name = node.attr("NAME")
-            path = style.aural.get(name)
-            if path is None:
-                raise VerifyError(f"aural event '{name}' missing from style")
-            return [element("AUDIO", {"SRC": path})]
+            return [element("AUDIO", {"SRC": style.aural[node.attr("NAME")]})]
         kids: list[Node] = []
         for child in node.children:
             kids.extend(project(child))

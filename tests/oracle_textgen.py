@@ -3,9 +3,8 @@
 This is how byrne instantiated a template before bodies were kept parsed:
 each variable in the body's text is replaced by its escaped rendering, and the
 result is parsed again. It differs from `textgen.instantiate` only where a
-rendered value was read back as markup: a value holding `"` inside an
-attribute fails to parse, and a value that completes an entity (`amp` in
-`R&?s;`) becomes that entity.
+rendered value was read back as markup: a value that completes an entity
+(`amp` in `R&?s;`) becomes that entity.
 """
 
 from __future__ import annotations

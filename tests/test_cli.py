@@ -80,7 +80,7 @@ def test_demo_profile_entry_the_replay_would_misread_exits_1_naming_its_line(tmp
     args[args.index("--character") + 1] = str(profile)
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith("commentate: load error:") and message in err
+    assert err.startswith(f"commentate: load error: {profile}: ") and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import filecmp
+import io
 import re
 import signal
 import tempfile
+from contextlib import redirect_stderr
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -27,7 +29,7 @@ from byrne.pipeline import (
     run_replay,
     step,
 )
-from byrne.profile import load_profile
+from byrne.profile import check_against_style, load_profile
 from byrne.seeml import Text, apply_directives, merge_tags, verify_and_split
 from byrne.sexpr import to_text
 from byrne.style import StyleError, load_style
@@ -311,7 +313,7 @@ class TestRunReplay:
         out = tmp_path / "o"
         assert run_replay(log, DEMO / "announcer.profile", DEMO / "announcer.style", out) == 1
         err = capsys.readouterr().err
-        assert err.startswith("commentate: load error: line 3: ") and error in err
+        assert err.startswith(f"commentate: load error: {log}: line 3: ") and error in err
         assert not out.exists()
 
     def test_ticks_equal_at_9_decimals_exit_1(self, tmp_path, capsys):
@@ -325,7 +327,7 @@ class TestRunReplay:
         out = tmp_path / "o"
         assert run_replay(log, DEMO / "announcer.profile", DEMO / "announcer.style", out) == 1
         err = capsys.readouterr().err
-        assert err.startswith("commentate: load error: line 3: tick 1.0000000002 not past")
+        assert err.startswith(f"commentate: load error: {log}: line 3: tick 1.0000000002 not past")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -395,9 +397,11 @@ class TestRunReplay:
         assert code == 1
         err = capsys.readouterr().err
         assert "template 'honker'" in err and "'horn'" in err and "[aural]" in err
+        # the profile, not the style, is what names the sound
+        assert err.startswith(f"commentate: load error: {profile}: template 'honker'")
 
-    def test_runtime_verification_error_exits_2(self, tmp_path, capsys):
-        # facial mark-up over no words loads, but has no timeline to anchor to
+    def test_facial_markup_over_no_words_exits_1(self, tmp_path, capsys):
+        # facial mark-up over no words would have no timeline to anchor to
         profile = tmp_path / "p.profile"
         profile.write_text(
             '(template id: mute (pre (move player: ?p))'
@@ -408,9 +412,61 @@ class TestRunReplay:
         log = tmp_path / "g.log"
         log.write_text("(tick 1)\n(fact (move player: a1) relevance: 5)\n")
         code = run_replay(log, profile, style, tmp_path / "o")
-        assert code == 2
+        assert code == 1
         err = capsys.readouterr().err
-        assert "no words to anchor a timeline" in err and "Traceback" not in err
+        assert f"{profile}: line 1: template 'mute' body speaks no word of its own" in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "body, player, message",
+        [
+            ('<su><seg>?p runs</seg><AURAL NAME=\\"?p\\"/></su>', "a1", "puts ?p in <AURAL NAME>"),
+            ('<su><seg>?p runs</seg><AURAL NAME=\\"?p\\"/></su>', '""', "puts ?p in <AURAL NAME>"),
+            ('<su><seg><RATE SPEED=\\"?p\\">go</RATE></seg></su>', '"+1e999"', "puts ?p in <RATE SPEED>"),
+            ('<su><seg><AU NUM=\\"5\\" LEVEL=\\"0.5\\">?p</AU></seg></su>', '""', "speaks no word of its own"),
+            (
+                '<su><seg><AU NUM=\\"5\\" LEVEL=\\"+1e308\\"><AU NUM=\\"5\\" LEVEL=\\"+1e308\\">runs</AU></AU></seg></su>',
+                "a1",
+                "AU LEVEL delta must lie within",
+            ),
+            (
+                '<su><seg><RATE SPEED=\\"+1e308%\\"><RATE SPEED=\\"+1e308%\\">runs</RATE></RATE></seg></su>',
+                "a1",
+                "RATE SPEED delta must lie within",
+            ),
+        ],
+        ids=["aural-bound-to-a1", "aural-bound-to-blank", "speed-bound-to-1e999", "face-over-blank",
+             "au-level-deltas-sum-to-inf", "rate-speed-deltas-sum-to-inf"],
+    )
+    def test_markup_a_fact_value_or_a_sum_would_break_exits_1(self, tmp_path, capsys, body, player, message):
+        # each of these loaded and then exited 2, or wrote markup that is not SABLE
+        profile = tmp_path / "p.profile"
+        profile.write_text(f'(template id: t (pre (move player: ?p)) (text "{body}"))\n')
+        style = tmp_path / "s.style"
+        style.write_text(MINIMAL_STYLE)
+        log = tmp_path / "g.log"
+        log.write_text(f"(tick 1)\n(fact (move player: {player}) relevance: 5)\n")
+        assert run_replay(log, profile, style, tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert f"commentate: load error: {profile}: line 1: template 't'" in err and message in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+    def test_signed_aural_name_is_looked_up_as_written(self, tmp_path):
+        # the merge sums signed values, but an aural name is no amount to sum
+        profile = tmp_path / "p.profile"
+        profile.write_text(
+            '(behavior id: b group: g (motivated-by interest) (directives (aural "+1.0" (point end))))\n'
+            "(emotion-rule (pre (move player: ?p))"
+            " (add (type: interest intensity: 5 cause: (move player: ?p) decay: constant)))\n"
+            '(template id: t (pre (move player: ?p)) (text "<su><seg>?p runs</seg></su>"))\n'
+        )
+        style = tmp_path / "s.style"
+        style.write_text(MINIMAL_STYLE.replace("[aural]", "[aural]\n+1.0 = sounds/plus.wav"))
+        log = tmp_path / "g.log"
+        log.write_text("(tick 1)\n(fact (move player: a1) relevance: 5)\n")
+        assert run_replay(log, profile, style, tmp_path / "o") == 0
+        sable = (tmp_path / "o" / "utt-1.sable").read_text(encoding="utf-8")
+        assert sable == '<SABLE><su><seg>a1 runs</seg></su><AUDIO SRC="sounds/plus.wav"/></SABLE>\n'
 
     def test_stale_utterance_files_are_removed(self, tmp_path):
         out = tmp_path / "out"
@@ -633,23 +689,26 @@ def _fuzzed_logs(draw):
 
 @given(_fuzzed_logs())
 @settings(max_examples=150, deadline=None)
-def test_fuzzed_log_exits_0_1_or_2(log_text):
+def test_fuzzed_log_exits_0_or_1(log_text):
     # Tick times stay within 10^4 s of 0: a replay steps once per tick length
     # over the log's span, and writes an emotions.trace line per structure per step.
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "fuzzed.log"
         log.write_text(log_text, encoding="utf-8")
         out = Path(tmp) / "out"
-        assert run_replay(log, DEMO / "announcer.profile", DEMO / "announcer.style", out) in (0, 1, 2)
+        assert run_replay(log, DEMO / "announcer.profile", DEMO / "announcer.style", out) in (0, 1)
 
 
 # Tokens of an s-expression file: a string, a parenthesis, or an atom.
 _TOKEN = re.compile(r'"(?:\\.|[^"\\])*"|[()]|[^\s()"]+')
 # Replacements the demo's own tokens do not hold: numbers outside the decimal
-# grammar or out of range, signed and bare speech values, and markup that fails.
+# grammar or out of range, signed and bare speech values, deltas whose sum would
+# overflow, and markup that fails: a body that speaks no word of its own, and
+# one with a variable in an attribute.
 _ODD_TOKENS = [
     "nan", "inf", "1e400", "-0.5", "+10", "1_0", "١٢", "0", "47", "?x", "(", ")", '""',
-    '"+10%"', '"+1e400%"', '"<su><seg>?p</seg></su>"', '"<AU NUM=\\"²\\"/>"', "SPEED:",
+    '"+10%"', '"+1e400%"', "+1e308", '"+1e308"', '"+1e308%"', '"<su><seg>?p</seg></su>"',
+    '"<su><seg><RATE SPEED=\\"?p\\">go</RATE></seg></su>"', '"<AU NUM=\\"²\\"/>"', "SPEED:",
 ]
 # Style values: numbers outside the grammar or their range, and weights that fail.
 _ODD_STYLE_VALUES = [
@@ -688,19 +747,44 @@ def _mutated_styles(draw):
     return "\n".join(lines) + "\n"
 
 
+def _blamed(profile_text: str, style_text: str) -> str | None:
+    """Which input a load error names: "profile" when the profile fails to load
+    or to agree with the style, "style" when the style fails, None when both load."""
+    try:
+        profile = load_profile(profile_text)
+    except ByrneError:
+        return "profile"
+    try:
+        style = load_style(style_text)
+    except ByrneError:
+        return "style"
+    try:
+        check_against_style(profile, style)
+    except ByrneError:
+        return "profile"
+    return None
+
+
 @given(_mutated_profiles(), _mutated_styles(), st.sampled_from(["missing", "file", "stale"]))
 @settings(max_examples=120, deadline=None)
-def test_fuzzed_profile_style_and_out_exit_0_1_or_2(profile_text, style_text, out_kind):
+def test_fuzzed_profile_style_and_out_exit_0_or_1_naming_the_file(profile_text, style_text, out_kind):
     with tempfile.TemporaryDirectory() as tmp:
-        profile, style, out = Path(tmp) / "p.profile", Path(tmp) / "s.style", Path(tmp) / "out"
-        profile.write_text(profile_text, encoding="utf-8")
-        style.write_text(style_text, encoding="utf-8")
+        paths = {name: Path(tmp) / name for name in ("profile", "style", "out")}
+        paths["profile"].write_text(profile_text, encoding="utf-8")
+        paths["style"].write_text(style_text, encoding="utf-8")
+        out = paths["out"]
         if out_kind == "file":
             out.write_text("a file\n")
         elif out_kind == "stale":
             out.mkdir()
             (out / "utt-999.facs").write_text("left over\n")
-        assert run_replay(DEMO / "game.log", profile, style, out) in (0, 1, 2)
+        with redirect_stderr(io.StringIO()) as err:
+            code = run_replay(DEMO / "game.log", paths["profile"], paths["style"], out)
+        assert code in (0, 1)
+        if code == 1:
+            blamed = _blamed(profile_text, style_text)
+            named = f"commentate: load error: {paths[blamed]}: " if blamed else f" {out} "
+            assert named in err.getvalue()
 
 
 @st.composite

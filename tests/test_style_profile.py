@@ -341,6 +341,27 @@ class TestProfileValidation:
             "seg",
         )
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "<su><seg>?t</seg></su>",
+            "<su><seg>?t</seg> <seg>?t?t</seg></su>",
+            '<su><seg><AU NUM=\\"5\\" LEVEL=\\"0.5\\">?t</AU></seg></su>',
+            '<su><seg><AU NUM=\\"5\\" LEVEL=\\"0.5\\"/></seg><BREAK/></su>',
+        ],
+    )
+    def test_template_must_speak_a_word_of_its_own(self, body):
+        # a fact's value may render as nothing, leaving facial markup no word to time it
+        with pytest.raises(ProfileError) as err:
+            load_profile(f'(template id: mute (pre (corner team: ?t)) (text "{body}"))')
+        assert err.value.diagnostics == [
+            "line 1: template 'mute' body speaks no word of its own"
+        ]
+
+    @pytest.mark.parametrize("body", ["<su><seg>?t!</seg></su>", "<su><seg>?</seg><seg>t</seg></su>"])
+    def test_one_word_beside_the_variables_is_enough(self, body):
+        load_profile(f'(template id: brief (pre (corner team: ?t)) (text "{body}"))')
+
     def test_template_body_must_parse(self):
         _expect_diagnostic(
             '(template id: broken (pre (corner team: ?t)) (text "<su><seg>?t</wrong></su>"))',
@@ -351,7 +372,7 @@ class TestProfileValidation:
         with pytest.raises(ProfileError) as err:
             load_profile(
                 '(template id: broken (pre (corner team: ?t)) (text "<su><seg>?who</wrong></su>"))\n'
-                '(template id: broken (pre (corner team: ?t)) (text "<su><seg>?t</seg></su>"))\n'
+                '(template id: broken (pre (corner team: ?t)) (text "<su><seg>corner for ?t</seg></su>"))\n'
             )
         assert err.value.diagnostics == [
             "line 1: template 'broken' body: closing tag </wrong> does not match <seg>",
@@ -523,9 +544,13 @@ class TestCheckAgainstStyle:
             "behavior 'howl' uses aural event '?x', which the style's [aural] section lacks"
         ]
 
-    def test_name_bound_per_utterance_left_to_the_replay(self, minimal_style):
-        profile = load_profile(
-            "(template id: echo (pre (noise sound: ?s))"
-            ' (text "<su><seg>listen</seg><AURAL NAME=\\"?s\\"/></su>"))\n'
-        )
-        check_against_style(profile, minimal_style)
+    def test_name_holding_a_variable_fails_the_load(self):
+        # a variable fills text only, so every name is known, and checked, as written
+        with pytest.raises(ProfileError) as err:
+            load_profile(
+                "(template id: echo (pre (noise sound: ?s))"
+                ' (text "<su><seg>listen</seg><AURAL NAME=\\"?s\\"/></su>"))\n'
+            )
+        assert err.value.diagnostics == [
+            "line 1: template 'echo' puts ?s in <AURAL NAME>, not in text"
+        ]
