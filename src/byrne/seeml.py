@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import groupby
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ByrneError
@@ -296,6 +298,13 @@ class Scope:
     kind: str  # utterance | every-phrase | word | point
     word: str = ""
     position: str = ""  # start | end
+    # a word trigger's whole-word, case-blind match, compiled once at load
+    pattern: Optional[re.Pattern[str]] = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.kind == "word":
+            rx = re.compile(rf"(?<!\w){re.escape(self.word)}(?!\w)", re.IGNORECASE)
+            object.__setattr__(self, "pattern", rx)
 
 
 UTTERANCE = Scope("utterance")
@@ -326,87 +335,144 @@ def _with_children(el: Element, children: Iterable[Node]) -> Element:
     return Element(el.tag, el.attrs, _normalize(children))
 
 
-def _marked(node: Node, mark: Element) -> list[Node]:
-    # a mark that cannot enclose text is inserted beside the node instead
-    if mark.tag in CHILDLESS_TAGS:
-        return [node, mark]
-    return [_with_children(mark, (node,))]
+def _walk(nodes: Iterable[Node], run: Sequence[Directive], inside: bool) -> list[Node]:
+    """`nodes` with a run of every-phrase and word directives applied in one walk.
 
-
-def _wrap_phrases(nodes: Sequence[Node], mark: Element) -> list[Node]:
+    The result equals applying the directives one after another, each to the
+    whole list, with the list normalized after each one when it lies `inside`
+    an element. A canonical list stays canonical, since only a text's own
+    fragments can meet, so the walk builds its elements without normalizing.
+    """
     out: list[Node] = []
     for node in nodes:
-        if isinstance(node, Element):
-            node = _with_children(node, _wrap_phrases(node.children, mark))
-            if node.tag == "seg":
-                out.extend(_marked(node, mark))
-                continue
-        out.append(node)
+        if isinstance(node, Text):
+            out += _walk_text(node, run, inside)
+        elif node.tag in ("seg", "w"):
+            out += _walk_element(node, run)
+        else:  # nothing can wrap it, so its children get the whole run
+            out.append(Element(node.tag, node.attrs, tuple(_walk(node.children, run, True))))
     return out
 
 
-def _word_regex(word: str) -> re.Pattern[str]:
-    return re.compile(rf"(?<!\w){re.escape(word)}(?!\w)", re.IGNORECASE)
+def _walk_element(el: Element, run: Sequence[Directive]) -> list[Node]:
+    """`el`, a `<seg>` or `<w>`, inside the wraps and beside the childless marks
+    `run` puts around it.
 
-
-def _wrap_words(nodes: Sequence[Node], mark: Element, word: str, rx: re.Pattern[str]) -> list[Node]:
-    out: list[Node] = []
-    for node in nodes:
-        if isinstance(node, Element):
-            if node.tag == "w" and strip_text(SeemlDocument((node,))).strip().lower() == word:
-                out.extend(_marked(node, mark))
+    Every-phrase wraps every `<seg>` on the chain from the outermost wrap in to
+    `el`, and a word trigger the outermost `<w>` spelling it, which hides `el`'s
+    children from it. A later wrap sits inside an earlier one, and a later
+    childless mark before an earlier one.
+    """
+    chain = [el.tag]  # the tags from the outermost wrap in to `el`
+    wraps: list[Element] = []
+    beside: list[list[Element]] = [[]]  # the childless marks set beside each link of the chain
+    inner: list[Directive] = []  # the directives `el`'s children get
+    spelled: Optional[str] = None  # every <w> on the chain spells `el`'s text
+    for d in run:
+        if d.scope.kind == "every-phrase":
+            hits = [i for i, tag in enumerate(chain) if tag == "seg"]
+            inner.append(d)
+        else:
+            hits = []
+            if "w" in chain:
+                if spelled is None:
+                    spelled = "".join(texts(el.children)).strip().lower()
+                if spelled == d.scope.word.lower():
+                    hits = [chain.index("w")]
+            if not hits:
+                inner.append(d)
+        for i in reversed(hits):  # the inner links first, so the outer indices hold
+            if d.mark.tag in CHILDLESS_TAGS:
+                beside[i].insert(0, d.mark)
             else:
-                out.append(_with_children(node, _wrap_words(node.children, mark, word, rx)))
+                wraps.insert(i, d.mark)
+                chain.insert(i, d.mark.tag)
+                beside.insert(i + 1, [])
+    nodes = [Element(el.tag, el.attrs, tuple(_walk(el.children, inner, True))), *beside[-1]]
+    for mark, marks in zip(reversed(wraps), reversed(beside[:-1])):
+        nodes = [Element(mark.tag, mark.attrs, tuple(nodes)), *marks]
+    return nodes
+
+
+def _walk_text(node: Text, run: Sequence[Directive], inside: bool) -> list[Node]:
+    """`node` split by each word trigger of `run` in turn. A childless mark leaves
+    its match as text, which merges with its neighbours inside an element before
+    the next trigger reads it; a wrapped match is walked by the rest of `run`."""
+    nodes: list[Node] = [node]
+    for i, d in enumerate(run):
+        if d.scope.kind != "word":
             continue
-        pos = 0
-        for m in rx.finditer(node.text):
-            if m.start() > pos:
-                out.append(Text(node.text[pos : m.start()]))
-            out.extend(_marked(Text(m.group(0)), mark))
-            pos = m.end()
-        if pos < len(node.text):
-            out.append(Text(node.text[pos:]))
-    return out
+        out: list[Node] = []
+        hit = False
+        for frag in nodes:
+            pos = 0
+            if isinstance(frag, Text):
+                for m in d.scope.pattern.finditer(frag.text):
+                    if m.start() > pos:
+                        out.append(Text(frag.text[pos : m.start()]))
+                    match = Text(m.group(0))
+                    if d.mark.tag in CHILDLESS_TAGS:
+                        out += (match, d.mark)
+                    else:
+                        out += _walk_element(Element(d.mark.tag, d.mark.attrs, (match,)), run[i + 1 :])
+                    pos = m.end()
+            if not pos:
+                out.append(frag)
+                continue
+            hit = True
+            if pos < len(frag.text):
+                out.append(Text(frag.text[pos:]))
+        if hit:
+            nodes = list(_normalize(out)) if inside else out
+    return nodes
 
 
 def apply_directives(doc: SeemlDocument, directives: Sequence[Directive]) -> SeemlDocument:
     """Layer behavior-driven markup over an already marked-up utterance.
 
-    Every span a directive wraps reuses its element's tag and attributes.
+    Utterance and point directives act on the top list in order; each run of
+    every-phrase and word directives between them is applied in one walk. Every
+    span a directive wraps reuses its element's tag and attributes.
     """
+    if not directives:
+        return doc
     nodes: Sequence[Node] = doc.children
-    for d in directives:
-        mark = d.mark
-        kind = d.scope.kind
-        if kind == "utterance":
-            nodes = [*nodes, mark] if mark.tag in CHILDLESS_TAGS else [_with_children(mark, nodes)]
-        elif kind == "point":
-            nodes = [mark, *nodes] if d.scope.position == "start" else [*nodes, mark]
-        elif kind == "every-phrase":
-            nodes = _wrap_phrases(nodes, mark)
-        else:  # word
-            nodes = _wrap_words(nodes, mark, d.scope.word.lower(), _word_regex(d.scope.word))
+    for walked, group in groupby(directives, key=lambda d: d.scope.kind in ("every-phrase", "word")):
+        if walked:
+            nodes = _walk(nodes, list(group), False)
+            continue
+        for d in group:
+            mark = d.mark
+            if d.scope.kind == "utterance":
+                nodes = [*nodes, mark] if mark.tag in CHILDLESS_TAGS else [_with_children(mark, nodes)]
+            else:
+                nodes = [mark, *nodes] if d.scope.position == "start" else [*nodes, mark]
     return document(nodes)
 
 
 # --- merge algebra ----------------------------------------------------------
 
 
-def _identity(el: Element) -> tuple[tuple, dict[str, tuple[float, str]]]:
-    """The merge identity of `el`, and its signed relative ("delta") attributes.
+@lru_cache(maxsize=1024)
+def _identity(
+    tag: str, attrs: tuple[tuple[str, str], ...]
+) -> tuple[tuple, tuple[tuple[str, float, str], ...]]:
+    """The merge identity of a (tag, attrs) element, and its signed relative
+    ("delta") attributes as (name, magnitude, unit) triples.
 
     The identity is the tag, the absolute attributes, and the delta names and
     units: delta magnitudes are left out, so two RATE tags asking for different
-    signed speed changes count as identical and add up.
+    signed speed changes count as identical and add up. Each distinct pair is
+    read once; both parts are tuples, so no caller can change a shared entry.
     """
-    plain, deltas = [], {}  # a loop: on the merge's hot path a comprehension costs a frame
-    for name, value in el.attrs:
+    plain, deltas = [], []
+    for name, value in attrs:
         if delta := _delta(value):
-            deltas[name] = delta
+            deltas.append((name, *delta))
         else:
             plain.append((name, value))
-    units = tuple(sorted((name, unit) for name, (_, unit) in deltas.items()))
-    return (el.tag, tuple(plain), units), deltas
+    units = tuple(sorted((name, unit) for name, _, unit in deltas))
+    return (tag, tuple(plain), units), tuple(deltas)
 
 
 def merge_tags(doc: SeemlDocument) -> SeemlDocument:
@@ -433,13 +499,13 @@ def merge_tags(doc: SeemlDocument) -> SeemlDocument:
             if isinstance(node, Text) or node.tag in CHILDLESS_TAGS:
                 out.append(node)
                 continue
-            ident, deltas = _identity(node)
+            ident, deltas = _identity(node.tag, node.attrs)
             if deltas:
                 inherited = sums.get(ident, {})
-                summed = {name: inherited.get(name, 0.0) + mag for name, (mag, _) in deltas.items()}
+                summed = {name: inherited.get(name, 0.0) + mag for name, mag, _ in deltas}
                 kids, below = merge(node.children, plain_anc, {**sums, ident: summed})
                 if ident not in below:
-                    attrs = [*ident[1], *((n, f"{summed[n]:+g}{u}") for n, (_, u) in deltas.items())]
+                    attrs = [*ident[1], *((n, f"{summed[n]:+g}{u}") for n, _, u in deltas)]
                     kids = [Element(node.tag, tuple(sorted(attrs)), _normalize(kids))]
                     below.add(ident)
             elif ident in plain_anc:
@@ -499,24 +565,28 @@ def _letter_class(ch: str) -> str:
     return "wide"
 
 
+@lru_cache(maxsize=4096)
+def _mouth_runs(word: str) -> tuple[str, ...]:
+    """The letter class of each run of `word`'s letters, or just "wide" when it has none."""
+    runs: list[str] = []
+    for ch in word.lower():
+        if not ch.isalpha():
+            continue
+        cls = _letter_class(ch)
+        if not runs or runs[-1] != cls:
+            runs.append(cls)
+    return tuple(runs) or ("wide",)
+
+
 def lip_sync(
     words: Sequence[TimedWord], visemes: Mapping[str, str] = DEFAULT_VISEMES
 ) -> list[VisemeEvent]:
     """Cartoon-style mouth shapes from a letter-class scan, spread evenly per word;
-    `visemes` maps every letter class to its mouth shape."""
+    `visemes` maps every letter class to its mouth shape. Each distinct word is
+    scanned once."""
     events: list[VisemeEvent] = []
     for w in words:
-        runs: list[str] = []
-        for ch in w.word.lower():
-            if not ch.isalpha():
-                continue
-            cls = _letter_class(ch)
-            if not runs or runs[-1] != cls:
-                runs.append(cls)
-        if not runs:
-            runs = ["wide"]
-        cap = max(1, int(w.duration_ms / MIN_VISEME_MS))
-        runs = runs[:cap]
+        runs = _mouth_runs(w.word)[: max(1, int(w.duration_ms / MIN_VISEME_MS))]
         dur = w.duration_ms / len(runs)
         events.extend(
             VisemeEvent(w.onset_ms + i * dur, visemes[cls], dur) for i, cls in enumerate(runs)

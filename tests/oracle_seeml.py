@@ -1,9 +1,13 @@
-"""Reference verifier, for equivalence tests.
+"""Reference directive fold, lip sync and verifier, for equivalence tests.
 
-This is how byrne verified and split a merged document before it did so in one
-walk: one walk times the words and records the facial spans and `<seg>`
-closes, a second projects the spoken side as a tree, and the tree is then
-serialized. Like `seeml.verify_and_split`, it takes a document the loader can
+`apply_directives` is how byrne layered behavior markup before it walked each
+run of every-phrase and word directives once: every directive rebuilds the
+whole tree in turn. `lip_sync` scans every word's letters on every call.
+
+`verify_and_split` is how byrne verified and split a merged document before
+it did so in one walk: one walk times the words and records the facial spans
+and `<seg>` closes, a second projects the spoken side as a tree, and the tree
+is then serialized. Like `seeml.verify_and_split`, it takes a document the loader can
 produce: every aural name is in the style.
 
 It also holds `serialize_seeml`, a document's canonical text, which byrne
@@ -12,8 +16,15 @@ itself writes only inside `verify_and_split`, with the same escapes.
 
 from __future__ import annotations
 
+import re
+from typing import Mapping, Sequence
+
 from byrne.seeml import (
+    CHILDLESS_TAGS,
+    DEFAULT_VISEMES,
     GESTURE_MS,
+    MIN_VISEME_MS,
+    Directive,
     Element,
     FacsEvent,
     Node,
@@ -21,16 +32,97 @@ from byrne.seeml import (
     SeemlDocument,
     Text,
     TimedWord,
+    VisemeEvent,
     _escape_text,
+    _letter_class,
     _tagged,
     _timeline_key,
     _unit,
     _with_children,
     document,
     element,
-    lip_sync,
+    strip_text,
 )
 from byrne.style import StyleFile
+
+
+def _marked(node: Node, mark: Element) -> list[Node]:
+    # a mark that cannot enclose text is inserted beside the node instead
+    if mark.tag in CHILDLESS_TAGS:
+        return [node, mark]
+    return [_with_children(mark, (node,))]
+
+
+def _wrap_phrases(nodes: Sequence[Node], mark: Element) -> list[Node]:
+    out: list[Node] = []
+    for node in nodes:
+        if isinstance(node, Element):
+            node = _with_children(node, _wrap_phrases(node.children, mark))
+            if node.tag == "seg":
+                out.extend(_marked(node, mark))
+                continue
+        out.append(node)
+    return out
+
+
+def _wrap_words(nodes: Sequence[Node], mark: Element, word: str, rx: re.Pattern[str]) -> list[Node]:
+    out: list[Node] = []
+    for node in nodes:
+        if isinstance(node, Element):
+            if node.tag == "w" and strip_text(SeemlDocument((node,))).strip().lower() == word:
+                out.extend(_marked(node, mark))
+            else:
+                out.append(_with_children(node, _wrap_words(node.children, mark, word, rx)))
+            continue
+        pos = 0
+        for m in rx.finditer(node.text):
+            if m.start() > pos:
+                out.append(Text(node.text[pos : m.start()]))
+            out.extend(_marked(Text(m.group(0)), mark))
+            pos = m.end()
+        if pos < len(node.text):
+            out.append(Text(node.text[pos:]))
+    return out
+
+
+def apply_directives(doc: SeemlDocument, directives: Sequence[Directive]) -> SeemlDocument:
+    nodes: Sequence[Node] = doc.children
+    for d in directives:
+        mark = d.mark
+        kind = d.scope.kind
+        if kind == "utterance":
+            nodes = [*nodes, mark] if mark.tag in CHILDLESS_TAGS else [_with_children(mark, nodes)]
+        elif kind == "point":
+            nodes = [mark, *nodes] if d.scope.position == "start" else [*nodes, mark]
+        elif kind == "every-phrase":
+            nodes = _wrap_phrases(nodes, mark)
+        else:  # word
+            rx = re.compile(rf"(?<!\w){re.escape(d.scope.word)}(?!\w)", re.IGNORECASE)
+            nodes = _wrap_words(nodes, mark, d.scope.word.lower(), rx)
+    return document(nodes)
+
+
+def lip_sync(
+    words: Sequence[TimedWord], visemes: Mapping[str, str] = DEFAULT_VISEMES
+) -> list[VisemeEvent]:
+    events: list[VisemeEvent] = []
+    for w in words:
+        runs: list[str] = []
+        for ch in w.word.lower():
+            if not ch.isalpha():
+                continue
+            cls = _letter_class(ch)
+            if not runs or runs[-1] != cls:
+                runs.append(cls)
+        if not runs:
+            runs = ["wide"]
+        cap = max(1, int(w.duration_ms / MIN_VISEME_MS))
+        runs = runs[:cap]
+        dur = w.duration_ms / len(runs)
+        events.extend(
+            VisemeEvent(w.onset_ms + i * dur, visemes[cls], dur) for i, cls in enumerate(runs)
+        )
+    return events
 
 
 def serialize_seeml(doc: SeemlDocument) -> str:

@@ -4,6 +4,7 @@ import re
 import sys
 from dataclasses import replace
 from random import Random
+from typing import Sequence
 
 import hypothesis.strategies as st
 import oracle_seeml as oracle
@@ -13,9 +14,12 @@ from hypothesis import assume, given, settings
 from byrne.seeml import (
     DEFAULT_VISEMES,
     EVERY_PHRASE,
+    MIN_VISEME_MS,
     MAX_NESTING,
     UTTERANCE,
+    Directive,
     Element,
+    Scope,
     FacsEvent,
     SeemlDocument,
     SeemlError,
@@ -26,6 +30,7 @@ from byrne.seeml import (
     at_point,
     document,
     element,
+    elements,
     format_face_timeline,
     lip_sync,
     merge_tags,
@@ -35,6 +40,7 @@ from byrne.seeml import (
     verify_and_split,
     word_trigger,
 )
+from byrne.seeml import _identity, _mouth_runs
 from corpus import markup, random_document
 from oracle_seeml import serialize_seeml
 
@@ -183,14 +189,27 @@ class TestSerialize:
 # --- directive application ----------------------------------------------------
 
 
-def random_directive(rng: Random):
-    scope = rng.choice([
-        UTTERANCE,
-        EVERY_PHRASE,
-        word_trigger(rng.choice(["goal", "ball", "KIRK", "a"])),
-        at_point(rng.choice(["start", "end"])),
-    ])
-    roll = rng.randrange(6)
+# "what a" spans two words, so a childless mark beside "a" changes what it can match
+TRIGGERS = ["goal", "ball", "KIRK", "a", "what a"]
+
+
+def random_directive(rng: Random, earlier: Sequence[Directive] = ()) -> Directive:
+    """One directive, for every scope: a prosody, facial or aural mark, a `<seg>`
+    or `<w>` speech mark that later directives walk again, or a childless
+    `BREAK`/`AURAL` that goes beside its span. A third of the word triggers
+    repeat an `earlier` one."""
+    repeats = [d.scope for d in earlier if d.scope.kind == "word"]
+    if repeats and rng.random() < 0.3:
+        scope = rng.choice(repeats)
+    else:
+        scope = rng.choice([
+            UTTERANCE,
+            EVERY_PHRASE,
+            word_trigger(rng.choice(TRIGGERS)),
+            word_trigger(rng.choice(TRIGGERS)),
+            at_point(rng.choice(["start", "end"])),
+        ])
+    roll = rng.randrange(9)
     if roll == 0:
         return markup("EXPR", scope, NAME=rng.choice(["smile", "fear"]), LEVEL=rng.choice(["0.3", "1"]))
     if roll == 1:
@@ -201,7 +220,32 @@ def random_directive(rng: Random):
         return markup("RATE", scope, SPEED=rng.choice(["+5%", "-10%"]))
     if roll == 4:
         return markup(rng.choice(["EMPH", "BREAK"]), scope)
+    if roll == 5:
+        return markup("seg", scope)
+    if roll == 6:
+        return markup("w", scope, pos=rng.choice(["n", "v"]))
+    if roll == 7:
+        return markup("BREAK", scope)
     return markup("PITCH", scope, RANGE=rng.choice(["+10%", "+20%"]))
+
+
+def random_directives(rng: Random, most: int) -> list[Directive]:
+    directives: list[Directive] = []
+    for _ in range(rng.randrange(1, most)):
+        directives.append(random_directive(rng, directives))
+    return directives
+
+
+def spelled_document(rng: Random) -> SeemlDocument:
+    """A random document with, here and there, a `<w>` that spells a trigger
+    inside another `<w>` that spells it too, or that spells more."""
+    nodes = list(random_document(rng).children)
+    for _ in range(rng.randrange(3)):
+        word = rng.choice(TRIGGERS)
+        inner = element("w", {"pos": "v"}, [Text(f"{rng.choice([word, word.swapcase()])} ")])
+        outer = [inner] if rng.random() < 0.5 else [Text(f"{rng.choice(TRIGGERS)} "), inner]
+        nodes.insert(rng.randrange(len(nodes) + 1), element("w", {"pos": "n"}, outer))
+    return document(nodes)
 
 
 class TestApplyDirectives:
@@ -280,7 +324,7 @@ class TestApplyDirectives:
     def test_text_preserved_property(self, seed):
         rng = Random(seed)
         doc = random_document(rng)
-        directives = [random_directive(rng) for _ in range(rng.randrange(1, 6))]
+        directives = random_directives(rng, 6)
         assert strip_text(apply_directives(doc, directives)) == strip_text(doc)
 
     @given(st.integers(min_value=0, max_value=10**9), st.booleans())
@@ -322,6 +366,95 @@ class TestApplyDirectives:
         walk(out.children, False)
         assert len(marked) == len(occurrences)
         assert all(m.lower() == word.lower() for m in marked)
+
+    def test_no_directives_return_the_document_itself(self):
+        doc = parse_seeml("<su><seg>goal</seg></su>")
+        assert apply_directives(doc, []) is doc
+
+    def test_a_later_wrap_sits_inside_an_earlier_one(self):
+        doc = parse_seeml("<su><seg>goal</seg></su>")
+        out = apply_directives(doc, [
+            markup("RATE", EVERY_PHRASE, SPEED="+5%"),
+            markup("EMPH", EVERY_PHRASE),
+            markup("AURAL", EVERY_PHRASE, NAME="hiccup"),
+            markup("BREAK", EVERY_PHRASE),
+        ])
+        # the later childless mark sits next to the span, inside the earlier wraps
+        assert serialize_seeml(out) == (
+            '<su><RATE SPEED="+5%"><EMPH><seg>goal</seg><BREAK/><AURAL NAME="hiccup"/>'
+            "</EMPH></RATE></su>"
+        )
+
+    def test_a_seg_mark_is_wrapped_by_a_later_every_phrase_directive(self):
+        doc = parse_seeml("<su><seg>goal</seg> now</su>")
+        out = apply_directives(doc, [
+            markup("seg", word_trigger("now")),
+            markup("seg", EVERY_PHRASE),
+            markup("EMPH", EVERY_PHRASE),
+        ])
+        assert serialize_seeml(out) == (
+            "<su><EMPH><seg><EMPH><seg>goal</seg></EMPH></seg></EMPH> "
+            "<EMPH><seg><EMPH><seg>now</seg></EMPH></seg></EMPH></su>"
+        )
+
+    def test_a_w_mark_is_wrapped_whole_by_a_later_trigger_it_spells(self):
+        doc = parse_seeml("<su><seg>Kirk runs</seg></su>")
+        out = apply_directives(doc, [
+            markup("w", word_trigger("kirk"), pos="n"),
+            markup("EMPH", word_trigger("KIRK")),
+            markup("w", EVERY_PHRASE, pos="v"),
+            markup("AU", word_trigger("kirk runs"), NUM="4", LEVEL="0.6"),
+        ])
+        assert serialize_seeml(out) == (
+            '<su><AU LEVEL="0.6" NUM="4"><w pos="v"><seg><EMPH><w pos="n">Kirk</w></EMPH>'
+            " runs</seg></w></AU></su>"
+        )
+
+    def test_a_childless_word_mark_lets_its_match_merge_with_the_text_before_it(self):
+        # inside an element the fragments merge, so "what a" matches across the mark's match;
+        # on the top list they stay apart until the document is built
+        out = apply_directives(
+            parse_seeml("<seg>what a goal</seg> what a goal"),
+            [markup("BREAK", word_trigger("a")), markup("EMPH", word_trigger("what a"))],
+        )
+        assert serialize_seeml(out) == (
+            "<seg><EMPH>what a</EMPH><BREAK/> goal</seg> what a<BREAK/> goal"
+        )
+
+    def test_a_word_trigger_is_compiled_once_and_ignored_by_equality(self):
+        scope = word_trigger("Kirk")
+        assert scope.pattern.pattern == r"(?<!\w)Kirk(?!\w)"
+        assert scope == Scope("word", word="Kirk") and hash(scope) == hash(Scope("word", word="Kirk"))
+        assert UTTERANCE.pattern is None and at_point("end").pattern is None
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=300, deadline=None)
+    def test_walk_matches_the_directive_fold_property(self, seed):
+        rng = Random(seed)
+        doc = spelled_document(rng)
+        directives = random_directives(rng, 12)
+        assert apply_directives(doc, directives) == oracle.apply_directives(doc, directives)
+
+    def test_walk_matches_the_directive_fold_on_many_documents(self):
+        # the kinds of mark the property must reach, counted so a narrowed generator shows
+        rng = Random(2121)
+        seen = {"seg mark walked again": 0, "w mark wrapped whole": 0, "w in w": 0}
+        for _ in range(600):
+            doc = spelled_document(rng)
+            directives = random_directives(rng, 12)
+            out = apply_directives(doc, directives)
+            assert out == oracle.apply_directives(doc, directives)
+            tags = [d.mark.tag for d in directives]
+            if "seg" in tags and EVERY_PHRASE in [d.scope for d in directives[tags.index("seg") + 1 :]]:
+                seen["seg mark walked again"] += 1
+            words = [d.scope.word.lower() for d in directives if d.mark.tag == "w"]
+            if any(d.scope.kind == "word" and d.scope.word.lower() in words for d in directives[1:]):
+                seen["w mark wrapped whole"] += 1
+            seen["w in w"] += any(
+                el.tag == "w" and any(k.tag == "w" for k in elements(el.children))
+                for el in elements(doc.children)
+            )
+        assert all(count >= 30 for count in seen.values()), seen
 
 
 # --- merge algebra --------------------------------------------------------------
@@ -439,6 +572,25 @@ def assert_no_identical_nesting(doc: SeemlDocument) -> None:
 
 
 class TestMergeTags:
+    def test_merging_twice_gives_equal_documents(self):
+        # the second merge reads every identity from the memo the first one filled
+        text = (
+            '<RATE SPEED="+10%">fast <RATE SPEED="+5%">faster '
+            "<EMPH>now <EMPH>really</EMPH></EMPH></RATE></RATE>"
+        )
+        first, second = merge_tags(parse_seeml(text)), merge_tags(parse_seeml(text))
+        assert first == second
+        assert serialize_seeml(second) == (
+            'fast <RATE SPEED="+15%">faster <EMPH>now really</EMPH></RATE>'
+        )
+
+    def test_memoised_identities_are_immutable_and_bounded(self):
+        ident, deltas = _identity("RATE", (("SPEED", "+10%"),))
+        assert ident == ("RATE", (), (("SPEED", "%"),)) and deltas == (("SPEED", 10, "%"),)
+        hash((ident, deltas))  # tuples all the way down: no caller can change a shared entry
+        assert _identity("RATE", (("SPEED", "+10%"),)) is _identity("RATE", (("SPEED", "+10%"),))
+        assert _identity.cache_info().maxsize is not None
+
     def test_identical_inner_tag_removed_outer_kept(self):
         doc = parse_seeml(
             '<EXPR LEVEL="0.8" NAME="smile">so <EXPR LEVEL="0.8" NAME="smile">very</EXPR> good</EXPR>'
@@ -534,7 +686,7 @@ class TestMergeTags:
         doc = random_document(rng)
         assert merge_tags(doc) == reference_merge(doc)
         # behavior markup stacked on template markup, as a replay merges it
-        directives = [random_directive(rng) for _ in range(rng.randrange(1, 8))]
+        directives = random_directives(rng, 8)
         layered = apply_directives(random_document(rng), directives)
         assert merge_tags(layered) == reference_merge(layered)
 
@@ -543,7 +695,7 @@ class TestMergeTags:
     def test_idempotent_and_text_preserving_over_directives_property(self, seed):
         # behavior markup stacked on template markup, as a replay merges it
         rng = Random(seed)
-        directives = [random_directive(rng) for _ in range(rng.randrange(1, 8))]
+        directives = random_directives(rng, 8)
         doc = apply_directives(random_document(rng), directives)
         merged = merge_tags(doc)
         assert merge_tags(merged) == merged
@@ -692,7 +844,7 @@ class TestVerifyAndSplit:
         # aural events in the style, as every random document does
         assume(strip_text(doc).split())
         if rng.random() < 0.5:
-            directives = [random_directive(rng) for _ in range(rng.randrange(1, 8))]
+            directives = random_directives(rng, 8)
             doc = apply_directives(doc, directives)
         doc = merge_tags(doc)
         assert verify_and_split(doc, minimal_style) == oracle.verify_and_split(doc, minimal_style)
@@ -744,3 +896,46 @@ class TestLipSync:
                 for ev in events:
                     assert ev.onset_ms >= word.onset_ms - 1e-9
                     assert ev.onset_ms + ev.duration_ms <= word.onset_ms + word.duration_ms + 1e-6
+
+    def test_letterless_words_keep_their_own_class_runs(self):
+        assert [ev.viseme for ev in lip_sync([TimedWord("1-0!", 0.0, 300.0)])] == ["WIDE"]
+        assert [ev.viseme for ev in lip_sync([TimedWord("MoB", 0.0, 300.0)])] == ["MM", "OW", "MM"]
+
+    def test_each_distinct_word_is_scanned_once(self):
+        _mouth_runs.cache_clear()
+        lip_sync([
+            TimedWord("goal", 0.0, 300.0),
+            TimedWord("Goal", 300.0, 300.0),
+            TimedWord("goal", 600.0, 90.0),
+        ])
+        info = _mouth_runs.cache_info()
+        assert (info.misses, info.hits) == (2, 1) and info.maxsize is not None
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.text(alphabet=".,!?-'\"()", min_size=1, max_size=4),  # punctuation only
+                    st.text(alphabet="aAbBeEfFiImMoOpPuUvVwWxXyYzZ", min_size=1, max_size=8),
+                    st.text(alphabet="0123456789-:", min_size=1, max_size=5),
+                    st.text(alphabet="abefimopuvwlrst", min_size=20, max_size=60),  # cut by the cap
+                    st.text(min_size=1, max_size=6),
+                ),
+                st.floats(min_value=1.0, max_value=2000.0),
+            ),
+            max_size=8,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_character_scan_property(self, tokens, styled):
+        visemes = {**DEFAULT_VISEMES, "o": "OH", "wide": "EE"} if styled else DEFAULT_VISEMES
+        words, cursor = [], 0.0
+        for token, duration in tokens:
+            words.append(TimedWord(token, cursor, duration))
+            cursor += duration
+        expected = oracle.lip_sync(words, visemes)
+        assert lip_sync(words, visemes) == expected
+        assert lip_sync(words, visemes) == expected  # again, from the memo
+        for word in words:
+            assert len(lip_sync([word])) <= max(1, int(word.duration_ms / MIN_VISEME_MS))
