@@ -1,13 +1,9 @@
 """SEEML tag trees: parse, serialize, decorate, merge, verify, split.
 
-SEEML is a thin superset of three SGML vocabularies plus a local supplement:
-structural text annotation (lower-case: su, seg, np, vp, w), speech prosody
-(upper-case: RATE, PITCH, VOLUME, EMPH, BREAK, AUDIO under a SABLE root),
-facial mark-up (EXPR for whole expressions, AU for single action units), and
-AURAL/AFFECT extras. The verifier turns one merged document into two outputs:
-a speech script that keeps only the spoken side, and a millisecond timeline of
-facial action units and lip-sync visemes. A ``LEVEL``, an ``AU NUM`` (unsigned)
-and a delta (signed, as ``+10%``) hold decimal literals, read by `sexpr.atom`.
+SEEML is a thin superset of GDA text structure, SABLE speech prosody and FACS
+facial mark-up, plus AURAL/AFFECT extras; `TAGS` gives each tag's attributes.
+The verifier turns one merged document into a speech script that keeps only the
+spoken side, and a millisecond timeline of facial action units and lip-sync visemes.
 """
 
 from __future__ import annotations
@@ -30,18 +26,37 @@ class SeemlError(ByrneError):
     pass
 
 
-GDA_TAGS = ("su", "seg", "np", "vp", "w")
-SABLE_TAGS = ("SABLE", "RATE", "PITCH", "VOLUME", "EMPH", "BREAK", "AUDIO")
-FACE_TAGS = ("EXPR", "AU")
-SUPPLEMENT_TAGS = ("AURAL", "AFFECT")
-
 # BREAK/AURAL are momentary and AUDIO is an insertion: none of them enclose text.
 CHILDLESS_TAGS = frozenset({"BREAK", "AURAL", "AUDIO"})
 
 EXPRESSION_NAMES = ("smile", "sadness", "fear", "anger", "disgust", "surprise")
 AU_MIN, AU_MAX = 1, 46
 
-_CANONICAL = {t.lower(): t for t in (*GDA_TAGS, *SABLE_TAGS, *FACE_TAGS, *SUPPLEMENT_TAGS)}
+# Each tag, with the attributes it takes, the kind of each, and whether the tag
+# needs it. A lower-case tag (GDA text structure) has lower-case attributes;
+# the rest are SABLE speech, FACS face, and the AURAL/AFFECT supplement. Only an
+# amount or a level may be a delta, a signed decimal literal with an optional "%",
+# and `merge_tags` sums deltas only. A level is a number in [0,1] or a delta, and
+# a facial level's delta has no "%", since the verifier reads it as a number.
+# An unsigned amount ("strong"), a name and a path are written as given.
+AMOUNT, LEVEL, FACE_LEVEL, NAME, PATH = "amount", "level", "facial level", "name", "path"
+EXPRESSION, ACTION_UNIT = "expression", "action unit"
+_SUMMED = (AMOUNT, LEVEL, FACE_LEVEL)
+REQUIRED, OPTIONAL = True, False
+TAGS: dict[str, dict[str, tuple[str, bool]]] = {
+    **{tag: {} for tag in ("su", "seg", "np", "vp", "SABLE", "BREAK")},
+    "w": {"pos": (NAME, OPTIONAL)},
+    "RATE": {"SPEED": (AMOUNT, OPTIONAL)},
+    "PITCH": {"BASE": (AMOUNT, OPTIONAL), "RANGE": (AMOUNT, OPTIONAL)},
+    "VOLUME": {"LEVEL": (AMOUNT, OPTIONAL)},
+    "EMPH": {"LEVEL": (AMOUNT, OPTIONAL)},
+    "AUDIO": {"SRC": (PATH, REQUIRED)},
+    "EXPR": {"NAME": (EXPRESSION, REQUIRED), "LEVEL": (FACE_LEVEL, OPTIONAL)},
+    "AU": {"NUM": (ACTION_UNIT, REQUIRED), "LEVEL": (FACE_LEVEL, OPTIONAL)},
+    "AURAL": {"NAME": (NAME, REQUIRED)},
+    "AFFECT": {"TYPE": (NAME, OPTIONAL), "LEVEL": (LEVEL, OPTIONAL)},
+}
+_CANONICAL = {t.lower(): t for t in TAGS}
 
 # Elements on one path from a document's top. The directive, merge and verify
 # walks recurse once or twice per level, so the profile loader holds a template
@@ -108,7 +123,7 @@ def _normalize(children: Iterable[Node]) -> tuple[Node, ...]:
 
 
 def _delta(value: str) -> Optional[tuple[float, str]]:
-    """A signed value ("delta") as (magnitude, "%" or ""); merge_tags sums these."""
+    """A signed decimal literal ("delta") as (magnitude, "%" or "")."""
     if not value.startswith(("+", "-")):
         return None
     number, unit = (value[:-1], "%") if value.endswith("%") else (value, "")
@@ -117,35 +132,30 @@ def _delta(value: str) -> Optional[tuple[float, str]]:
 
 
 def _validate(tag: str, attrs: dict[str, str]) -> None:
-    # a signed value is a delta: reading each here fails a too-large literal at load
-    deltas = {name: _delta(value) for name, value in attrs.items() if value.startswith(("+", "-"))}
-    for name, delta in deltas.items():
+    """One check per attribute, by the kind `TAGS` gives it."""
+    for name, value in attrs.items():
+        if name not in TAGS[tag]:
+            raise SeemlError(f"<{tag}> takes no attribute {name}")
+        kind, where = TAGS[tag][name][0], f"{tag} {name}"
+        # the merge sums deltas: reading each here fails a too-large literal at load
+        delta = _delta(value) if kind in _SUMMED else None
         if delta and abs(delta[0]) > _MAX_DELTA:
-            raise SeemlError(f"{tag} {name} delta must lie within ±{_MAX_DELTA:.3g}, got {attrs[name]!r}")
-    if tag == "AU":
-        num = attrs.get("NUM", "")
-        value = None if deltas.get("NUM") else atom(num)  # a signed NUM reads as a delta
-        if not isinstance(value, int) or not AU_MIN <= value <= AU_MAX:
-            raise SeemlError(f"AU NUM must be an unsigned integer {AU_MIN}-{AU_MAX}, got {num!r}")
-    if tag == "EXPR":
-        name = attrs.get("NAME")
-        if name not in EXPRESSION_NAMES:
-            raise SeemlError(
-                f"unknown expression name {name!r}; expected one of {', '.join(EXPRESSION_NAMES)}"
-            )
-    if tag == "AURAL" and not attrs.get("NAME"):
-        raise SeemlError("AURAL needs a NAME attribute")
-    if tag == "AUDIO" and not attrs.get("SRC"):
-        raise SeemlError("AUDIO needs a SRC attribute")
-    if tag in ("EXPR", "AU", "AFFECT") and "LEVEL" in attrs:
-        level, delta = attrs["LEVEL"], deltas.get("LEVEL")
-        # verify_and_split reads EXPR/AU levels as plain numbers
-        if delta and delta[1] and tag != "AFFECT":
-            raise SeemlError(f"{tag} LEVEL delta cannot be a percentage, got {level!r}")
-        if not delta:
-            value = atom(level)
-            if isinstance(value, Symbol) or not 0 <= value <= 1:
-                raise SeemlError(f"{tag} LEVEL must be a number in [0,1] or a delta, got {level!r}")
+            raise SeemlError(f"{where} delta must lie within ±{_MAX_DELTA:.3g}, got {value!r}")
+        if delta and delta[1] and kind == FACE_LEVEL:
+            raise SeemlError(f"{where} delta cannot be a percentage, got {value!r}")
+        if kind in (LEVEL, FACE_LEVEL) and not delta:
+            number = atom(value)
+            if isinstance(number, Symbol) or not 0 <= number <= 1:
+                raise SeemlError(f"{where} must be a number in [0,1] or a delta, got {value!r}")
+        if kind == EXPRESSION and value not in EXPRESSION_NAMES:
+            raise SeemlError(f"{where} must be one of {', '.join(EXPRESSION_NAMES)}, got {value!r}")
+        if kind == ACTION_UNIT:
+            number = None if value.startswith(("+", "-")) else atom(value)
+            if not isinstance(number, int) or not AU_MIN <= number <= AU_MAX:
+                raise SeemlError(f"{where} must be an unsigned integer {AU_MIN}-{AU_MAX}, got {value!r}")
+    for name, (_, required) in TAGS[tag].items():
+        if required and not attrs.get(name):
+            raise SeemlError(f"{tag} needs a {name} attribute")
 
 
 def element(
@@ -156,7 +166,7 @@ def element(
     canon = _CANONICAL.get(tag.lower())
     if canon is None:
         raise SeemlError(f"unknown tag <{tag}>")
-    case = str.lower if canon in GDA_TAGS else str.upper
+    case = str.lower if canon.islower() else str.upper
     attr_map: dict[str, str] = {}
     for name, value in attrs.items() if isinstance(attrs, Mapping) else attrs:
         key = case(name)
@@ -457,17 +467,17 @@ def apply_directives(doc: SeemlDocument, directives: Sequence[Directive]) -> See
 def _identity(
     tag: str, attrs: tuple[tuple[str, str], ...]
 ) -> tuple[tuple, tuple[tuple[str, float, str], ...]]:
-    """The merge identity of a (tag, attrs) element, and its signed relative
-    ("delta") attributes as (name, magnitude, unit) triples.
+    """The merge identity of a (tag, attrs) element, and the deltas of its
+    amounts and levels as (name, magnitude, unit) triples.
 
-    The identity is the tag, the absolute attributes, and the delta names and
+    The identity is the tag, the other attributes, and the delta names and
     units: delta magnitudes are left out, so two RATE tags asking for different
-    signed speed changes count as identical and add up. Each distinct pair is
-    read once; both parts are tuples, so no caller can change a shared entry.
+    speed changes count as identical and add up. Each distinct pair is read
+    once; both parts are tuples, so no caller can change a shared entry.
     """
     plain, deltas = [], []
     for name, value in attrs:
-        if delta := _delta(value):
+        if TAGS[tag][name][0] in _SUMMED and (delta := _delta(value)):
             deltas.append((name, *delta))
         else:
             plain.append((name, value))
@@ -495,8 +505,7 @@ def merge_tags(doc: SeemlDocument) -> SeemlDocument:
         out: list[Node] = []
         found: set = set()
         for node in nodes:
-            # a childless element has no span to merge, and its values are kept as written
-            if isinstance(node, Text) or node.tag in CHILDLESS_TAGS:
+            if isinstance(node, Text) or node.tag in CHILDLESS_TAGS:  # no span to merge
                 out.append(node)
                 continue
             ident, deltas = _identity(node.tag, node.attrs)

@@ -60,7 +60,9 @@ def _random_text(rng: Random) -> Text:
 
 
 def _random_tag(rng: Random) -> tuple[str, dict[str, str]]:
-    roll = rng.randrange(10)
+    """A tag drawn from the markup table's rows, with a value for some of its
+    attributes: amounts and levels as deltas and as plain values."""
+    roll = rng.randrange(13)
     if roll < 3:
         return rng.choice(["su", "seg", "np", "vp"]), {}
     if roll == 3:
@@ -78,7 +80,16 @@ def _random_tag(rng: Random) -> tuple[str, dict[str, str]]:
         return "AU", {"NUM": str(rng.randrange(1, 47)), "LEVEL": "0.6"}
     if roll == 8:
         return "EMPH", {}
-    return "AFFECT", {"TYPE": rng.choice(["interest", "happiness"]), "LEVEL": "0.5"}
+    if roll == 9:
+        return "PITCH", {"BASE": rng.choice(["+5%", "-10%", "+2"]), "RANGE": rng.choice(["+10%", "wide"])}
+    if roll == 10:
+        return "VOLUME", {"LEVEL": rng.choice(["+10%", "-5%", "loud"])}
+    if roll == 11:
+        return "EMPH", {"LEVEL": rng.choice(["strong", "moderate", "+10%", "-5%"])}
+    return "AFFECT", {
+        "TYPE": rng.choice(["interest", "happiness"]),
+        "LEVEL": rng.choice(["0.5", "+10%", "-0.2"]),
+    }
 
 
 def _random_node(rng: Random, depth: int, ancestors: list[tuple[str, dict[str, str]]]) -> Node:

@@ -523,7 +523,7 @@ class TestRunReplay:
 
     @pytest.mark.parametrize("num", ["²", "١٢", "+5"])
     def test_au_num_not_an_unsigned_decimal_literal_in_template_exits_1(self, tmp_path, capsys, num):
-        # a signed NUM would read as a delta to the merge
+        # an action unit is an unsigned integer, so a signed NUM fails the load
         profile = tmp_path / "p.profile"
         profile.write_text(
             '(template id: grinner (pre (move player: ?p))'

@@ -12,10 +12,17 @@ import pytest
 from hypothesis import assume, given, settings
 
 from byrne.seeml import (
+    AMOUNT,
+    CHILDLESS_TAGS,
     DEFAULT_VISEMES,
     EVERY_PHRASE,
+    FACE_LEVEL,
+    LEVEL,
     MIN_VISEME_MS,
     MAX_NESTING,
+    NAME,
+    PATH,
+    TAGS,
     UTTERANCE,
     Directive,
     Element,
@@ -45,6 +52,11 @@ from corpus import markup, random_document
 from oracle_seeml import serialize_seeml
 
 # --- parse / serialize --------------------------------------------------------
+
+# Every attribute name the table lists, and two misspellings.
+_ATTRIBUTE_NAMES = sorted({name for takes in TAGS.values() for name in takes} | {"SPED", "NUMB"})
+# A valid value for each attribute a tag needs.
+_NEEDED = {"AUDIO": 'SRC="a.wav" ', "AURAL": 'NAME="cheer" ', "EXPR": 'NAME="smile" ', "AU": 'NUM="4" '}
 
 
 class TestParse:
@@ -148,6 +160,38 @@ class TestParse:
         # MAX_NESTING such deltas on one path would sum past the largest float
         with pytest.raises(SeemlError, match=r"(LEVEL|SPEED|BASE) delta must lie within ±8\.9\d*e\+305, got"):
             parse_seeml(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('<RATE SPED="+10%">x</RATE>', "<RATE> takes no attribute SPED"),
+            ('<BREAK LEVEL="+1"/>', "<BREAK> takes no attribute LEVEL"),
+            ('<au num="4" levle="0.5">x</au>', "<AU> takes no attribute LEVLE"),
+        ],
+    )
+    def test_an_attribute_the_tag_does_not_take_fails_the_load(self, text, message):
+        with pytest.raises(SeemlError, match=re.escape(message)):
+            parse_seeml(text)
+
+    @given(
+        st.sampled_from(sorted(TAGS)),
+        st.sampled_from(_ATTRIBUTE_NAMES) | st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,5}", fullmatch=True),
+        st.sampled_from(["+1", "+10%", "0.5", "n", ""]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_attribute_outside_the_table_fails_the_load(self, tag, name, value):
+        canonical = name.lower() if tag.islower() else name.upper()
+        assume(canonical not in TAGS[tag])
+        # the tag's required attributes are given, so only the stray one can fail
+        with pytest.raises(SeemlError) as err:
+            parse_seeml(f'<{tag} {_NEEDED.get(tag, "")}{name}="{value}"/>')
+        assert str(err.value) == f"<{tag}> takes no attribute {canonical}"
+
+    def test_a_path_is_written_as_given_signed_or_not(self):
+        # a path is no amount, so it is neither read as a number nor summed
+        doc = parse_seeml('<AUDIO SRC="+1e400"/>')
+        assert doc.children[0].attr("SRC") == "+1e400"
+        assert merge_tags(doc) == doc
 
     def test_attribute_values_escape_and_round_trip(self):
         doc = document([element("AUDIO", {"SRC": 'clips/"a&b".wav'})])
@@ -465,14 +509,19 @@ def _delta(value: str):
     return (float(m.group(1)), m.group(2)) if m else None
 
 
+# The kinds of attribute whose deltas the merge sums.
+_SUMMED = (AMOUNT, LEVEL, FACE_LEVEL)
+
+
+def _deltas(el: Element) -> dict:
+    """The deltas of `el`'s amounts and levels: the only values the merge sums."""
+    return {k: _delta(v) for k, v in el.attrs if TAGS[el.tag][k][0] in _SUMMED and _delta(v)}
+
+
 def _key(el: Element):
-    plain = tuple(sorted((k, v) for k, v in el.attrs if _delta(v) is None))
-    deltas = tuple(sorted((k, _delta(v)[1]) for k, v in el.attrs if _delta(v) is not None))
-    return (el.tag, plain, deltas)
-
-
-def _has_delta(el: Element) -> bool:
-    return any(_delta(v) is not None for _, v in el.attrs)
+    deltas = _deltas(el)
+    plain = tuple(sorted((k, v) for k, v in el.attrs if k not in deltas))
+    return (el.tag, plain, tuple(sorted((k, unit) for k, (_, unit) in deltas.items())))
 
 
 class _MutableNode:
@@ -541,10 +590,8 @@ def reference_merge(doc: SeemlDocument) -> SeemlDocument:
             for anc in ancestors:
                 if anc.el is None or _key(anc.el) != _key(node.el):
                     continue
-                if _has_delta(anc.el) or _has_delta(node.el):
-                    mine = {
-                        k: _delta(v) for k, v in anc.el.attrs if _delta(v) is not None
-                    }
+                if _deltas(anc.el) or _deltas(node.el):
+                    mine = _deltas(anc.el)
                     for inner in immediate_same_key(anc):
                         inner.el = add_delta(inner.el, mine)
                     splice(anc)
@@ -569,6 +616,30 @@ def assert_no_identical_nesting(doc: SeemlDocument) -> None:
 
     for node in doc.children:
         walk(node, [])
+
+
+# Name and path attributes, signed and not, and an amount beside a name.
+_SIGNED = st.sampled_from(["+1", "+1.0", "-2", "+1e400", "+10%", "n"])
+_NAMED = st.one_of(
+    st.tuples(st.just("w"), st.fixed_dictionaries({"pos": _SIGNED})),
+    st.tuples(st.just("AFFECT"), st.fixed_dictionaries({"TYPE": _SIGNED})),
+    st.tuples(st.just("AFFECT"), st.fixed_dictionaries({"TYPE": _SIGNED, "LEVEL": st.just("+10%")})),
+    st.tuples(st.just("AURAL"), st.fixed_dictionaries({"NAME": _SIGNED})),
+    st.tuples(st.just("AUDIO"), st.fixed_dictionaries({"SRC": _SIGNED})),
+)
+# Every (tag, attribute, kind) whose deltas the merge sums.
+_SUMMED_ROWS = [
+    (tag, name, kind) for tag, takes in TAGS.items() for name, (kind, _) in takes.items() if kind in _SUMMED
+]
+
+
+def _name_and_path_values(doc: SeemlDocument) -> set:
+    return {
+        (el.tag, name, value)
+        for el in elements(doc.children)
+        for name, value in el.attrs
+        if TAGS[el.tag][name][0] in (NAME, PATH)
+    }
 
 
 class TestMergeTags:
@@ -655,6 +726,41 @@ class TestMergeTags:
         # a signed name is no amount: rewritten as +1 it would name another sound
         text = '<RATE SPEED="+5%"><AURAL NAME="+1.0"/>x</RATE>'
         assert serialize_seeml(merge_tags(parse_seeml(text))) == text
+
+    @pytest.mark.parametrize(
+        "text, merged",
+        [
+            ('<w pos="+1"><w pos="+1">x</w></w>', '<w pos="+1">x</w>'),
+            (
+                '<AFFECT TYPE="+1.0">a <AFFECT TYPE="+1.0">b</AFFECT></AFFECT>',
+                '<AFFECT TYPE="+1.0">a b</AFFECT>',
+            ),
+        ],
+    )
+    def test_a_signed_name_is_not_summed(self, text, merged):
+        # a name is no amount: the identical inner copy goes, and the value stays as written
+        assert serialize_seeml(merge_tags(parse_seeml(text))) == merged
+
+    @given(st.lists(_NAMED, min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_names_and_paths_are_kept_as_written_property(self, marks):
+        # each mark wraps the ones before it; a childless one goes beside them
+        nodes: list = [Text("x")]
+        for tag, attrs in marks:
+            nodes = [element(tag, attrs), *nodes] if tag in CHILDLESS_TAGS else [element(tag, attrs, nodes)]
+        doc = document(nodes)
+        written = _name_and_path_values(doc)
+        assert _name_and_path_values(merge_tags(doc)) <= written
+        assert merge_tags(doc) == reference_merge(doc)
+
+    @given(st.sampled_from(_SUMMED_ROWS), st.lists(st.integers(-50, 50), min_size=1, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_amounts_and_levels_sum_on_the_inner_span_property(self, row, steps):
+        tag, name, kind = row
+        unit = "" if kind == FACE_LEVEL else "%"
+        opens = "".join(f'<{tag} {_NEEDED.get(tag, "")}{name}="{step:+d}{unit}">' for step in steps)
+        (merged,) = merge_tags(parse_seeml(f"{opens}x{f'</{tag}>' * len(steps)}")).children
+        assert merged.attr(name) == f"{sum(steps):+g}{unit}" and merged.children == (Text("x"),)
 
     def test_idempotent_on_corpus(self):
         rng = Random(2024)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -9,7 +10,7 @@ from conftest import MINIMAL_STYLE
 from hypothesis import given, settings
 
 from byrne.errors import ByrneError
-from byrne.seeml import parse_seeml
+from byrne.seeml import MAX_NESTING, parse_seeml
 from byrne.sexpr import (
     _NUMBER,
     VARIABLE,
@@ -142,9 +143,10 @@ def _accepts(load, source: str) -> bool:
 @given(_NEAR_NUMBERS)
 @settings(max_examples=300, deadline=None)
 def test_style_and_markup_read_a_number_exactly_when_it_is_a_decimal_literal(text):
-    # an EXPR LEVEL is a number in [0,1], or a signed number (a delta) a float can hold
+    # an EXPR LEVEL is a number in [0,1], or a signed number (a delta) small enough
+    # that MAX_NESTING of them sum to a float
     level = _decimal(text)
-    signed = text.startswith(("+", "-")) and math.isfinite(level)
+    signed = text.startswith(("+", "-")) and abs(level) <= sys.float_info.max / (MAX_NESTING + 1)
     markup = f'<EXPR LEVEL="{text}" NAME="smile">x</EXPR>'
     assert _accepts(parse_seeml, markup) == (0 <= level <= 1 or signed)
     # a style line loses the spaces around it, and a weight ends at a space

@@ -203,7 +203,8 @@ _RUN = st.lists(st.one_of(_LITERAL, _VARIABLE), max_size=5).map("".join)
 # The loader keeps variables out of attribute values.
 _VALUE = st.lists(_LITERAL, max_size=5).map("".join)
 
-# Tags whose attribute values `_validate` does not restrict, with that attribute.
+# Tags with an attribute that takes any unsigned text (an amount, a name or a path
+# in `seeml.TAGS`), with that attribute, or with none.
 _WRAPPING = [("seg", ""), ("EMPH", ""), ("w", ""), ("RATE", "SPEED"), ("PITCH", "BASE"), ("AFFECT", "TYPE")]
 _CHILDLESS = [("AURAL", "NAME"), ("AUDIO", "SRC")]
 
