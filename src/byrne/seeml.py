@@ -82,12 +82,13 @@ DEFAULT_VISEMES = {
 }
 
 
-@dataclass(frozen=True)
+# Tree nodes have slots: a replay keeps many trees (see `pipeline.Memos`).
+@dataclass(frozen=True, slots=True)
 class Text:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     tag: str
     attrs: tuple[tuple[str, str], ...] = ()
@@ -284,16 +285,39 @@ def texts(nodes: Iterable[Node]) -> Iterable[str]:
             yield from texts(node.children)
 
 
-def substitute(doc: SeemlDocument, fill: Callable[[str], str]) -> SeemlDocument:
-    """`doc` with `fill` applied to every text node; what `fill` returns is
-    literal text. Attribute values are kept as they are."""
+# Where the texts a test picks lie in a node list: an (index, paths) pair for
+# each node that is such a text (its paths empty) or holds one below it.
+Paths = tuple[tuple[int, "Paths"], ...]
 
-    def walk(node: Node) -> Node:
+
+def text_paths(nodes: Sequence[Node], test: Callable[[str], object]) -> Paths:
+    """The paths to the texts in and below `nodes` for which `test` is true."""
+    found: list[tuple[int, Paths]] = []
+    for i, node in enumerate(nodes):
         if isinstance(node, Text):
-            return Text(fill(node.text))
-        return _with_children(node, [walk(child) for child in node.children])
+            if test(node.text):
+                found.append((i, ()))
+        elif inner := text_paths(node.children, test):
+            found.append((i, inner))
+    return tuple(found)
 
-    return document(walk(node) for node in doc.children)
+
+def substitute(doc: SeemlDocument, fill: Callable[[str], str], paths: Paths) -> SeemlDocument:
+    """`doc` with `fill` applied to each text `paths` leads to (see
+    `text_paths`); what `fill` returns is literal text. Attribute values are
+    kept as they are, and only the elements on the paths are rebuilt."""
+
+    def walk(nodes: tuple[Node, ...], paths: Paths) -> tuple[Node, ...]:
+        out = list(nodes)
+        for i, inner in paths:
+            node = nodes[i]
+            if isinstance(node, Text):
+                out[i] = Text(fill(node.text))
+            else:
+                out[i] = Element(node.tag, node.attrs, walk(node.children, inner))
+        return _normalize(out)  # a text filled with nothing goes
+
+    return SeemlDocument(walk(doc.children, paths))
 
 
 def strip_text(doc: SeemlDocument) -> str:
@@ -339,6 +363,14 @@ class Directive:
 
     mark: Element
     scope: Scope
+    # Hashed once: every utterance's render-memo lookup hashes its directives.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.mark, self.scope)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _with_children(el: Element, children: Iterable[Node]) -> Element:
@@ -532,14 +564,15 @@ def merge_tags(doc: SeemlDocument) -> SeemlDocument:
 # --- verifier: timing, split, lip sync ---------------------------------------
 
 
-@dataclass(frozen=True)
+# Timed words and events have slots too: the render memo keeps every bundle's timeline.
+@dataclass(frozen=True, slots=True)
 class TimedWord:
     word: str
     onset_ms: float
     duration_ms: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FacsEvent:
     onset_ms: float
     au: int
@@ -547,7 +580,7 @@ class FacsEvent:
     duration_ms: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VisemeEvent:
     onset_ms: float
     viseme: str

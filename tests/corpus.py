@@ -16,7 +16,7 @@ from byrne.seeml import (
     document,
     element,
 )
-from byrne.sexpr import Symbol, kw, to_text
+from byrne.sexpr import Sexpr, Symbol, kw, to_text
 
 _WORDS = ["goal", "pass", "ball", "saved", "what", "a", "stop", "corner", "now", "Kirk", "flies"]
 
@@ -120,33 +120,59 @@ def random_document(rng: Random, max_depth: int = 4) -> SeemlDocument:
 
 _EMOTIONS = ["fear", "anger", "sadness", "happiness", "disgust", "surprise", "interest"]
 _DECAYS = [Symbol("1/t"), Symbol("constant"), (Symbol("exp"), 0.3), (Symbol("linear"), 0.15)]
-_SCOPES = [
-    Symbol("utterance"),
-    Symbol("every-phrase"),
-    (Symbol("word"), "goal"),
-    (Symbol("point"), Symbol("start")),
-    (Symbol("point"), Symbol("end")),
+# Display names: some are words the templates speak or the triggers seek.
+_DISPLAY_NAMES = ["Kirk", "the", "the ball", "a", "goal", "Kirk son", "b"]
+# Word triggers: the templates' words next to their variables, two words
+# around one, the display names, and words that begin or end with punctuation.
+_TRIGGERS = [
+    "goal", "score", "shoots", "ball", "the", "what a", "a b", "the ball", "kirk son", "kirkson",
+    "goal!", "'ball", "score.", *_DISPLAY_NAMES,
+]
+_TEAM_LINES = ["<su><seg>?t score</seg></su>", '<seg>what a "goal"</seg>', "<su><seg>what a ?t goal</seg></su>"]
+_SHOT_LINES = [
+    "<su><seg>?p shoots</seg> <seg>the ball flies</seg></su>",
+    "<su><seg><w>?p</w> has the ball</seg></su>",
+    "<su><seg>a shot by ?p<np>son</np> now</seg></su>",
+    "<su><seg>?p<EMPH>shoots</EMPH> wide</seg></su>",
+    "<su><seg>one more ball?p wide</seg></su>",
 ]
 
 
+def _random_scope(rng: Random) -> Sexpr:
+    roll = rng.randrange(5)
+    if roll == 0:
+        return Symbol("utterance")
+    if roll == 1:
+        return Symbol("every-phrase")
+    if roll == 2:
+        return (Symbol("point"), Symbol(rng.choice(["start", "end"])))
+    return (Symbol("word"), rng.choice(_TRIGGERS))
+
+
 def _random_directive_form(rng: Random) -> tuple:
-    scope = rng.choice(_SCOPES)
-    roll = rng.randrange(4)
+    scope = _random_scope(rng)
+    roll = rng.randrange(6)
     if roll == 0:
         return (Symbol("expr"), Symbol(rng.choice(EXPRESSION_NAMES)), rng.choice([0, 0.5, 1]), scope)
     if roll == 1:
         return (Symbol("au"), rng.randrange(1, 47), rng.choice([0.25, 1.0]), scope)
     if roll == 2:
         return (Symbol("aural"), Symbol(rng.choice(["hiccup", "cheer"])), scope)
-    return (Symbol("speech"), Symbol("RATE"), scope, kw("SPEED"), rng.choice(["+5%", "-10%"]))
+    if roll == 3:
+        return (Symbol("speech"), Symbol("RATE"), scope, kw("SPEED"), rng.choice(["+5%", "-10%"]))
+    if roll == 4:  # a <w> every phrase is spelled whole by the word triggers after it
+        scope = Symbol("every-phrase") if rng.random() < 0.5 else scope
+        return (Symbol("speech"), Symbol("w"), scope, kw("pos"), "n")
+    return (Symbol("speech"), Symbol("EMPH"), scope)
 
 
 def random_profile_forms(rng: Random) -> list[tuple]:
-    """Top-level forms of a valid profile that uses every kind of form."""
+    """Top-level forms of a valid profile that uses every kind of form, with
+    templates for scoring and shot facts."""
     team = (Symbol("scores"), kw("team"), Symbol("?t"))
     forms: list[tuple] = [
         (Symbol("static"), (Symbol("supports"), kw("team"), rng.choice(_TEAMS))),
-        (Symbol("names"), *((p, f'{p} "the {p}"') for p in rng.sample(_PLAYERS, 2))),
+        (Symbol("names"), *((p, rng.choice(_DISPLAY_NAMES)) for p in rng.sample(_PLAYERS + _TEAMS, 4))),
         (Symbol("params"), kw("lambda"), rng.choice([0, 2.5, 5])),
     ]
     for _ in range(rng.randrange(1, 4)):
@@ -176,7 +202,13 @@ def random_profile_forms(rng: Random) -> list[tuple]:
     for i in range(rng.randrange(1, 4)):
         forms.append((
             Symbol("template"), kw("id"), Symbol(f"line{i}"), (Symbol("pre"), team),
-            (Symbol("text"), rng.choice(["<su><seg>?t score</seg></su>", "<seg>what a \"goal\"</seg>"])),
+            (Symbol("text"), rng.choice(_TEAM_LINES)),
+        ))
+    for i in range(rng.randrange(1, 3)):
+        forms.append((
+            Symbol("template"), kw("id"), Symbol(f"shot{i}"),
+            (Symbol("pre"), (Symbol("shot"), kw("player"), Symbol("?p"))),
+            (Symbol("text"), rng.choice(_SHOT_LINES)),
         ))
     rng.shuffle(forms)
     return forms

@@ -789,7 +789,7 @@ def test_fuzzed_profile_style_and_out_exit_0_or_1_naming_the_file(profile_text, 
 
 @st.composite
 def _generated_replays(draw):
-    """A valid generated profile, and a log of scoring facts it has templates for."""
+    """A valid generated profile, and a log of scoring and shot facts it has templates for."""
     rng = Random(draw(st.integers(0, 10**9)))
     profile = "\n".join(to_text(form) for form in random_profile_forms(rng))
     lines, clock = [], 0
@@ -798,6 +798,8 @@ def _generated_replays(draw):
         lines.append(f"(tick {clock})")
         for team in draw(st.lists(st.sampled_from("ab"), max_size=2, unique=True)):
             lines.append(f"(fact (scores team: {team}) relevance: {draw(st.integers(1, 10))})")
+        for player in draw(st.lists(st.sampled_from(["a1", "a2", "b1", "b2"]), max_size=2, unique=True)):
+            lines.append(f"(fact (shot player: {player}) relevance: {draw(st.integers(1, 10))})")
     return profile, "\n".join(lines) + "\n"
 
 
@@ -872,7 +874,7 @@ class TestInterruptionCutsInReplay:
         assert cuts >= 2
 
 
-# --- one match per fact, one instantiation and render per distinct key ------------------
+# --- one match per fact, one walk per pair, one render per distinct key ---------------------
 
 
 def _record_inputs(mp: pytest.MonkeyPatch) -> list:
@@ -989,10 +991,69 @@ def test_each_distinct_demo_input_renders_once_per_replay(tmp_path, monkeypatch)
         assert mismatch == [] and errors == []
 
 
-def test_each_distinct_demo_key_is_instantiated_once(demo_profile, demo_style, monkeypatch):
+def test_each_demo_pair_is_walked_once_and_no_key_falls_back(demo_profile, demo_style, monkeypatch):
+    # a render key walks its (template id, directives) pair's body once, and a
+    # key that falls back instantiates and walks its own: the demo needs no fallback
+    walked = _record_calls(monkeypatch, "apply_directives")
     instantiated = _record_calls(monkeypatch, "instantiate")
     started = _started(monkeypatch, _demo_updates(), demo_profile, demo_style)
-    assert len(instantiated) == len({key for key, _, _, _ in started}) < len(started) == 48
+    keys = {key for key, _, _, _ in started}
+    pairs = {(template_id, directives) for template_id, _, directives in keys}
+    assert instantiated == []
+    assert len(walked) == len(pairs) + len(instantiated) < len(keys) < len(started) == 48
+    bodies = [template.body for template in demo_profile.templates]
+    assert all(any(doc is body for body in bodies) for doc, _ in walked)  # variables still unfilled
+
+
+# One player's move, spoken through one behavior: a1's name varies per case,
+# and a2's, "Angus", meets no trigger.
+_GUARD_PROFILE = """
+(names (a1 "{name}") (a2 "Angus"))
+(emotion-rule (pre (move player: ?p))
+  (add (type: interest intensity: 6 target: nil cause: (move player: ?p) decay: 1/t)))
+(behavior id: marked group: g (motivated-by interest) (directives {directive}))
+(template id: line (pre (move player: ?p)) (text "<su><seg>{phrase}</seg></su>"))
+"""
+
+
+@pytest.mark.parametrize(
+    "phrase, directive, name, walks, fallbacks",
+    [
+        # the trigger wraps "the ball" once ?p is "the", but not "?p ball"
+        ("?p ball rolls on", '(speech EMPH (word "the ball"))', "the", 1, 1),
+        # a trigger equal to a fill's text
+        ("?p moves on", '(au 4 0.6 (word "Kirk"))', "Kirk", 1, 1),
+        # a trigger that matches inside the variable as written
+        ("?p moves on", '(speech EMPH (word "p"))', "Kirk", 0, 2),
+        # a <w> that spells the trigger once filled, as one text and as two
+        ("<w>?p</w> moves on", '(speech EMPH (word "kirk"))', "Kirk", 1, 1),
+        ("<w>?p<np>son</np></w> moves on", '(speech EMPH (word "kirkson"))', "Kirk", 1, 1),
+        # the whole body, wrapped in an utterance-wide <w>, spells the trigger once filled
+        ("?p</seg><seg>son", '(speech w utterance) (speech EMPH (word "kirkson"))', "Kirk", 1, 1),
+        # a <w> that spells the trigger only while ?p is unfilled
+        ("<w>the<np> ?p</np></w> moves on", '(speech EMPH (word "the ?p"))', "Kirk", 0, 2),
+        # a trigger next to a variable reads its first character once filled
+        ("one ball?p moves on", '(speech EMPH (word "ball"))', "Kirk", 0, 2),
+        # a trigger that ends with a space reads the character after it
+        ("?p moves on", '(speech EMPH (word "moves "))', "Kirk", 0, 2),
+        # the merge drops the inner EMPH and joins ?p to "moves"
+        ("?p<EMPH>moves</EMPH> on", "(speech EMPH utterance)", "Kirk", 1, 2),
+        # no trigger reads a fill: both keys fill one walk
+        ("?p moves on", '(speech EMPH (word "moves"))', "Kirk", 1, 0),
+    ],
+)
+def test_a_key_a_trigger_could_read_renders_in_full(
+    phrase, directive, name, walks, fallbacks, minimal_style, monkeypatch
+):
+    profile = load_profile(_GUARD_PROFILE.format(name=name, directive=directive, phrase=phrase))
+    log = "(tick 1)\n(fact (move player: a1) relevance: 3)\n(tick 9)\n(fact (move player: a2) relevance: 5)\n(tick 12)\n"
+    walked = _record_calls(monkeypatch, "apply_directives")
+    instantiated = _record_calls(monkeypatch, "instantiate")
+    # each bundle is checked against the full render of its instantiated body
+    started = _started(monkeypatch, parse_game_log(log), profile, minimal_style)
+    assert {texts for (_, texts, directives), _, _, _ in started if directives} == {(name,), ("Angus",)}
+    marked = [directives for _, directives in walked if directives]
+    assert (len(marked), len(instantiated)) == (walks + fallbacks, fallbacks)
 
 
 def test_each_demo_fact_is_matched_once_per_replay(demo_profile, demo_style, monkeypatch):

@@ -293,6 +293,14 @@ def spelled_document(rng: Random) -> SeemlDocument:
 
 
 class TestApplyDirectives:
+    def test_directives_built_apart_are_one_memo_key(self):
+        # the render memo keys on directive tuples; each directive's hash is kept
+        first = (markup("RATE", EVERY_PHRASE, SPEED="+5%"), markup("AU", word_trigger("goal"), NUM="4"))
+        second = (markup("RATE", EVERY_PHRASE, SPEED="+5%"), markup("AU", word_trigger("goal"), NUM="4"))
+        assert first == second and first[0] is not second[0]
+        assert len({first, second}) == 1
+        assert markup("RATE", EVERY_PHRASE, SPEED="+5%") != markup("RATE", UTTERANCE, SPEED="+5%")
+
     def test_utterance_scope_wraps_root(self):
         doc = parse_seeml("<su><seg>goal</seg></su>")
         smiled = apply_directives(doc, [markup("EXPR", UTTERANCE, NAME="smile", LEVEL="0.8")])

@@ -145,6 +145,17 @@ class TestInstantiate:
         doc = instantiate(PASS_TEMPLATE, {Symbol("?x"): Symbol("a1"), Symbol("?y"): Symbol("a2")})
         assert serialize_seeml(doc) == "<su><seg>a1 passes</seg> <seg>to a2</seg></su>"
 
+    def test_instantiation_rebuilds_only_the_paths_to_variables(self):
+        doc = instantiate(PASS_TEMPLATE, {Symbol("?x"): Symbol("a1"), Symbol("?y"): Symbol("a2")})
+        (su,) = doc.children
+        assert su.children[1] is PASS_TEMPLATE.body.children[0].children[1]  # the " " between the phrases
+        assert su.children[0] is not PASS_TEMPLATE.body.children[0].children[0]
+
+    def test_a_variable_filled_with_nothing_leaves_no_empty_text(self):
+        t = Template("empty", (), parse_seeml("<su><seg><w>?p</w> moves</seg></su>"))
+        assert t.held == ("?p",) and t.spelled == (("?p",), ("?p", " moves"), ("?p", " moves"))
+        assert instantiate(t, {Symbol("?p"): ""}) == parse_seeml("<su><seg><w></w> moves</seg></su>")
+
     def test_no_variables_is_identity(self):
         t = Template("plain", (), parse_seeml("<su><seg>what a match</seg></su>"))
         assert instantiate(t, {}) == t.body
