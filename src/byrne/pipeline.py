@@ -35,8 +35,8 @@ from .facts import (
 )
 from .patterns import Binding
 from .profile import CharacterProfile, check_against_style, load_profile
-from .seeml import Directive, OutputBundle, Paths, SeemlDocument, apply_directives, format_face_timeline
-from .seeml import merge_tags, text_paths, verify_and_split
+from .seeml import Directive, OutputBundle, Paths, SeemlDocument, apply_directives, fill_guard
+from .seeml import format_face_timeline, merge_tags, text_paths, verify_and_split
 from .sexpr import VARIABLE, atom
 from .style import StyleFile, load_style
 from .textgen import Template, UsageHistory, fill, fill_in, instantiate, match_templates
@@ -84,17 +84,13 @@ class Memos:
     pair, the body walked and merged once with its variables still written as
     `?p`, fills the key's texts into it and times the result. That equals the
     full render, which instantiates the body before the walk, when no word
-    trigger can read a variable, which holds when:
-    (a) every word trigger begins and ends with a word character;
-    (b) every variable has whitespace or the edge of its text on both sides;
-    (c) no trigger match overlaps a variable in the body, or a filled text
-        in the filled body;
-    (d) no trigger equals, ignoring case, the text of a `<seg>`, a `<w>` or
-        the body that holds a variable, filled or not.
-    Given (a) and (b), a match that avoids every variable reads the same
-    characters and neighbours in both bodies, also in the fragments earlier
-    triggers leave. Any other key is rendered in full, and so is every key of
-    a pair whose merge ran a variable into a neighbouring text."""
+    trigger can read a variable: (a) every trigger begins and ends with a word
+    character, (b) every variable has whitespace or a text edge on both sides,
+    (c) no trigger match, overlapping ones included, overlaps a variable or a
+    filled text, and (d) no trigger spells a `<seg>`, a `<w>` or the body that
+    holds a variable. `seeml.fill_guard` tests them, and says why they suffice.
+    Any other key is rendered in full, and so is every key of a pair whose
+    merge ran a variable into a neighbouring text."""
 
     profile: CharacterProfile
     style: StyleFile
@@ -110,38 +106,6 @@ class Memos:
     uncovered: set[str] = field(default_factory=set)
 
 
-# A word trigger that begins and ends with a word character, condition (a).
-_WORDLIKE = re.compile(r"\w(?:.*\w)?", re.DOTALL)
-
-
-def _flanked(text: str) -> bool:
-    """Condition (b): each variable in `text` has whitespace or an edge of `text` on both sides."""
-    return all(
-        (m.start() == 0 or text[m.start() - 1].isspace()) and (m.end() == len(text) or text[m.end()].isspace())
-        for m in VARIABLE.finditer(text)
-    )
-
-
-def _filled(text: str, table: dict) -> tuple[str, list[tuple[int, int]]]:
-    """`text` with each variable replaced from `table`, and the span each fill takes in it."""
-    parts, spans, end, size = [], [], 0, 0
-    for m in VARIABLE.finditer(text):
-        value = table[m.group(0)]
-        size += m.start() - end
-        parts += (text[end : m.start()], value)
-        spans.append((size, size + len(value)))
-        size, end = size + len(value), m.end()
-    parts.append(text[end:])
-    return "".join(parts), spans
-
-
-def _touched(text: str, spans: list[tuple[int, int]], patterns: tuple[re.Pattern[str], ...]) -> bool:
-    """Whether a match of one of `patterns` in `text` overlaps one of `spans`."""
-    return any(
-        m.start() < end and start < m.end() for rx in patterns for m in rx.finditer(text) for start, end in spans
-    )
-
-
 @dataclass
 class PairRender:
     """A template and one directive tuple: the body is walked and merged on
@@ -150,30 +114,17 @@ class PairRender:
 
     template: Template
     directives: tuple[Directive, ...]
-    patterns: tuple[re.Pattern[str], ...]  # the word triggers' patterns
-    words: frozenset[str]  # the word triggers, lower-cased
-    # No key fills the tree: conditions (a) or (b) fail, or (c) or (d) on the
-    # body, or the merge, which joins the texts around an element it drops,
-    # ran a variable into a neighbour.
-    refused: bool
+    # `seeml.fill_guard` of the body's sites and the directives: None when no
+    # key fills the tree, as also when the merge, which joins the texts around
+    # an element it drops, ran a variable into a neighbour.
+    fits: Optional[Callable[[dict], bool]]
     merged: Optional[SeemlDocument] = None
     paths: Paths = ()  # to the merged tree's texts that hold a variable
     bundles: dict = field(default_factory=dict)  # the variables' texts -> bundle
 
-    def fits(self, fills: tuple[str, ...]) -> bool:
-        """Conditions (c) and (d) on the texts `fills` gives the body."""
-        if not self.words:
-            return True
-        table = dict(zip(self.template.variables, fills))
-        filled = {leaf: _filled(leaf, table) for leaf in self.template.held}
-        if any(_touched(text, spans, self.patterns) for text, spans in filled.values()):
-            return False
-        spelled = ("".join(filled[t][0] if t in filled else t for t in leaves) for leaves in self.template.spelled)
-        return not any(text.strip().lower() in self.words for text in spelled)
-
     def fill(self, fills: tuple[str, ...]) -> Optional[SeemlDocument]:
         """The merged tree with `fills` in, or None when that might differ from the full render."""
-        if self.refused or not self.fits(fills):
+        if self.fits is None or not self.fits(dict(zip(self.template.variables, fills))):
             return None
         if self.merged is None:
             self.merged = merge_tags(apply_directives(self.template.body, self.directives))
@@ -184,26 +135,10 @@ class PairRender:
                 return VARIABLE.search(text) is not None
 
             self.paths = text_paths(self.merged.children, holds)
-            self.refused = found != [var for leaf in self.template.held for var in VARIABLE.findall(leaf)]
-            if self.refused:
+            if found != [var for text in self.template.sites.held for var in VARIABLE.findall(text)]:
+                self.fits = None
                 return None
         return fill_in(self.merged, self.paths, self.template.variables, fills)
-
-
-def pair_render(template: Template, directives: tuple[Directive, ...]) -> PairRender:
-    """`template` under `directives`, with conditions (a) and (b), and (c) and
-    (d) on the body, checked."""
-    triggers = [d.scope for d in directives if d.scope.kind == "word"]
-    patterns = tuple(scope.pattern for scope in triggers)
-    words = frozenset(scope.word.lower() for scope in triggers)
-    held = template.held
-    fits = (
-        all(_WORDLIKE.fullmatch(scope.word) for scope in triggers)
-        and all(map(_flanked, held))
-        and not any(_touched(leaf, [m.span() for m in VARIABLE.finditer(leaf)], patterns) for leaf in held)
-        and not any("".join(leaves).strip().lower() in words for leaves in template.spelled)
-    )
-    return PairRender(template, directives, patterns, words, not fits)
 
 
 def render_key(memos: Memos, pair: PairRender, binding: Binding, fills: tuple[str, ...]) -> OutputBundle:
@@ -260,7 +195,8 @@ def _begin_utterance(
         directives = tuple(expand(winners, profile.behaviors))
         pair = memos.renders.get((template.id, directives))
         if pair is None:
-            pair = memos.renders[template.id, directives] = pair_render(template, directives)
+            pair = PairRender(template, directives, fill_guard(template.sites, directives))
+            memos.renders[template.id, directives] = pair
         fills = fill(template, binding, profile.names)
         bundle = pair.bundles.get(fills)
         if bundle is None:

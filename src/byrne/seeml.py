@@ -13,10 +13,10 @@ import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import ByrneError
-from .sexpr import Symbol, atom
+from .sexpr import VARIABLE, Symbol, atom
 
 if TYPE_CHECKING:
     from .style import StyleFile
@@ -418,7 +418,7 @@ def _walk_element(el: Element, run: Sequence[Directive]) -> list[Node]:
             hits = []
             if "w" in chain:
                 if spelled is None:
-                    spelled = "".join(texts(el.children)).strip().lower()
+                    spelled = _spelling(texts(el.children))
                 if spelled == d.scope.word.lower():
                     hits = [chain.index("w")]
             if not hits:
@@ -434,6 +434,133 @@ def _walk_element(el: Element, run: Sequence[Directive]) -> list[Node]:
     for mark, marks in zip(reversed(wraps), reversed(beside[:-1])):
         nodes = [Element(mark.tag, mark.attrs, tuple(nodes)), *marks]
     return nodes
+
+
+def _spelling(leaves: Iterable[str]) -> str:
+    """What a word trigger must equal, ignoring case, to spell an element whose texts are `leaves`."""
+    return "".join(leaves).strip().lower()
+
+
+def _occurrences(rx: re.Pattern[str], text: str) -> Iterator[tuple[int, int]]:
+    """The span of every match of `rx` in `text`, overlapping ones too."""
+    m = rx.search(text)
+    while m:
+        yield m.span()
+        m = rx.search(text, m.start() + 1)
+
+
+def _touched(text: str, spans: list[tuple[int, int]], patterns: Sequence[re.Pattern[str]]) -> bool:
+    """Whether some match of one of `patterns` in `text` overlaps one of `spans`."""
+    return any(a < end and start < b for rx in patterns for a, b in _occurrences(rx, text) for start, end in spans)
+
+
+def _flanked(text: str) -> bool:
+    """Each variable in `text` has whitespace or an edge of `text` on both sides."""
+    return all(
+        (m.start() == 0 or text[m.start() - 1].isspace()) and (m.end() == len(text) or text[m.end()].isspace())
+        for m in VARIABLE.finditer(text)
+    )
+
+
+def _filled(text: str, table: Mapping[str, str]) -> tuple[str, list[tuple[int, int]]]:
+    """`text` with each variable replaced from `table`, and the span each fill takes in it."""
+    parts, spans, end, size = [], [], 0, 0
+    for m in VARIABLE.finditer(text):
+        value = table[m.group(0)]
+        size += m.start() - end
+        parts += (text[end : m.start()], value)
+        spans.append((size, size + len(value)))
+        size, end = size + len(value), m.end()
+    parts.append(text[end:])
+    return "".join(parts), spans
+
+
+def _spelled_groups(nodes: Iterable[Node], groups: list[tuple[str, ...]]) -> list[str]:
+    """The texts in and below `nodes`; those of each `<seg>` and `<w>` among
+    them that holds a variable go to `groups` as well."""
+    leaves: list[str] = []
+    for node in nodes:
+        if isinstance(node, Text):
+            leaves.append(node.text)
+            continue
+        inner = _spelled_groups(node.children, groups)
+        if node.tag in ("seg", "w") and any(map(VARIABLE.search, inner)):
+            groups.append(tuple(inner))
+        leaves += inner
+    return leaves
+
+
+@dataclass(frozen=True)
+class FillSites:
+    """Where a body's variables lie, found once per body by `fill_sites`."""
+
+    paths: Paths  # to the texts that hold a variable
+    held: tuple[str, ...]  # those texts, in document order
+    # The texts of each <seg> and <w> that holds a variable, and of the whole
+    # body if it holds one: `_walk_element` spells such an element by them.
+    spelled: tuple[tuple[str, ...], ...]
+
+
+def fill_sites(body: SeemlDocument) -> FillSites:
+    """Where `body`'s variables lie, and what a word trigger reads of them."""
+    spelled: list[tuple[str, ...]] = []
+    leaves = _spelled_groups(body.children, spelled)
+    held = tuple(leaf for leaf in leaves if VARIABLE.search(leaf))
+    paths = text_paths(body.children, VARIABLE.search)
+    return FillSites(paths, held, (*spelled, tuple(leaves)) if held else ())
+
+
+# A word trigger that begins and ends with a word character.
+_WORDLIKE = re.compile(r"\w(?:.*\w)?", re.DOTALL)
+
+
+def _any_fill(table: Mapping[str, str]) -> bool:
+    return True
+
+
+def fill_guard(sites: FillSites, directives: Sequence[Directive]) -> Optional[Callable[[Mapping[str, str]], bool]]:
+    """Whether filling a body's variables, at the `sites` found in it, commutes
+    with applying `directives` to it: None when no fill is known to, else a
+    test of a table from each variable to its text.
+
+    The walk reads text only through word triggers, so a table passes when no
+    trigger can read a variable, which holds when:
+    (a) every word trigger begins and ends with a word character;
+    (b) every variable has whitespace or the edge of its text on both sides;
+    (c) no match of a trigger, overlapping matches included, overlaps a
+        variable in the body or a filled text in the filled body;
+    (d) no trigger equals, ignoring case, the text of a `<seg>`, a `<w>` or
+        the body that holds a variable, filled or not: `_walk_element` spells
+        an element by that text.
+    A match, by (a) and its whole-word test, has a word character just inside
+    each end and a non-word character or the text's edge just outside. So a
+    match in a fragment that earlier triggers leave in `_walk_text` is a match
+    of the whole text with the same neighbours, though not always one that
+    `finditer` over the whole text returns: (c) reads overlapping matches for
+    that. By (b) and (c), a match in one body is one in the other, with the
+    same characters and neighbours, so both walks split every text alike.
+    """
+    held, groups = sites.held, sites.spelled
+    triggers = [d.scope for d in directives if d.scope.kind == "word"]
+    patterns = [scope.pattern for scope in triggers]
+    words = frozenset(scope.word.lower() for scope in triggers)
+    if not (
+        all(_WORDLIKE.fullmatch(scope.word) for scope in triggers)
+        and all(map(_flanked, held))
+        and not any(_touched(leaf, [m.span() for m in VARIABLE.finditer(leaf)], patterns) for leaf in held)
+        and not any(_spelling(group) in words for group in groups)
+    ):
+        return None
+    if not triggers:
+        return _any_fill
+
+    def fits(table: Mapping[str, str]) -> bool:
+        filled = {leaf: _filled(leaf, table) for leaf in held}
+        if any(_touched(text, spans, patterns) for text, spans in filled.values()):
+            return False
+        return not any(_spelling(filled[t][0] if t in filled else t for t in group) in words for group in groups)
+
+    return fits
 
 
 def _walk_text(node: Text, run: Sequence[Directive], inside: bool) -> list[Node]:

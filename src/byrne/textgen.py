@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import ByrneError
 from .patterns import Binding, Candidates, Form, Keyed, match_all
-from .seeml import Node, Paths, SeemlDocument, Text, substitute, text_paths
+from .seeml import FillSites, Paths, SeemlDocument, fill_sites, substitute
 from .sexpr import VARIABLE, Sexpr, Symbol, to_text
 
 
@@ -28,38 +28,15 @@ class Template:
     preconditions: tuple[Keyed, ...]
     body: SeemlDocument
     # Found once when the template is built: the body's variables in document
-    # order, the texts that hold them and the paths to those texts, and the
-    # texts of the body and of each <seg> or <w> in it that hold one, which is
-    # what a word trigger spells such an element by.
+    # order, and where they lie in it.
     variables: tuple[Symbol, ...] = field(init=False, repr=False, compare=False)
-    held: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    paths: Paths = field(init=False, repr=False, compare=False)
-    spelled: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+    sites: FillSites = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        spelled: list[tuple[str, ...]] = []
-        leaves = _leaves(self.body.children, spelled)
-        held = tuple(leaf for leaf in leaves if VARIABLE.search(leaf))
-        found = dict.fromkeys(Symbol(var) for leaf in held for var in VARIABLE.findall(leaf))
+        sites = fill_sites(self.body)
+        found = dict.fromkeys(Symbol(var) for text in sites.held for var in VARIABLE.findall(text))
         object.__setattr__(self, "variables", tuple(found))
-        object.__setattr__(self, "held", held)
-        object.__setattr__(self, "paths", text_paths(self.body.children, VARIABLE.search))
-        object.__setattr__(self, "spelled", (*spelled, tuple(leaves)) if held else ())
-
-
-def _leaves(nodes: tuple[Node, ...], spelled: list[tuple[str, ...]]) -> list[str]:
-    """The texts in and below `nodes`; those of each `<seg>` and `<w>` among
-    them that holds a variable go to `spelled` as well."""
-    leaves: list[str] = []
-    for node in nodes:
-        if isinstance(node, Text):
-            leaves.append(node.text)
-            continue
-        inner = _leaves(node.children, spelled)
-        if node.tag in ("seg", "w") and any(map(VARIABLE.search, inner)):
-            spelled.append(tuple(inner))
-        leaves += inner
-    return leaves
+        object.__setattr__(self, "sites", sites)
 
 
 @dataclass(frozen=True)
@@ -178,7 +155,7 @@ def instantiate(
     template: Template, binding: Binding, names: Mapping[str, str] | None = None
 ) -> SeemlDocument:
     """Substitute bound terms, as literal text, into the body's text."""
-    return fill_in(template.body, template.paths, template.variables, fill(template, binding, names))
+    return fill_in(template.body, template.sites.paths, template.variables, fill(template, binding, names))
 
 
 def record_usage(history: UsageHistory, template_id: str, now: float) -> UsageHistory:

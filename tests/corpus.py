@@ -128,7 +128,14 @@ _TRIGGERS = [
     "goal", "score", "shoots", "ball", "the", "what a", "a b", "the ball", "kirk son", "kirkson",
     "goal!", "'ball", "score.", *_DISPLAY_NAMES,
 ]
-_TEAM_LINES = ["<su><seg>?t score</seg></su>", '<seg>what a "goal"</seg>', "<su><seg>what a ?t goal</seg></su>"]
+# Two triggers in a row, the second's start the first's end: in the text the
+# first leaves of "what a goal goal ?t", the second can line up otherwise than
+# over the whole text, and take a fill.
+_CHAINED_TRIGGERS = ("a goal", "goal goal")
+_TEAM_LINES = [
+    "<su><seg>?t score</seg></su>", '<seg>what a "goal"</seg>', "<su><seg>what a ?t goal</seg></su>",
+    "<su><seg>what a goal goal ?t</seg></su>",
+]
 _SHOT_LINES = [
     "<su><seg>?p shoots</seg> <seg>the ball flies</seg></su>",
     "<su><seg><w>?p</w> has the ball</seg></su>",
@@ -149,8 +156,8 @@ def _random_scope(rng: Random) -> Sexpr:
     return (Symbol("word"), rng.choice(_TRIGGERS))
 
 
-def _random_directive_form(rng: Random) -> tuple:
-    scope = _random_scope(rng)
+def _random_directive_form(rng: Random, scope: Sexpr | None = None) -> tuple:
+    scope = scope or _random_scope(rng)
     roll = rng.randrange(6)
     if roll == 0:
         return (Symbol("expr"), Symbol(rng.choice(EXPRESSION_NAMES)), rng.choice([0, 0.5, 1]), scope)
@@ -188,6 +195,8 @@ def random_profile_forms(rng: Random) -> list[tuple]:
     leaves = [f"leaf{i}" for i in range(rng.randrange(1, 4))]
     for bid in leaves:
         directives = tuple(_random_directive_form(rng) for _ in range(rng.randrange(1, 4)))
+        if rng.random() < 0.25:
+            directives += tuple(_random_directive_form(rng, (Symbol("word"), w)) for w in _CHAINED_TRIGGERS)
         forms.append((
             Symbol("behavior"), kw("id"), Symbol(bid), kw("group"), Symbol(rng.choice("xyz")),
             (Symbol("motivated-by"), Symbol(rng.choice(_EMOTIONS)), kw("target"), Symbol("?who")),

@@ -1021,6 +1021,9 @@ _GUARD_PROFILE = """
     [
         # the trigger wraps "the ball" once ?p is "the", but not "?p ball"
         ("?p ball rolls on", '(speech EMPH (word "the ball"))', "the", 1, 1),
+        # "x x" matches the fill in the fragment "q x" leaves, " x x", but over
+        # the whole text only where an overlapping match, "x x" at 2, takes it
+        ("q x x ?p", '(au 4 0.6 (word "q x")) (speech EMPH (word "x x"))', "x", 1, 1),
         # a trigger equal to a fill's text
         ("?p moves on", '(au 4 0.6 (word "Kirk"))', "Kirk", 1, 1),
         # a trigger that matches inside the variable as written

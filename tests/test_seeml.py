@@ -3,6 +3,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import replace
+from itertools import product
 from random import Random
 from typing import Sequence
 
@@ -28,6 +29,7 @@ from byrne.seeml import (
     Element,
     Scope,
     FacsEvent,
+    Node,
     SeemlDocument,
     SeemlError,
     Text,
@@ -38,16 +40,22 @@ from byrne.seeml import (
     document,
     element,
     elements,
+    fill_guard,
+    fill_sites,
     format_face_timeline,
     lip_sync,
     merge_tags,
     nesting,
     parse_seeml,
     strip_text,
+    substitute,
+    text_paths,
+    texts,
     verify_and_split,
     word_trigger,
 )
 from byrne.seeml import _identity, _mouth_runs
+from byrne.sexpr import VARIABLE
 from corpus import markup, random_document
 from oracle_seeml import serialize_seeml
 
@@ -507,6 +515,93 @@ class TestApplyDirectives:
                 for el in elements(doc.children)
             )
         assert all(count >= 30 for count in seen.values()), seen
+
+
+# --- filling a walked body ------------------------------------------------------
+
+# Few words, so that triggers, variables and fills meet: "x x" overlaps itself,
+# "p" lies inside "?p", "x!" and "x " end in a non-word character, and a fill
+# can be one trigger, spell a <w>, or join two.
+_FILL_WORDS = ["x", "x", "q", "x!", "Q", "?p", "?p"]
+_FILL_TRIGGERS = ["x", "q", "q x", "x x", "x x", "x q", "x!", "x ", "p"]
+_FILLS = ["x", "q", "X", "x x", "q x", ""]
+
+
+def _fill_case(rng: Random) -> tuple[SeemlDocument, list[Directive]]:
+    """One or two `<seg>`s of a few words and variables, some in a `<w>`, some
+    glued to their neighbours, and a few marks on those words."""
+    segs: list[Node] = []
+    for _ in range(rng.randrange(1, 3)):
+        children: list[Node] = []
+        for _ in range(rng.randrange(1, 4)):
+            words = [rng.choice(_FILL_WORDS) for _ in range(rng.randrange(1, 5))]
+            text = Text(rng.choice([" ", " ", ""]).join(words) + rng.choice([" ", ""]))
+            children.append(element("w", {"pos": "n"}, [text]) if rng.random() < 0.3 else text)
+        segs.append(element("seg", {}, children))
+    body = document(segs)
+    directives = []
+    for _ in range(rng.randrange(1, 5)):
+        scope = rng.choice([word_trigger(rng.choice(_FILL_TRIGGERS))] * 4 + [EVERY_PHRASE, UTTERANCE])
+        tag = rng.choice(["EMPH", "BREAK", "w"])
+        directives.append(markup(tag, scope, **({"pos": "v"} if tag == "w" else {})))
+    return body, directives
+
+
+def _fill(doc: SeemlDocument, text: str) -> SeemlDocument:
+    """`doc` with every variable, "?p" or one glued on to it such as "?pq", filled with `text`."""
+    return substitute(doc, lambda leaf: VARIABLE.sub(text, leaf), text_paths(doc.children, VARIABLE.search))
+
+
+class TestFillGuard:
+    @staticmethod
+    def _check(body: SeemlDocument, directives: Sequence[Directive], counts: dict) -> None:
+        fits = fill_guard(fill_sites(body), directives)
+        counts["body refused"] += fits is None
+        variables = {var for leaf in texts(body.children) for var in VARIABLE.findall(leaf)}
+        for text in _FILLS:
+            if fits is not None and fits(dict.fromkeys(variables, text)):
+                counts["filled after the walk"] += 1
+                walked = apply_directives(body, directives)
+                assert _fill(walked, text) == apply_directives(_fill(body, text), directives)
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=300, deadline=None)
+    def test_a_fill_the_guard_passes_commutes_with_the_walk_property(self, seed):
+        self._check(*_fill_case(Random(seed)), {"body refused": 0, "filled after the walk": 0})
+
+    def test_a_fill_the_guard_passes_commutes_with_the_walk_on_every_small_body(self):
+        # every text of up to four words over "q", "x" and "?p" under every pair
+        # of triggers: few enough to try all, and among them a trigger that lines
+        # up otherwise in the fragment another leaves than over the whole text
+        triggers = ["q", "x", "q x", "x q", "x x"]
+        counts = {"body refused": 0, "filled after the walk": 0}
+        for size in range(1, 5):
+            for words in product(["q", "x", "?p"], repeat=size):
+                body = document([element("seg", {}, [Text(" ".join(words))])])
+                for first, second in product(triggers, repeat=2):
+                    for tag in ("EMPH", "BREAK"):
+                        directives = [markup(tag, word_trigger(first)), markup("EMPH", word_trigger(second))]
+                        self._check(body, directives, counts)
+        assert counts["filled after the walk"] >= 18000, counts
+
+    def test_a_seg_a_w_wraps_every_phrase_is_spelled_by_its_filled_text(self):
+        # no one text reads "kirkson": only the <seg> spells it
+        body = parse_seeml("<seg>?p<np>son</np></seg><seg>runs on</seg>")
+        directives = [markup("w", EVERY_PHRASE, pos="n"), markup("EMPH", word_trigger("kirkson"))]
+        fits = fill_guard(fill_sites(body), directives)
+        assert fits is not None and fits({"?p": "Angus"}) and not fits({"?p": "Kirk"})
+        walked = apply_directives(body, directives)
+        assert _fill(walked, "Kirk") != apply_directives(_fill(body, "Kirk"), directives)
+
+    def test_a_trigger_that_overlaps_itself_is_read_in_the_fragments_others_leave(self):
+        # over "q x x x", finditer finds "x x" at 2 only; in " x x", left after
+        # "q x", it finds the fill's "x x" at 4
+        body = parse_seeml("<seg>q x x ?p</seg>")
+        directives = [markup("AU", word_trigger("q x"), NUM="4"), markup("EMPH", word_trigger("x x"))]
+        fits = fill_guard(fill_sites(body), directives)
+        assert fits is not None and fits({"?p": "q"}) and not fits({"?p": "x"})
+        walked = apply_directives(body, directives)
+        assert _fill(walked, "x") != apply_directives(_fill(body, "x"), directives)
 
 
 # --- merge algebra --------------------------------------------------------------

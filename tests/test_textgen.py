@@ -153,7 +153,7 @@ class TestInstantiate:
 
     def test_a_variable_filled_with_nothing_leaves_no_empty_text(self):
         t = Template("empty", (), parse_seeml("<su><seg><w>?p</w> moves</seg></su>"))
-        assert t.held == ("?p",) and t.spelled == (("?p",), ("?p", " moves"), ("?p", " moves"))
+        assert t.sites.held == ("?p",) and t.sites.spelled == (("?p",), ("?p", " moves"), ("?p", " moves"))
         assert instantiate(t, {Symbol("?p"): ""}) == parse_seeml("<su><seg><w></w> moves</seg></su>")
 
     def test_no_variables_is_identity(self):
