@@ -10,6 +10,14 @@ rules objects, a marked pool comes back as it is (Rete's skip; Forgy, AI 1982).
 That is sound: a firing reads only those (a board term is fixed per identity)
 and the pool's views, and `now` only stamps additions.
 
+The same idea works one level down, from a plan each rule and schema derive
+once at load. A rule keeps the shape of each precondition that is not a bare
+variable (`EmotionRule.shapes`), and one whose shape has no candidate in the
+universe cannot bind, so it never reaches the matcher. A binding forms each
+addition's view from the schema's type symbol and builds the structure only
+when the pool holds no such view. And the universe's views are replaced only
+after a rule that added or deleted a structure.
+
 What the load guarantees is not checked again here. The profile loader binds
 every cause, target and deletion variable in the rule's preconditions, and
 every candidate is ground, so each full binding makes a ground structure. The
@@ -27,12 +35,14 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ByrneError
 from .facts import FactBoard
-from .patterns import Binding, Candidates, Form, Keyed, equal, keyed, match_all, substitute, unify
+from .patterns import Candidates, Form, Keyed, equal, is_variable, keyed, match_all, shape, substitute, unify
 from .sexpr import Sexpr, Symbol, kw, to_text
 
 EMOTION_TYPES = ("fear", "anger", "sadness", "happiness", "disgust", "surprise", "interest")
 
 NIL = Symbol("nil")
+
+_TYPE, _TARGET, _CAUSE = kw("type"), kw("target"), kw("cause")
 
 
 class RuleError(ByrneError):
@@ -87,7 +97,7 @@ class EmotionStructure:
 
     def view(self) -> tuple:
         """Matchable projection: type, target, and cause only."""
-        return (kw("type"), Symbol(self.type), kw("target"), self.target, kw("cause"), self.cause)
+        return (_TYPE, Symbol(self.type), _TARGET, self.target, _CAUSE, self.cause)
 
     @cached_property
     def matchable(self) -> Form:
@@ -113,6 +123,11 @@ class EmotionSchema:
     target: Sexpr
     cause: Sexpr
     decay: DecayFunction
+    # the type as a view holds it, made once
+    symbol: Symbol = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "symbol", Symbol(self.type))
 
 
 @dataclass(frozen=True)
@@ -122,6 +137,12 @@ class EmotionRule:
     # Kept raw and substituted per binding: a substituted subterm matches by
     # keyword subset, where a bound variable would need exact equality.
     deletions: tuple[Sexpr, ...] = ()
+    # the shape of each precondition but a bare variable: one with no candidate skips the rule
+    shapes: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        shapes = tuple([shape(keyed(p)) for p in self.preconditions if not is_variable(p)])
+        object.__setattr__(self, "shapes", shapes)
 
 
 @dataclass(frozen=True)
@@ -140,12 +161,6 @@ def rule_universe(
     return Candidates([*facts, *statics, *(e.matchable for e in pool.structures)])
 
 
-def _instantiate(schema: EmotionSchema, binding: Binding, now: float) -> EmotionStructure:
-    target = substitute(schema.target, binding)
-    cause = substitute(schema.cause, binding)
-    return EmotionStructure(schema.type, schema.intensity, target, cause, schema.decay, float(now))
-
-
 def apply_rules(
     pool: EmotionPool,
     board: FactBoard,
@@ -157,8 +172,12 @@ def apply_rules(
 
     Re-firing is idempotent: a structure is not added when the pool already
     holds one with the same view (type, target, and cause), compared as the
-    matcher compares terms. The universe is indexed by shape once per call; only
-    its views, all headless, follow the pool from rule to rule.
+    matcher compares terms. The view is formed from the substituted target and
+    cause first, and the structure is built only when it is new. The universe
+    is indexed by shape once per call; only its views, all headless, follow the
+    pool, replaced after each rule that added or deleted a structure. A rule
+    goes to the matcher only when each of its `shapes` has a candidate, since
+    `match_all` returns nothing otherwise.
     """
     mark = pool.mark
     if mark and mark[1] is statics and mark[2] is rules and mark[0] == board.entries.keys():
@@ -168,22 +187,28 @@ def apply_rules(
     fixed = len(universe) - len(structures)
     headless = universe.by_shape.get(None, [])
     headless = headless[: len(headless) - len(structures)]  # less the views, its tail
+    by_shape, now = universe.by_shape, float(now)
     for rule in rules:
-        bindings = match_all(rule.preconditions, universe)
-        for binding in bindings:
+        if not all(map(by_shape.get, rule.shapes)):
+            continue
+        changed = False
+        for binding in match_all(rule.preconditions, universe):
             for pattern in rule.deletions:
                 probe = keyed(substitute(pattern, binding))  # once, not per structure
-                structures = [s for s in structures if unify(probe, s.matchable, {}) is None]
+                kept = [s for s in structures if unify(probe, s.matchable, {}) is None]
+                if len(kept) < len(structures):
+                    structures, changed = kept, True
             for schema in rule.additions:
-                new = _instantiate(schema, binding, now)
-                view = new.view()
+                target, cause = substitute(schema.target, binding), substitute(schema.cause, binding)
+                view = (_TYPE, schema.symbol, _TARGET, target, _CAUSE, cause)
                 # `==` holds wherever the matcher's equality does, and fails fast
                 if any(view == s.matchable.term and equal(view, s.matchable.term) for s in structures):
                     continue
-                structures.append(new)
-        if bindings:
+                structures.append(EmotionStructure(schema.type, schema.intensity, target, cause, schema.decay, now))
+                changed = True
+        if changed:
             universe[fixed:] = views = [s.matchable for s in structures]
-            universe.by_shape[None] = headless + views
+            by_shape[None] = headless + views
     # `is`, not `==`: `==` holds between Symbol("a") and "a", and between 1 and 1.0
     if len(structures) == len(pool.structures) and all(map(is_, structures, pool.structures)):
         return EmotionPool(pool.structures, (frozenset(board.entries), statics, rules))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from byrne.emotions import EmotionPool, EmotionRule, _instantiate
+from byrne.emotions import EmotionPool, EmotionRule, EmotionSchema, EmotionStructure
 from byrne.facts import FactBoard
 from byrne.patterns import Binding, substitute
 from byrne.sexpr import Sexpr, Symbol, is_keyword, keyword_name, to_text
@@ -123,6 +123,12 @@ def match_all(
             seen.add(key)
             out.append(b)
     return out
+
+
+def _instantiate(schema: EmotionSchema, binding: Binding, now: float) -> EmotionStructure:
+    target = substitute(schema.target, binding)
+    cause = substitute(schema.cause, binding)
+    return EmotionStructure(schema.type, schema.intensity, target, cause, schema.decay, float(now))
 
 
 def rule_universe(board: FactBoard, statics: Iterable[Sexpr], pool: EmotionPool) -> list[Sexpr]:

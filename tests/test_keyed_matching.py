@@ -28,6 +28,7 @@ from byrne.emotions import (
     EmotionStructure,
     apply_rules,
     decay_pool,
+    rule_universe,
 )
 from byrne.facts import FactBoard, TickUpdate, apply_tick, fact_from_sexpr, parse_game_log
 from byrne.patterns import Candidates, Form, keyed, match_all, parse_keyed, unify, variables_in
@@ -209,9 +210,30 @@ TYPES = st.sampled_from(EMOTION_TYPES[:3])
 DECAY = DecayFunction("constant")
 
 
+# a head no fact, static or view has, so a rule naming it never binds
+ABSENT = Symbol("corner")
+
+
+@st.composite
+def preconditions_from(draw, terms):
+    """Mostly a fact's or a static's pattern; else a bare variable, a headless
+    `(type: T ...)` that matches the pool's views, or a head absent from the board."""
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return draw(st.sampled_from(VARIABLES))
+    if kind == 1:
+        kind_of = draw(st.one_of(TYPES.map(Symbol), st.sampled_from(VARIABLES)))
+        parts = st.one_of(st.sampled_from(VARIABLES), st.sampled_from(terms).flatmap(patterns_from))
+        rest = draw(st.lists(st.tuples(st.sampled_from(["target", "cause"]), parts), max_size=2, unique_by=lambda p: p[0]))
+        return _keyword_form(None, [("type", kind_of), *rest])
+    if kind == 2:
+        return _keyword_form(ABSENT, [(draw(KEYS), draw(st.one_of(st.sampled_from(VARIABLES), ATOMS)))])
+    return draw(st.sampled_from(terms).flatmap(patterns_from))
+
+
 @st.composite
 def rules(draw, terms):
-    preconditions = tuple(draw(st.lists(st.sampled_from(terms).flatmap(patterns_from), min_size=1, max_size=2)))
+    preconditions = tuple(draw(st.lists(preconditions_from(terms), min_size=1, max_size=2)))
     bound = sorted(set().union(*(variables_in(p) for p in preconditions)))
     targets = [NIL, *bound]
     additions = tuple(
@@ -298,6 +320,93 @@ def test_later_rules_match_the_views_earlier_rules_added_and_the_headless_static
         ("surprise", "(k: 2)"),
     ]
     assert _pool_text(got) == _pool_text(oracle.apply_rules(EmotionPool(), board, statics, rule_list, 1.0))
+
+
+# the firing plan: a rule with a precondition of no candidate skips the matcher,
+# an addition is built only when new, and the views follow each change
+
+
+def _counted_match_all(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return match_all(*args)
+
+    monkeypatch.setattr(emotions, "match_all", counted)
+    return calls
+
+
+def test_a_view_added_in_a_firing_lets_a_later_rule_bind_though_no_headless_bucket_began_it(monkeypatch):
+    go = read_one("(go k: 1)")
+    rule_list = [
+        EmotionRule((read_one("(type: interest)"),), (EmotionSchema("fear", 5.0, NIL, go, DECAY),)),
+        EmotionRule((go,), (EmotionSchema("happiness", 5.0, NIL, go, DECAY),)),
+        EmotionRule(
+            (read_one("(type: happiness cause: ?c)"),),
+            (EmotionSchema("interest", 5.0, NIL, Symbol("?c"), DECAY),),
+        ),
+    ]
+    board = board_of(fact_of("(go k: 1)", 5.0))
+    assert None not in rule_universe(board, [], EmotionPool()).by_shape
+    calls = _counted_match_all(monkeypatch)
+    got = apply_rules(EmotionPool(), board, [], _keyed_rules(rule_list), 1.0)
+    assert [(s.type, to_text(s.cause)) for s in got.structures] == [("happiness", "(go k: 1)"), ("interest", "(go k: 1)")]
+    assert len(calls) == 2  # the first rule found no view to read
+    assert _pool_text(got) == _pool_text(oracle.apply_rules(EmotionPool(), board, [], rule_list, 1.0))
+
+
+def test_a_deletion_alone_empties_the_bucket_a_later_rule_scans(monkeypatch):
+    go = read_one("(go k: 1)")
+    rule_list = [
+        EmotionRule((go,), deletions=((kw("type"), Symbol("happiness")),)),
+        EmotionRule(
+            (read_one("(type: happiness cause: ?c)"),),
+            (EmotionSchema("interest", 5.0, NIL, Symbol("?c"), DECAY),),
+        ),
+    ]
+    pool = EmotionPool((EmotionStructure("happiness", 6.0, NIL, go, DECAY, 0.0),))
+    board = board_of(fact_of("(go k: 1)", 5.0))
+    calls = _counted_match_all(monkeypatch)
+    got = apply_rules(pool, board, [], _keyed_rules(rule_list), 1.0)
+    assert got.structures == () and got.mark is None
+    assert len(calls) == 1  # the view the second rule would read is gone
+    assert _pool_text(got) == _pool_text(oracle.apply_rules(pool, board, [], rule_list, 1.0))
+
+
+def test_a_firing_that_only_re_derives_its_views_builds_no_structure(monkeypatch):
+    go = read_one("(go k: 1)")
+    rule_list = [
+        EmotionRule((go,), (EmotionSchema("happiness", 5.0, NIL, go, DECAY),)),
+        EmotionRule(
+            (read_one("(type: happiness cause: ?c)"),),
+            (EmotionSchema("happiness", 5.0, NIL, Symbol("?c"), DECAY),),
+        ),
+    ]
+    board = board_of(fact_of("(go k: 1)", 5.0))
+    held = EmotionPool((EmotionStructure("happiness", 6.0, NIL, go, DECAY, 0.0),))
+    expected = oracle.apply_rules(held, board, [], rule_list, 1.0)
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return EmotionStructure(*args)
+
+    monkeypatch.setattr(emotions, "EmotionStructure", counted)
+    keyed_rules = _keyed_rules(rule_list)
+    got = apply_rules(held, board, [], keyed_rules, 1.0)
+    assert built == [] and got.structures is held.structures and got.mark is not None
+    assert _pool_text(got) == _pool_text(expected)
+    assert len(apply_rules(EmotionPool(), board, [], keyed_rules, 1.0).structures) == len(built) == 1
+
+
+def test_a_rule_derives_the_shapes_of_its_preconditions_but_bare_variables():
+    rule = EmotionRule(tuple(keyed(read_one(t)) for t in ["(p k: ?x)", "?y", "(type: fear)", "(p m: 1)", "(1 ?y)"]))
+    assert rule.shapes == (Symbol("p"), None, Symbol("p"), ())
+    raw = EmotionRule((read_one("(p k: ?x)"),))  # as the oracle takes it
+    assert raw.shapes == (Symbol("p"),)
+    assert replace(raw, preconditions=(keyed(read_one("(q k: ?x)")),)).shapes == (Symbol("q"),)
+    assert EmotionSchema("fear", 5.0, NIL, NIL, DECAY).symbol == Symbol("fear")
 
 
 # `apply_rules` skips firing a pool marked by a firing that changed nothing,
@@ -415,20 +524,22 @@ def test_a_marked_pool_fires_again_under_other_identities_statics_or_rules():
 
 
 def test_demo_replay_fires_rules_on_fewer_ticks_and_matches_the_goldens(demo_profile, tmp_path, monkeypatch):
-    calls = []
+    starts = []
 
-    def counted(*args):
-        calls.append(args)
-        return match_all(*args)
+    def universe(*args):
+        starts.append(args)
+        return rule_universe(*args)
 
-    monkeypatch.setattr(emotions, "match_all", counted)  # once per rule in each firing that is not skipped
+    monkeypatch.setattr(emotions, "rule_universe", universe)  # once per firing that is not skipped
+    calls = _counted_match_all(monkeypatch)  # once per rule that could bind
     updates = parse_game_log((DEMO / "game.log").read_text(encoding="utf-8"))
     ticks = len(list(driver_ticks(updates, 1.0)))
     out = tmp_path / "demo"
     code = run_replay(DEMO / "game.log", DEMO / "announcer.profile", DEMO / "announcer.style", out)
     assert code == 0
-    firings, rest = divmod(len(calls), len(demo_profile.emotion_rules))
-    assert rest == 0 and 0 < firings < ticks
+    firings = len(starts)
+    assert 0 < firings < ticks
+    assert len(calls) < firings * len(demo_profile.emotion_rules)
     names = sorted(p.name for p in GOLDEN.iterdir())
     assert sorted(p.name for p in out.iterdir()) == names
     _, mismatch, errors = filecmp.cmpfiles(GOLDEN, out, names, shallow=False)
