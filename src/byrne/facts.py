@@ -12,7 +12,7 @@ from typing import Collection
 
 from .errors import ByrneError
 from .patterns import Form, is_ground, parse_keyed
-from .sexpr import SexprError, Sexpr, Symbol, is_keyword, keyword_name, read_one, to_text
+from .sexpr import SexprError, Sexpr, Symbol, atom, is_keyword, keyword_name, read_one, to_text
 
 
 class LogError(ByrneError):
@@ -34,16 +34,15 @@ class LogOrderError(LogError):
 
 @dataclass(frozen=True)
 class GameFact:
+    """One scored log fact. `fact_from_sexpr` builds it and renders `identity`,
+    the canonical text of the term that the board keys by; the relevance is not
+    part of it. `parse_game_log` hands a term's re-listings the `term` and
+    `identity` objects of its first listing (see `_shaped`), so neither is read
+    or rendered again, and `apply_tick` renders nothing."""
+
     term: tuple  # the ground ``(predicate key: value ...)`` form, as read
     relevance: float
-
-    @property
-    def identity(self) -> str:
-        """Canonical text of the term; the relevance score is not part of it.
-
-        Built on every access; the board's keys and `InProgress` keep it once.
-        """
-        return to_text(self.term)
+    identity: str  # to_text(term)
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ def fact_from_sexpr(form: Sexpr, relevance: float, line: int | None = None) -> G
     for name in ("begintime", "endtime"):
         if name in pairs and not isinstance(pairs[name], (int, float)):
             raise LogSyntaxError(f"{name} must be a number of seconds", line)
-    return GameFact(form, float(relevance))
+    return GameFact(form, float(relevance), to_text(form))
 
 
 @dataclass(frozen=True)
@@ -82,16 +81,48 @@ class TickUpdate:
     facts: tuple[GameFact, ...] = ()
 
 
+def _shaped(line: str) -> tuple[str, float] | None:
+    """The ``<text>`` and relevance of a ``(fact <text> relevance: <n>)`` line,
+    cut at its last `` relevance: ``, that holds no ``#`` and a finite decimal
+    ``<n>``; None for any other line.
+
+    Once such a line has read in full, ``<text>`` is the whole term: with no
+    ``#`` there is no comment, and `` relevance: <n>)`` holds no quote, so the
+    cut lies outside any string and the line ends in the tokens ``relevance:``,
+    ``<n>`` and the paren that closes ``(fact``. The reader works left to right,
+    so another such line with the same ``<text>`` reads the same term and
+    passes the same checks.
+    """
+    if not (line.startswith("(fact ") and line.endswith(")")) or "#" in line:
+        return None
+    text, cut, number = line[6:-1].rpartition(" relevance: ")
+    if not cut:
+        return None
+    try:
+        relevance = atom(number)
+    except SexprError:  # too large for a float: the full read names the line
+        return None
+    return (text, float(relevance)) if isinstance(relevance, (int, float)) else None
+
+
 def parse_game_log(text: str) -> tuple[TickUpdate, ...]:
     """Parse a line-oriented game log into tick updates, ascending in time.
 
     Lines are ``(tick <seconds>)`` headers or ``(fact <s-expr> relevance: <n>)``
     entries attached to the preceding header; ``#`` lines are comments. Each
     tick must pass the last to 9 decimals, the grid `pipeline.driver_ticks` keys by.
+
+    The analyser lists every live fact again on each tick under a new score, so
+    most fact lines repeat a term already read. `read` maps the ``<text>`` of a
+    line in `_shaped`'s shape to the fact that a full read of the line gave. A
+    later line of that shape with the same ``<text>`` reads only its relevance,
+    and shares the fact's term and identity. Every other line, a miss included,
+    takes the full read, so each error keeps its class, message and line.
     """
     updates: list[TickUpdate] = []
     current: list[GameFact] | None = None
     current_time: float | None = None
+    read: dict[str, GameFact] = {}  # a fact line's term text -> its first full read
 
     def flush() -> None:
         if current_time is not None:
@@ -101,6 +132,12 @@ def parse_game_log(text: str) -> tuple[TickUpdate, ...]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        shaped = _shaped(line)  # the memo is empty before the first tick
+        if shaped is not None:
+            known = read.get(shaped[0])
+            if known is not None:
+                current.append(GameFact(known.term, shaped[1], known.identity))
+                continue
         try:
             form = read_one(line)
         except SexprError as e:
@@ -123,7 +160,10 @@ def parse_game_log(text: str) -> tuple[TickUpdate, ...]:
                 raise LogSyntaxError("expected (fact <s-expr> relevance: <number>)", line_no)
             if not isinstance(form[3], (int, float)):
                 raise LogSyntaxError("relevance must be a number", line_no)
-            current.append(fact_from_sexpr(form[1], float(form[3]), line_no))
+            fact = fact_from_sexpr(form[1], float(form[3]), line_no)
+            current.append(fact)
+            if shaped is not None:
+                read[shaped[0]] = fact
         else:
             raise LogSyntaxError(f"unknown form ({head} ...)", line_no)
     flush()

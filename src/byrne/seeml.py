@@ -320,10 +320,6 @@ def substitute(doc: SeemlDocument, fill: Callable[[str], str], paths: Paths) -> 
     return SeemlDocument(walk(doc.children, paths))
 
 
-def strip_text(doc: SeemlDocument) -> str:
-    return "".join(texts(doc.children))
-
-
 # --- directive application -------------------------------------------------
 
 

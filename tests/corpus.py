@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from random import Random
 
-from byrne.facts import FactBoard, GameFact, TickUpdate, apply_tick
+from byrne.facts import FactBoard, GameFact, TickUpdate, apply_tick, fact_from_sexpr
 from byrne.seeml import (
     EXPRESSION_NAMES,
     Directive,
@@ -42,7 +42,7 @@ def random_fact(rng: Random) -> GameFact:
         end = rng.randrange(0, 300)
         args = args + (("begintime", end - 5), ("endtime", end))
     relevance = round(rng.uniform(1.0, 10.0), 2)
-    return GameFact((pred, *(x for name, term in args for x in (kw(name), term))), relevance)
+    return fact_from_sexpr((pred, *(x for name, term in args for x in (kw(name), term))), relevance)
 
 
 def random_board(rng: Random, min_size: int = 1, max_size: int = 8) -> FactBoard:

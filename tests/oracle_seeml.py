@@ -11,7 +11,8 @@ is then serialized. Like `seeml.verify_and_split`, it takes a document the loade
 produce: every aural name is in the style.
 
 It also holds `serialize_seeml`, a document's canonical text, which byrne
-itself writes only inside `verify_and_split`, with the same escapes.
+itself writes only inside `verify_and_split`, with the same escapes, and
+`strip_text`, a document's words, which only the tests read.
 """
 
 from __future__ import annotations
@@ -41,9 +42,14 @@ from byrne.seeml import (
     _with_children,
     document,
     element,
-    strip_text,
+    texts,
 )
 from byrne.style import StyleFile
+
+
+def strip_text(doc: SeemlDocument) -> str:
+    """The document's words and spaces, markup dropped."""
+    return "".join(texts(doc.children))
 
 
 def _marked(node: Node, mark: Element) -> list[Node]:

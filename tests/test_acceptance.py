@@ -31,12 +31,11 @@ from byrne.seeml import (
     FacsEvent,
     merge_tags,
     parse_seeml,
-    strip_text,
     verify_and_split,
 )
 from byrne.sexpr import read_one
 from corpus import markup, random_board, random_document
-from oracle_seeml import serialize_seeml
+from oracle_seeml import serialize_seeml, strip_text
 from test_seeml import assert_no_identical_nesting, reference_merge
 
 GOLDEN = DEMO / "golden"

@@ -4,9 +4,13 @@ from random import Random
 
 from dataclasses import replace
 
+import hypothesis.strategies as st
+import oracle_facts
 import pytest
 from conftest import board_of, fact_of
+from hypothesis import given, settings
 
+from byrne import facts
 from byrne.facts import (
     FactBoard,
     LogOrderError,
@@ -18,7 +22,7 @@ from byrne.facts import (
     select_fact,
     should_interrupt,
 )
-from byrne.sexpr import read_one
+from byrne.sexpr import read_one, to_text
 from corpus import random_board, random_fact
 
 PAPER_TICK = (
@@ -87,6 +91,122 @@ class TestParseGameLog:
             parse_game_log("(tick 1)\n(fact (pass from: ?x to: a2) relevance: 3)\n")
 
 
+# Term texts a log may list: some read to the same term (odd spacing), some hold
+# `relevance:`, `)` or `#` inside a string. Then texts that fail the read or the checks.
+TERM_TEXTS = [
+    "(pass from: a1 to: a2)",
+    "(pass  from: a1   to: a2)",
+    "(move player: a1 toloc: (30 10) begintime: 1 endtime: 2.5)",
+    '(say text: "a relevance: 1)")',
+    '(say text: "x # y")',
+    '(say text: "close ) and # relevance: 2")',
+    "(say text: a)",
+    '(say text: "a")',
+    "(say n: 1)",
+    "(say n: 1.0)",
+    "(kickoff team: a)",
+]
+BAD_TERM_TEXTS = [
+    "(pass from: ?x to: a2)",
+    "(pass from: ?1x to: a2)",
+    "(pass from: ? to: a2)",
+    "(move player: a1 endtime: soon)",
+    "(1 2)",
+    "(kickoff)",
+    "kickoff",
+    '(say text: "unterminated)',
+]
+# decimal literals; then what is no finite number, or no one token
+RELEVANCES = ["3", "7.25", "0.5", "12", ".5", "2E1", "+4", "1.0"]
+BAD_RELEVANCES = ["1e999", "-1e999", "1_0", "nan", "x", '"4"', "?n", "1 2", ""]
+SPACES = [" ", "  ", "\t"]
+COMMENTS = [" # a note", " # relevance: 9)", "# (fact (kickoff) relevance: 2)"]
+
+
+def _mostly(draw, usual: list, rare: list, one_in: int = 20):
+    """One of `usual`, or one in `one_in` draws one of `rare`."""
+    return draw(st.sampled_from(rare if draw(st.integers(1, one_in)) == 1 else usual))
+
+
+@st.composite
+def fact_lines(draw, texts: list) -> str:
+    term = _mostly(draw, texts, BAD_TERM_TEXTS)
+    relevance = _mostly(draw, RELEVANCES, BAD_RELEVANCES, 6)
+    gaps = [_mostly(draw, [" "], SPACES, 6) for _ in range(3)]
+    body = f"(fact{gaps[0]}{term}{gaps[1]}relevance:{gaps[2]}{relevance})"
+    return _mostly(draw, [""], [" ", "\t"], 8) + body + _mostly(draw, [""], COMMENTS, 6)
+
+
+@st.composite
+def game_logs(draw) -> str:
+    """A few terms listed again and again, under ascending ticks; now and then
+    a line the reader or the checks fail, or a tick out of order."""
+    texts = draw(st.lists(st.sampled_from(TERM_TEXTS), min_size=1, max_size=3))
+    lines = [draw(fact_lines(texts))] if draw(st.integers(1, 20)) == 1 else []  # before any tick
+    t = 0
+    for _ in range(draw(st.integers(1, 6))):
+        t += _mostly(draw, [1, 0.25], [0, 1e-10])  # both break the order at 9 decimals
+        lines.append(f"(tick {t!r})")
+        for _ in range(draw(st.integers(0, 4))):
+            lines.append(_mostly(draw, [draw(fact_lines(texts))], ["", "# a comment"], 5))
+    return "\n".join(lines)
+
+
+def _typed(x):
+    """A term with each atom's type beside it: 1 and 1.0, a and "a" tell apart."""
+    return tuple(_typed(c) for c in x) if isinstance(x, tuple) else (type(x).__name__, x)
+
+
+def _outcome(parse, log: str):
+    try:
+        updates = parse(log)
+    except facts.LogError as e:
+        return type(e), str(e)
+    return [
+        (u.tick_time, [(to_text(f.term), _typed(f.term), f.relevance, f.identity) for f in u.facts])
+        for u in updates
+    ]
+
+
+class TestParseAgainstTheFullRead:
+    """Only a line in `_shaped`'s shape whose term text read in full before skips the reader."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(game_logs())
+    def test_parse_matches_the_full_read_of_every_line(self, log):
+        # an error's message names its line
+        assert _outcome(parse_game_log, log) == _outcome(oracle_facts.parse_game_log, log)
+
+    def test_a_re_listing_reads_only_its_relevance_and_shares_the_first_read(self, monkeypatch):
+        reads, full_read = [], facts.read_one
+
+        def read_one(line):
+            reads.append(line)
+            return full_read(line)
+
+        monkeypatch.setattr(facts, "read_one", read_one)
+        fact = "(fact (pass from: a1 to: a2) relevance: {})"
+        log = f"(tick 1)\n{fact.format(5)}\n(tick 2)\n{fact.format(4.5)}"
+        first, second = (u.facts[0] for u in parse_game_log(log))
+        assert reads == ["(tick 1)", "(fact (pass from: a1 to: a2) relevance: 5)", "(tick 2)"]
+        assert (first.relevance, second.relevance) == (5.0, 4.5)
+        assert second.term is first.term and second.identity is first.identity
+
+    def test_a_comment_after_the_fact_is_read_in_full(self):
+        # its own `relevance:` is no token, and a line with a `#` never takes the memo
+        log = (
+            "(tick 1)\n(fact (pass from: a1) relevance: 4) # relevance: 4)\n"
+            "(tick 2)\n(fact (pass from: a1) relevance: 4) # relevance: 9)\n"
+        )
+        assert [u.facts[0].relevance for u in parse_game_log(log)] == [4.0, 4.0]
+
+    def test_a_re_listing_too_large_for_a_float_names_its_line(self):
+        fact = "(fact (pass from: a1) relevance: {})"
+        log = f"(tick 1)\n{fact.format(4)}\n(tick 2)\n{fact.format('1e999')}"
+        with pytest.raises(LogSyntaxError, match="^line 4: number 1e999 is too large$"):
+            parse_game_log(log)
+
+
 class TestApplyTick:
     def test_rescore_below_one_purges(self):
         fact = fact_of("(pass from: a1 to: a2)", 10)
@@ -142,9 +262,7 @@ class TestApplyTick:
         for _ in range(80):
             t += 1.0
             facts = tuple(random_fact(rng) for _ in range(rng.randrange(3)))
-            low = tuple(
-                type(f)(f.term, rng.uniform(0.0, 0.99)) for f in facts[:1]
-            )
+            low = tuple(replace(f, relevance=rng.uniform(0.0, 0.99)) for f in facts[:1])
             board = apply_tick(board, TickUpdate(t, facts + low))
             assert all(f.relevance >= 1 for f in board.entries.values())
 

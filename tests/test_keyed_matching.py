@@ -565,7 +565,12 @@ def test_the_board_keys_each_term_once_and_keeps_it_across_re_scores(demo_profil
             assert to_text(entry.form.term) == identity
             if identity in before.entries:
                 assert entry.form is before.entries[identity].form  # built once, kept across re-scores
-    fields = {"term", "relevance"}
-    for update in updates:
-        for fact in update.facts:
-            assert set(vars(fact)) == fields
+    fields = {"term", "relevance", "identity"}
+    first = {}
+    listed = [fact for update in _tiled_demo(1) for fact in update.facts]
+    for fact in listed:
+        assert set(vars(fact)) == fields
+        # a re-listing shares the term and the identity its term's first listing read
+        seen = first.setdefault(fact.identity, fact)
+        assert fact.term is seen.term and fact.identity is seen.identity
+    assert len(listed) > 2 * len(first)  # most listings re-list a term

@@ -47,7 +47,6 @@ from byrne.seeml import (
     merge_tags,
     nesting,
     parse_seeml,
-    strip_text,
     substitute,
     text_paths,
     texts,
@@ -57,7 +56,7 @@ from byrne.seeml import (
 from byrne.seeml import _identity, _mouth_runs
 from byrne.sexpr import VARIABLE
 from corpus import markup, random_document
-from oracle_seeml import serialize_seeml
+from oracle_seeml import serialize_seeml, strip_text
 
 # --- parse / serialize --------------------------------------------------------
 

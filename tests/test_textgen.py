@@ -9,12 +9,13 @@ import oracle_textgen as oracle
 import pytest
 from conftest import MINIMAL_STYLE, fact_of
 from hypothesis import given, settings
+from oracle_seeml import strip_text
 
 from byrne.facts import TickUpdate
 from byrne.patterns import keyed
 from byrne.pipeline import UTTERANCE_START, initial_state, step
 from byrne.profile import ProfileError, load_profile
-from byrne.seeml import SeemlError, parse_seeml, strip_text
+from byrne.seeml import SeemlError, parse_seeml
 from byrne.sexpr import Symbol, read_one
 from byrne.style import load_style
 from byrne.textgen import (
