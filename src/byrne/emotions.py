@@ -18,6 +18,11 @@ addition's view from the schema's type symbol and builds the structure only
 when the pool holds no such view. And the universe's views are replaced only
 after a rule that added or deleted a structure.
 
+Decay reads the affect once per tick: `decay_pool` computes each structure's
+intensity at `now` and keeps the survivors' values on the pool (`levels`), which
+the `emotions.trace` lines and behavior activation read in place of decaying
+again.
+
 What the load guarantees is not checked again here. The profile loader binds
 every cause, target and deletion variable in the rule's preconditions, and
 every candidate is ground, so each full binding makes a ground structure. The
@@ -61,16 +66,18 @@ class DecayFunction:
     rate: float = 0.0
 
     def value(self, t: float) -> float:
-        t = max(1.0, t)
-        if self.kind == "reciprocal":
-            v = 1.0 / t
-        elif self.kind == "exponential":
-            v = math.exp(-self.rate * (t - 1.0))
-        elif self.kind == "linear":
+        # with t >= 1 and rate >= 0, 1/t and exp already lie in [0, 1]: only linear needs a floor
+        if t < 1.0:
+            t = 1.0
+        kind = self.kind
+        if kind == "reciprocal":
+            return 1.0 / t
+        if kind == "exponential":
+            return math.exp(-self.rate * (t - 1.0))
+        if kind == "linear":
             v = 1.0 - self.rate * (t - 1.0)
-        else:  # constant
-            v = 1.0
-        return min(1.0, max(0.0, v))
+            return v if v > 0.0 else 0.0
+        return 1.0  # constant
 
     @classmethod
     def from_sexpr(cls, form: Sexpr) -> "DecayFunction":
@@ -150,6 +157,9 @@ class EmotionPool:
     structures: tuple[EmotionStructure, ...] = ()
     # (board identities, statics, rules) of the firing that left it unchanged
     mark: Optional[tuple] = field(default=None, repr=False, compare=False)
+    # each structure's intensity at the tick `decay_pool` read it at, aligned
+    # with `structures`; None on a pool that `decay_pool` did not return
+    levels: Optional[tuple[float, ...]] = field(default=None, repr=False, compare=False)
 
 
 def rule_universe(
@@ -216,6 +226,18 @@ def apply_rules(
 
 
 def decay_pool(pool: EmotionPool, now: float) -> EmotionPool:
-    """Drop every structure whose effective intensity has sunk below one; the same pool if none."""
-    kept = tuple(s for s in pool.structures if intensity_at(s, now) >= 1.0)
-    return pool if len(kept) == len(pool.structures) else EmotionPool(kept)
+    """Drop every structure whose effective intensity has sunk below one, and
+    keep the survivors' intensities at `now` as the pool's `levels`.
+
+    Each structure's intensity is computed once. When none drops, the pool
+    keeps the input's `structures` and `mark` objects, so the mark holds on
+    the next tick's `apply_rules`.
+    """
+    structures = pool.structures
+    if not structures and pool.levels is not None:
+        return pool  # no intensity for `now` to change
+    levels = [intensity_at(s, now) for s in structures]
+    if all(v >= 1.0 for v in levels):
+        return EmotionPool(structures, pool.mark, tuple(levels))
+    kept = [i for i, v in enumerate(levels) if v >= 1.0]
+    return EmotionPool(tuple([structures[i] for i in kept]), None, tuple([levels[i] for i in kept]))

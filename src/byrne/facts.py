@@ -105,6 +105,22 @@ def _shaped(line: str) -> tuple[str, float] | None:
     return (text, float(relevance)) if isinstance(relevance, (int, float)) else None
 
 
+def _header_time(line: str) -> float | None:
+    """The time of a ``(tick <n>)`` line whose ``<n>`` is one finite decimal
+    literal, read by `atom` alone; None for any other line.
+
+    Such an ``<n>`` holds only digits, signs, dots and exponent letters, so the
+    full read of the line gives the form ``(tick <atom(n)>)`` and nothing else.
+    """
+    if not (line.startswith("(tick ") and line.endswith(")")):
+        return None
+    try:
+        t = atom(line[6:-1])
+    except SexprError:  # too large for a float: the full read names the line
+        return None
+    return float(t) if isinstance(t, (int, float)) else None
+
+
 def parse_game_log(text: str) -> tuple[TickUpdate, ...]:
     """Parse a line-oriented game log into tick updates, ascending in time.
 
@@ -116,8 +132,9 @@ def parse_game_log(text: str) -> tuple[TickUpdate, ...]:
     most fact lines repeat a term already read. `read` maps the ``<text>`` of a
     line in `_shaped`'s shape to the fact that a full read of the line gave. A
     later line of that shape with the same ``<text>`` reads only its relevance,
-    and shares the fact's term and identity. Every other line, a miss included,
-    takes the full read, so each error keeps its class, message and line.
+    and shares the fact's term and identity. A header in `_header_time`'s
+    shape reads its time alone. Every other line, a miss included, takes the
+    full read, so each error keeps its class, message and line.
     """
     updates: list[TickUpdate] = []
     current: list[GameFact] | None = None
@@ -132,40 +149,42 @@ def parse_game_log(text: str) -> tuple[TickUpdate, ...]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        shaped = _shaped(line)  # the memo is empty before the first tick
-        if shaped is not None:
-            known = read.get(shaped[0])
-            if known is not None:
-                current.append(GameFact(known.term, shaped[1], known.identity))
+        t = _header_time(line)
+        if t is None:
+            shaped = _shaped(line)  # the memo is empty before the first tick
+            if shaped is not None:
+                known = read.get(shaped[0])
+                if known is not None:
+                    current.append(GameFact(known.term, shaped[1], known.identity))
+                    continue
+            try:
+                form = read_one(line)
+            except SexprError as e:
+                raise LogSyntaxError(str(e).split(": ", 1)[-1], line_no) from e
+            if not isinstance(form, tuple) or not form or not isinstance(form[0], Symbol):
+                raise LogSyntaxError("expected (tick ...) or (fact ...)", line_no)
+            head = str(form[0])
+            if head == "fact":
+                if current is None:
+                    raise LogStructureError("fact before any (tick ...) header", line_no)
+                if len(form) != 4 or not is_keyword(form[2]) or keyword_name(form[2]) != "relevance":
+                    raise LogSyntaxError("expected (fact <s-expr> relevance: <number>)", line_no)
+                if not isinstance(form[3], (int, float)):
+                    raise LogSyntaxError("relevance must be a number", line_no)
+                fact = fact_from_sexpr(form[1], float(form[3]), line_no)
+                current.append(fact)
+                if shaped is not None:
+                    read[shaped[0]] = fact
                 continue
-        try:
-            form = read_one(line)
-        except SexprError as e:
-            raise LogSyntaxError(str(e).split(": ", 1)[-1], line_no) from e
-        if not isinstance(form, tuple) or not form or not isinstance(form[0], Symbol):
-            raise LogSyntaxError("expected (tick ...) or (fact ...)", line_no)
-        head = str(form[0])
-        if head == "tick":
+            if head != "tick":
+                raise LogSyntaxError(f"unknown form ({head} ...)", line_no)
             if len(form) != 2 or not isinstance(form[1], (int, float)):
                 raise LogSyntaxError("tick header needs one numeric time", line_no)
             t = float(form[1])
-            if current_time is not None and round(t, 9) <= round(current_time, 9):
-                raise LogOrderError(f"tick {t!r} not past {current_time!r} to 9 decimals", line_no)
-            flush()
-            current, current_time = [], t
-        elif head == "fact":
-            if current is None:
-                raise LogStructureError("fact before any (tick ...) header", line_no)
-            if len(form) != 4 or not is_keyword(form[2]) or keyword_name(form[2]) != "relevance":
-                raise LogSyntaxError("expected (fact <s-expr> relevance: <number>)", line_no)
-            if not isinstance(form[3], (int, float)):
-                raise LogSyntaxError("relevance must be a number", line_no)
-            fact = fact_from_sexpr(form[1], float(form[3]), line_no)
-            current.append(fact)
-            if shaped is not None:
-                read[shaped[0]] = fact
-        else:
-            raise LogSyntaxError(f"unknown form ({head} ...)", line_no)
+        if current_time is not None and round(t, 9) <= round(current_time, 9):
+            raise LogOrderError(f"tick {t!r} not past {current_time!r} to 9 decimals", line_no)
+        flush()
+        current, current_time = [], t
     flush()
     return tuple(updates)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional
 
 from .behaviors import activate_behaviors, arbitrate, expand
-from .emotions import EmotionPool, apply_rules, decay_pool, intensity_at
+from .emotions import EmotionPool, apply_rules, decay_pool
 from .errors import ByrneError
 from .facts import (
     FactBoard,
@@ -84,13 +84,9 @@ class Memos:
     pair, the body walked and merged once with its variables still written as
     `?p`, fills the key's texts into it and times the result. That equals the
     full render, which instantiates the body before the walk, when no word
-    trigger can read a variable: (a) every trigger begins and ends with a word
-    character, (b) every variable has whitespace or a text edge on both sides,
-    (c) no trigger match, overlapping ones included, overlaps a variable or a
-    filled text, and (d) no trigger spells a `<seg>`, a `<w>` or the body that
-    holds a variable. `seeml.fill_guard` tests them, and says why they suffice.
-    Any other key is rendered in full, and so is every key of a pair whose
-    merge ran a variable into a neighbouring text."""
+    trigger can read a variable: `seeml.fill_guard` tests the conditions for
+    that, and says why they suffice. Any other key is rendered in full, and so
+    is every key of a pair whose merge ran a variable into a neighbouring text."""
 
     profile: CharacterProfile
     style: StyleFile
@@ -191,8 +187,9 @@ def _begin_utterance(
             memos.uncovered.add(identity)
             continue
         template, binding = chosen
-        winners = arbitrate(activate_behaviors(profile.bound_behaviors, state.pool, now))
-        directives = tuple(expand(winners, profile.behaviors))
+        pool = state.pool
+        winners = arbitrate(activate_behaviors(profile.bound_behaviors, pool, pool.levels))
+        directives = expand(winners)
         pair = memos.renders.get((template.id, directives))
         if pair is None:
             pair = PairRender(template, directives, fill_guard(template.sites, directives))
@@ -272,7 +269,8 @@ def driver_ticks(updates: tuple[TickUpdate, ...], tick_seconds: float) -> Iterat
 
 
 def _emotion_lines(pool: EmotionPool, now: float) -> list[str]:
-    return [f"{now:.3f}\t{e.trace_text}\t{intensity_at(e, now):.3f}" for e in pool.structures]
+    """The pool's `emotions.trace` lines, with the intensities `decay_pool` read at `now`."""
+    return [f"{now:.3f}\t{e.trace_text}\t{v:.3f}" for e, v in zip(pool.structures, pool.levels)]
 
 
 def _load(path: str | Path, load: Callable, *args):

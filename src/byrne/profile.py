@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 from typing import Collection, Mapping, Optional, Sequence
 
 from .behaviors import (
-    ActivatedBehavior,
     BehaviorError,
     BehaviorSpec,
     BoundSpec,
     MotivationPattern,
     bind_statics,
-    expand,
+    leaf_directives,
 )
 from .emotions import (
     DecayFunction,
@@ -61,6 +60,11 @@ class ProfileError(ByrneError):
 
 @dataclass(frozen=True)
 class CharacterProfile:
+    """A loaded character. `load_profile` reports every fault in the behavior
+    graph as a diagnostic; a profile built by hand is checked where it is
+    built, by `bind_statics`, which raises BehaviorError (a ByrneError) on the
+    first cycle or dangling child, so `step` never meets one."""
+
     statics: tuple[Keyed, ...] = ()
     names: Mapping[str, str] = field(default_factory=dict)
     emotion_rules: tuple[EmotionRule, ...] = ()
@@ -282,9 +286,9 @@ def load_profile(text: str) -> CharacterProfile:
             diags.append(f"line {line}: {e}")
 
     specs, bodies = tuple(behaviors.values()), tuple(templates.values())
-    _check_behavior_graph(specs, diags)
+    leaves = _check_behavior_graph(specs, diags)
     if not diags:
-        _check_nesting(bodies, specs, diags)
+        _check_nesting(bodies, specs, leaves, diags)
 
     if diags:
         raise ProfileError(diags)
@@ -429,15 +433,21 @@ def check_against_style(profile: CharacterProfile, style: StyleFile) -> None:
         raise ProfileError(diags)
 
 
-def _check_behavior_graph(behaviors: Sequence[BehaviorSpec], diags: list[str]) -> None:
-    """Expand every spec with the replay's own walk, so cycles and dangling
-    children have one definition; each distinct failure is reported once."""
+def _check_behavior_graph(
+    behaviors: Sequence[BehaviorSpec], diags: list[str]
+) -> dict[str, tuple[Directive, ...]]:
+    """Expand every spec with the walk the profile is built by, so cycles and
+    dangling children have one definition; each distinct failure is reported
+    once. Returns the leaf directives of each spec that expands."""
+    index = {b.id: b for b in behaviors}
+    leaves: dict[str, tuple[Directive, ...]] = {}
     for b in behaviors:
         try:
-            expand([ActivatedBehavior(b, 0.0, ())], behaviors)
+            leaves[b.id] = leaf_directives(b, index)
         except BehaviorError as e:
             if str(e) not in diags:
                 diags.append(str(e))
+    return leaves
 
 
 def _levels(directive: Directive, segs: int) -> int:
@@ -449,7 +459,10 @@ def _levels(directive: Directive, segs: int) -> int:
 
 
 def _check_nesting(
-    templates: Sequence[Template], behaviors: Sequence[BehaviorSpec], diags: list[str]
+    templates: Sequence[Template],
+    behaviors: Sequence[BehaviorSpec],
+    leaves: Mapping[str, tuple[Directive, ...]],
+    diags: list[str],
 ) -> None:
     """The deepest template body, wrapped in the most markup one utterance's
     winning behaviors can add, must nest at most `seeml.MAX_NESTING` deep. Each
@@ -464,8 +477,7 @@ def _check_nesting(
     heaviest: dict[str, tuple[int, str]] = {}
     for b in behaviors:
         if b.motivated_by:
-            leaves = expand([ActivatedBehavior(b, 0.0, ())], behaviors)
-            levels = sum(_levels(d, segs) for d in leaves)
+            levels = sum(_levels(d, segs) for d in leaves[b.id])
             heaviest[b.group] = max(heaviest.get(b.group, (0, "")), (levels, b.id))
     added = sum(n for n, _ in heaviest.values())
     if depth + added > MAX_NESTING:

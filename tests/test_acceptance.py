@@ -169,7 +169,8 @@ def test_criterion_6_arbitration():
             EmotionStructure("anger", 8.0, NIL, read_one("(x y: 3)"), decay, 0.0),
         )
     )
-    winners = arbitrate(activate_behaviors(bind_statics([broad, strong], []), pool, 0.0))
+    levels = [intensity_at(e, 0.0) for e in pool.structures]
+    winners = arbitrate(activate_behaviors(bind_statics([broad, strong], []), pool, levels))
     assert [w.spec.id for w in winners] == ["broad"]
     assert winners[0].activation == 9.0
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import struct
 from random import Random
 
 import hypothesis.strategies as st
+import oracle_behaviors
 import pytest
 from conftest import board_of, fact_of
-from hypothesis import given
+from hypothesis import given, settings
 
 from byrne.emotions import (
     DecayFunction,
@@ -66,6 +68,24 @@ class TestIntensity:
     def test_intensity_non_increasing(self, kind, rate, t, dt):
         e = EmotionStructure("anger", 8.0, NIL, read_one("(x y: 1)"), DecayFunction(kind, rate), 0.0)
         assert intensity_at(e, t) >= intensity_at(e, t + dt) - 1e-12
+
+    @settings(max_examples=500)
+    @given(
+        st.sampled_from(["reciprocal", "constant", "exponential", "linear"]),
+        # 0, the smallest floats, the largest, and -0.0, which a profile's `(exp -0.0)` gives
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-9, 1e9, 1e300, 1.7976931348623157e308]),
+            st.floats(min_value=0.0, allow_infinity=False),
+        ),
+        # before the first second, at it, past it by an ulp, and far past it
+        st.one_of(
+            st.sampled_from([-0.0, 0.0, 0.5, 0.9999999999999999, 1.0, 1.0000000000000002, 1e300, -1e300]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+    )
+    def test_value_is_bit_identical_to_the_clamped_form(self, kind, rate, t):
+        decay = DecayFunction(kind, rate)
+        assert struct.pack("<d", decay.value(t)) == struct.pack("<d", oracle_behaviors.value(decay, t))
 
     def test_decay_parse_forms(self):
         assert DecayFunction.from_sexpr(read_one("1/t")) == RECIPROCAL
@@ -285,7 +305,11 @@ class TestDecayPool:
     def test_a_pool_that_loses_nothing_is_returned_as_it_is(self):
         marked = apply_rules(EmotionPool((sadness10(),)), FactBoard(), (), (), 1.0)
         assert marked.mark is not None
-        assert decay_pool(marked, 10.0) is marked  # so its mark holds on the next tick
+        kept = decay_pool(marked, 10.0)
+        assert kept.structures is marked.structures and kept.mark is marked.mark
+        assert kept.levels == (1.0,)
+        # so its mark holds on the next tick: the same board fires nothing
+        assert apply_rules(kept, FactBoard(), (), (), 11.0) is kept
         decayed = decay_pool(marked, 11.0)
         assert decayed.structures == () and decayed.mark is None
 
@@ -305,6 +329,7 @@ class TestDecayPool:
         for now in (5.0, 9.0, 20.0, 120.0):
             survivors = decay_pool(EmotionPool(structures), now)
             assert all(intensity_at(s, now) >= 1.0 for s in survivors.structures)
+            assert survivors.levels == tuple(intensity_at(s, now) for s in survivors.structures)
 
     def test_only_two_removal_paths(self):
         # audit pool deltas across a tick: anything that left was either matched

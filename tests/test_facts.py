@@ -137,16 +137,36 @@ def fact_lines(draw, texts: list) -> str:
     return _mostly(draw, [""], [" ", "\t"], 8) + body + _mostly(draw, [""], COMMENTS, 6)
 
 
+# a header's time in other decimal spellings; then what is no finite number, or no one token
+TIME_SPELLINGS = ["{t:.9f}", "+{t!r}", "{t!r}e0", "{t!r}E+00", "0{t!r}"]
+BAD_TIMES = ["1e999", "-1e999", "nan", "inf", "1_0", "soon", '"1"', "?t", "(1)", ""]
+# the time spaced, commented, or with an item beside it
+ODD_HEADERS = [
+    "(tick  {})", "(tick {} )", "(tick\t{})", "( tick {})", "(tick {}) # a note",
+    "(tick {} # a note)", "(tick {} 2)", "(tick {} relevance: 3)", "(tick)",
+]
+
+
+@st.composite
+def tick_headers(draw, t: float) -> str:
+    time = _mostly(draw, ["{t!r}"], TIME_SPELLINGS, 4).format(t=t)
+    time = _mostly(draw, [time], BAD_TIMES, 30)
+    return _mostly(draw, ["(tick {})"], ODD_HEADERS, 12).format(time)
+
+
 @st.composite
 def game_logs(draw) -> str:
     """A few terms listed again and again, under ascending ticks; now and then
-    a line the reader or the checks fail, or a tick out of order."""
+    a line the reader or the checks fail, a header in another spelling, or a
+    tick out of order."""
     texts = draw(st.lists(st.sampled_from(TERM_TEXTS), min_size=1, max_size=3))
     lines = [draw(fact_lines(texts))] if draw(st.integers(1, 20)) == 1 else []  # before any tick
     t = 0
     for _ in range(draw(st.integers(1, 6))):
-        t += _mostly(draw, [1, 0.25], [0, 1e-10])  # both break the order at 9 decimals
-        lines.append(f"(tick {t!r})")
+        # steps near the 9-decimal grid: 0 and 1e-10 break the order there, 4e-10 and
+        # 6e-10 break it or not by the time before, 1e-9 keeps it and -1 breaks it
+        t += _mostly(draw, [1, 0.25], [0, 1e-10, 4e-10, 6e-10, 1e-9, -1])
+        lines.append(draw(tick_headers(t)))
         for _ in range(draw(st.integers(0, 4))):
             lines.append(_mostly(draw, [draw(fact_lines(texts))], ["", "# a comment"], 5))
     return "\n".join(lines)
@@ -188,7 +208,7 @@ class TestParseAgainstTheFullRead:
         fact = "(fact (pass from: a1 to: a2) relevance: {})"
         log = f"(tick 1)\n{fact.format(5)}\n(tick 2)\n{fact.format(4.5)}"
         first, second = (u.facts[0] for u in parse_game_log(log))
-        assert reads == ["(tick 1)", "(fact (pass from: a1 to: a2) relevance: 5)", "(tick 2)"]
+        assert reads == ["(fact (pass from: a1 to: a2) relevance: 5)"]  # a plain header reads its time alone
         assert (first.relevance, second.relevance) == (5.0, 4.5)
         assert second.term is first.term and second.identity is first.identity
 
