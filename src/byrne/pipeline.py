@@ -361,9 +361,13 @@ def run_replay(
         for path in out.iterdir():
             if path.name not in written and _UTTERANCE_FILE.fullmatch(path.name) and path.is_file():
                 path.unlink()
+        faces: dict[int, str] = {}  # id(bundle) -> its timeline; `bundles` keeps each alive
         for index, bundle in bundles:
             write(f"utt-{index}.sable", bundle.speech_script + "\n")
-            write(f"utt-{index}.facs", format_face_timeline(bundle))
+            face = faces.get(id(bundle))
+            if face is None:
+                face = faces[id(bundle)] = format_face_timeline(bundle)
+            write(f"utt-{index}.facs", face)
         write("commentary.trace", "".join(line + "\n" for line in commentary_lines))
         write("emotions.trace", "".join(line + "\n" for line in emotion_lines))
     except OSError as e:

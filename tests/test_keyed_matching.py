@@ -574,3 +574,169 @@ def test_the_board_keys_each_term_once_and_keeps_it_across_re_scores(demo_profil
         seen = first.setdefault(fact.identity, fact)
         assert fact.term is seen.term and fact.identity is seen.identity
     assert len(listed) > 2 * len(first)  # most listings re-list a term
+
+
+# the rule memory: a rule whose buckets hold the same candidates (`is`, in order)
+# as at its last firing reuses that firing's plan, and still runs both passes
+
+
+@st.composite
+def chain_problems(draw):
+    """Rules, statics, a starting pool and 3-6 tick updates. The boards gain,
+    re-list and drop facts; additions decay, so structures drop out; and some
+    rules delete, join the pool's views, or open with a bare variable."""
+    facts = draw(st.lists(FACTS, min_size=1, max_size=4, unique_by=lambda f: f.identity))
+    statics = draw(st.lists(GROUND, max_size=1))
+    terms = [f.term for f in facts] + statics
+    grounded = rules(terms).filter(lambda r: not self_feeding(r.preconditions, r.additions))
+    rule_list = draw(st.lists(grounded, max_size=3))
+    rule_list = [
+        replace(r, additions=tuple(replace(a, decay=draw(DECAYS)) for a in r.additions))
+        for r in rule_list
+    ]
+    cause = draw(st.sampled_from(terms))
+    kind, other = draw(TYPES), draw(TYPES)
+    extras = [
+        # deletes the type a later rule re-adds, by literal type or by target alone
+        EmotionRule((cause,), deletions=(draw(st.sampled_from([(kw("type"), Symbol(kind)), (kw("target"), NIL)])),)),
+        EmotionRule((cause,), (EmotionSchema(kind, 5.0, NIL, cause, draw(DECAYS)),)),
+        # joins a view to a fact or static: one emotion stirs another
+        EmotionRule(
+            ((kw("type"), Symbol(kind), kw("cause"), Symbol("?c")), draw(st.sampled_from(terms).flatmap(patterns_from))),
+            (EmotionSchema(other, 5.0, NIL, Symbol("?c"), draw(DECAYS)),),
+        ),
+        # a bare variable reads the whole universe, views included
+        EmotionRule((Symbol("?v"), cause), (EmotionSchema(other, 5.0, NIL, cause, draw(DECAYS)),)),
+    ]
+    for extra in draw(st.lists(st.sampled_from(extras), min_size=1, max_size=4)):
+        rule_list.insert(draw(st.integers(0, len(rule_list))), extra)
+    pool = EmotionPool(
+        tuple(
+            EmotionStructure(draw(TYPES), 6.0, draw(st.one_of(st.just(NIL), ATOMS)), draw(st.sampled_from(terms)), draw(DECAYS), 0.0)
+            for _ in range(draw(st.integers(0, 3)))
+        )
+    )
+    updates, present, now = [], frozenset(), 0.0
+    for _ in range(draw(st.integers(3, 6))):
+        now += draw(st.sampled_from([0.5, 1.0, 3.0]))
+        wanted = draw(st.frozensets(st.sampled_from(facts)) | st.just(present))
+        joining = wanted if draw(st.booleans()) else wanted - present  # all of them re-listed
+        listed = [replace(f, relevance=draw(st.sampled_from([1.0, 5.0]))) for f in joining]
+        listed += [replace(f, relevance=0.5) for f in present - wanted]  # below 1: dropped
+        updates.append(TickUpdate(now, tuple(listed)))
+        present = wanted
+    return pool, statics, rule_list, updates
+
+
+@given(chain_problems())
+@settings(max_examples=300, deadline=None)
+def test_a_chain_of_firings_leaves_the_oracles_pool_after_every_tick(problem):
+    pool, statics, rule_list, updates = problem
+    keyed_statics, keyed_rules = tuple(map(keyed, statics)), tuple(_keyed_rules(rule_list))
+    board, got, expected = FactBoard(), pool, pool
+    for update in updates:
+        board, now = apply_tick(board, update), update.tick_time
+        got = decay_pool(apply_rules(got, board, keyed_statics, keyed_rules, now), now)
+        expected = decay_pool(oracle.apply_rules(expected, board, statics, rule_list, now), now)
+        assert _pool_text(got) == _pool_text(expected)
+
+
+GO = read_one("(go k: 1)")
+FAST = DecayFunction("linear", 0.5)  # below one two seconds in from 5
+
+
+def _fired(pool, board, statics, rule_list, now, calls):
+    """`apply_rules` then `decay_pool`, with the number of matcher calls the firing made."""
+    before = len(calls)
+    out = decay_pool(apply_rules(pool, board, statics, rule_list, now), now)
+    return out, len(calls) - before
+
+
+def test_a_recalled_plan_re_adds_a_structure_that_decayed_out(monkeypatch):
+    rule_list = tuple(_keyed_rules([EmotionRule((GO,), (EmotionSchema("happiness", 5.0, NIL, GO, FAST),))]))
+    board = board_of(fact_of("(go k: 1)", 5.0))
+    calls = _counted_match_all(monkeypatch)
+    pool, made = _fired(EmotionPool(), board, (), rule_list, 1.0, calls)
+    assert [s.created_at for s in pool.structures] == [1.0] and made == 1
+    pool, made = _fired(pool, board, (), rule_list, 4.0, calls)  # decayed out, so unmarked
+    assert pool.structures == () and pool.mark is None
+    pool, made = _fired(pool, board, (), rule_list, 5.0, calls)
+    assert made == 0  # recalled
+    assert [(s.type, s.created_at) for s in pool.structures] == [("happiness", 5.0)]
+
+
+def test_a_recalled_plan_deletes_what_an_earlier_rule_added_in_the_same_firing(monkeypatch):
+    shot = read_one("(shot k: ?x)")
+    raw = [
+        EmotionRule((shot,), (EmotionSchema("fear", 5.0, NIL, shot, DECAY),)),
+        EmotionRule((GO,), deletions=((kw("type"), Symbol("fear")),)),
+    ]
+    rule_list = tuple(_keyed_rules(raw))
+    board = board_of(fact_of("(go k: 1)", 5.0))
+    calls = _counted_match_all(monkeypatch)
+    pool, made = _fired(EmotionPool(), board, (), rule_list, 1.0, calls)
+    assert pool.structures == () and made == 1
+    board = apply_tick(board, TickUpdate(2.0, (fact_of("(shot k: 2)", 5.0),)))  # keeps the go fact's form
+    pool, made = _fired(pool, board, (), rule_list, 2.0, calls)
+    assert made == 1  # the first rule's; the second recalls its plan
+    assert pool.structures == () == oracle.apply_rules(EmotionPool(), board, (), raw, 2.0).structures
+
+
+def test_a_deletion_re_opens_the_view_for_a_later_rule_of_the_same_firing():
+    raw = [
+        EmotionRule((GO,), deletions=((kw("type"), Symbol("happiness")),)),
+        EmotionRule((GO,), (EmotionSchema("happiness", 5.0, NIL, GO, DECAY),)),
+    ]
+    held = EmotionPool((EmotionStructure("happiness", 6.0, NIL, GO, DECAY, 0.0),))
+    board = board_of(fact_of("(go k: 1)", 5.0))
+    got = apply_rules(held, board, (), _keyed_rules(raw), 1.0)
+    assert [(s.type, s.created_at) for s in got.structures] == [("happiness", 1.0)]
+    assert _pool_text(got) == _pool_text(oracle.apply_rules(held, board, (), raw, 1.0))
+
+
+def test_a_deletion_with_no_literal_type_reaches_every_type():
+    by_target = EmotionRule((GO,), deletions=((kw("target"), Symbol("a1")),))
+    quoted = EmotionRule((GO,), deletions=((kw("type"), "fear"),))  # a string, not the type
+    held = EmotionPool(
+        tuple(EmotionStructure(t, 6.0, Symbol(a), GO, DECAY, 0.0) for t in ("fear", "anger") for a in ("a1", "b1"))
+    )
+    board = board_of(fact_of("(go k: 1)", 5.0))
+    for raw in ([by_target], [quoted]):
+        got = apply_rules(held, board, (), _keyed_rules(raw), 1.0)
+        assert _pool_text(got) == _pool_text(oracle.apply_rules(held, board, (), raw, 1.0))
+    got = apply_rules(held, board, (), _keyed_rules([by_target]), 1.0)
+    assert [(s.type, s.target) for s in got.structures] == [("fear", "b1"), ("anger", "b1")]
+
+
+def test_candidates_equal_under_eq_but_not_the_same_objects_are_matched_again():
+    # Symbol a == "a", so the two boards' buckets compare equal; the target tells them apart
+    raw = [EmotionRule((read_one("(s k: ?x)"),), (EmotionSchema("interest", 5.0, Symbol("?x"), NIL, DECAY),))]
+    rule_list = tuple(_keyed_rules(raw))
+    symbol, string = fact_of("(s k: a)", 5.0), fact_of('(s k: "a")', 5.0)
+    assert symbol.term == string.term
+    board = board_of(symbol)
+    pool = apply_rules(EmotionPool(), board, (), rule_list, 1.0)
+    board = apply_tick(board, TickUpdate(2.0, (replace(symbol, relevance=0.5), string)))
+    got = apply_rules(pool, board, (), rule_list, 2.0)
+    assert [to_text(s.target) for s in got.structures] == ["a", '"a"']
+    assert _pool_text(got) == _pool_text(oracle.apply_rules(pool, board, (), raw, 2.0))
+
+
+def test_other_rules_or_statics_objects_start_with_an_empty_memory(monkeypatch):
+    static = keyed(read_one("(supports team: a)"))
+    pre = (keyed(read_one("(supports team: a)")), keyed(GO))
+    rule_list = (EmotionRule(pre, (EmotionSchema("happiness", 5.0, NIL, GO, FAST),)),)
+    statics = (static,)
+    board = board_of(fact_of("(go k: 1)", 5.0))
+    calls = _counted_match_all(monkeypatch)
+    fired, _ = _fired(EmotionPool(), board, statics, rule_list, 1.0, calls)
+    faded, _ = _fired(fired, board, statics, rule_list, 4.0, calls)
+    assert faded.structures == () and faded.mark is None
+    assert _fired(faded, board, statics, rule_list, 5.0, calls)[1] == 0
+    assert _fired(faded, board, [static], rule_list, 5.0, calls)[1] == 1
+    assert _fired(faded, board, statics, list(rule_list), 5.0, calls)[1] == 1
+    # rules equal under == that bind apart: a recalled plan would add the happiness
+    string = (replace(rule_list[0], preconditions=(keyed(read_one('(supports team: "a")')), keyed(GO))),)
+    assert string == rule_list
+    assert _fired(faded, board, statics, string, 5.0, calls)[0].structures == ()
+    assert len(_fired(faded, board, statics, rule_list, 5.0, calls)[0].structures) == 1

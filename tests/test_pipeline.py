@@ -991,6 +991,18 @@ def test_each_distinct_demo_input_renders_once_per_replay(tmp_path, monkeypatch)
         assert mismatch == [] and errors == []
 
 
+def test_each_distinct_bundle_is_formatted_once_per_replay(tmp_path, monkeypatch):
+    # an utterance whose render key was rendered before shares its bundle, and so its .facs text
+    faces = _record_calls(monkeypatch, "format_face_timeline")
+    renders = _record_calls(monkeypatch, "verify_and_split")
+    out = tmp_path / "demo"
+    assert run_replay(DEMO / "game.log", DEMO / "announcer.profile", DEMO / "announcer.style", out) == 0
+    names = sorted(p.name for p in out.glob("*.facs"))
+    assert len(faces) == len({id(bundle) for bundle, in faces}) == len(renders) < len(names) == 48
+    _, mismatch, errors = filecmp.cmpfiles(GOLDEN, out, names, shallow=False)
+    assert mismatch == [] and errors == []
+
+
 def test_each_demo_pair_is_walked_once_and_no_key_falls_back(demo_profile, demo_style, monkeypatch):
     # a render key walks its (template id, directives) pair's body once, and a
     # key that falls back instantiates and walks its own: the demo needs no fallback
