@@ -251,6 +251,9 @@ def apply_rules(
     candidates than when its remembered plan was made; the passes run either
     way. The returned pool carries each rule's plan in its `memory`.
     """
+    # the mark and the memory hold for the same objects only; a tuple is its own
+    # tuple, and a list, which its caller may edit in place, is never reused
+    statics, rules = tuple(statics), tuple(rules)
     mark = pool.mark
     if mark and mark[1] is statics and mark[2] is rules and mark[0] == board.entries.keys():
         return pool

@@ -35,11 +35,11 @@ from .facts import (
 )
 from .patterns import Binding
 from .profile import CharacterProfile, check_against_style, load_profile
-from .seeml import Directive, OutputBundle, Paths, SeemlDocument, apply_directives, fill_guard
-from .seeml import format_face_timeline, merge_tags, text_paths, verify_and_split
-from .sexpr import VARIABLE, atom
+from .seeml import Directive, OutputBundle, Paths, SeemlDocument, apply_directives, fill_guard, fill_in
+from .seeml import fill_sites, format_face_timeline, merge_tags, verify_and_split
+from .sexpr import atom
 from .style import StyleFile, load_style
-from .textgen import Template, UsageHistory, fill, fill_in, instantiate, match_templates
+from .textgen import Template, UsageHistory, fill, instantiate, match_templates
 from .textgen import record_usage, select_template
 
 logger = logging.getLogger("byrne")
@@ -106,13 +106,15 @@ class Memos:
 class PairRender:
     """A template and one directive tuple: the body is walked and merged on
     the first key that fits, with its variables still written as `?p`, and
-    each key that fits fills its texts into that tree (see `Memos`)."""
+    each key that fits fills its texts into that tree. Which keys fit, and
+    why that is exact, `seeml.fill_guard` says."""
 
     template: Template
     directives: tuple[Directive, ...]
     # `seeml.fill_guard` of the body's sites and the directives: None when no
-    # key fills the tree, as also when the merge, which joins the texts around
-    # an element it drops, ran a variable into a neighbour.
+    # key fills the tree, as also when the merged tree holds other variables
+    # than the body: the merge, which joins the texts around an element it
+    # drops, ran one into a neighbour.
     fits: Optional[Callable[[dict], bool]]
     merged: Optional[SeemlDocument] = None
     paths: Paths = ()  # to the merged tree's texts that hold a variable
@@ -120,21 +122,17 @@ class PairRender:
 
     def fill(self, fills: tuple[str, ...]) -> Optional[SeemlDocument]:
         """The merged tree with `fills` in, or None when that might differ from the full render."""
-        if self.fits is None or not self.fits(dict(zip(self.template.variables, fills))):
+        table = dict(zip(self.template.variables, fills))
+        if self.fits is None or not self.fits(table):
             return None
         if self.merged is None:
             self.merged = merge_tags(apply_directives(self.template.body, self.directives))
-            found: list[str] = []
-
-            def holds(text: str) -> bool:
-                found.extend(VARIABLE.findall(text))
-                return VARIABLE.search(text) is not None
-
-            self.paths = text_paths(self.merged.children, holds)
-            if found != [var for text in self.template.sites.held for var in VARIABLE.findall(text)]:
+            sites = fill_sites(self.merged)
+            if sites.found != self.template.sites.found:
                 self.fits = None
                 return None
-        return fill_in(self.merged, self.paths, self.template.variables, fills)
+            self.paths = sites.paths
+        return fill_in(self.merged, self.paths, table)
 
 
 def render_key(memos: Memos, pair: PairRender, binding: Binding, fills: tuple[str, ...]) -> OutputBundle:

@@ -285,34 +285,22 @@ def texts(nodes: Iterable[Node]) -> Iterable[str]:
             yield from texts(node.children)
 
 
-# Where the texts a test picks lie in a node list: an (index, paths) pair for
-# each node that is such a text (its paths empty) or holds one below it.
+# Where the texts that hold a variable lie in a node list: an (index, paths)
+# pair for each node that is such a text (its paths empty) or holds one below it.
 Paths = tuple[tuple[int, "Paths"], ...]
 
 
-def text_paths(nodes: Sequence[Node], test: Callable[[str], object]) -> Paths:
-    """The paths to the texts in and below `nodes` for which `test` is true."""
-    found: list[tuple[int, Paths]] = []
-    for i, node in enumerate(nodes):
-        if isinstance(node, Text):
-            if test(node.text):
-                found.append((i, ()))
-        elif inner := text_paths(node.children, test):
-            found.append((i, inner))
-    return tuple(found)
-
-
-def substitute(doc: SeemlDocument, fill: Callable[[str], str], paths: Paths) -> SeemlDocument:
-    """`doc` with `fill` applied to each text `paths` leads to (see
-    `text_paths`); what `fill` returns is literal text. Attribute values are
-    kept as they are, and only the elements on the paths are rebuilt."""
+def fill_in(doc: SeemlDocument, paths: Paths, table: Mapping[str, str]) -> SeemlDocument:
+    """`doc` with each variable in the texts `paths` leads to replaced by its
+    text in `table`, as literal text. Attribute values are kept as they are,
+    and only the elements on the paths are rebuilt."""
 
     def walk(nodes: tuple[Node, ...], paths: Paths) -> tuple[Node, ...]:
         out = list(nodes)
         for i, inner in paths:
             node = nodes[i]
             if isinstance(node, Text):
-                out[i] = Text(fill(node.text))
+                out[i] = Text(VARIABLE.sub(lambda m: table[m.group(0)], node.text))
             else:
                 out[i] = Element(node.tag, node.attrs, walk(node.children, inner))
         return _normalize(out)  # a text filled with nothing goes
@@ -471,21 +459,6 @@ def _filled(text: str, table: Mapping[str, str]) -> tuple[str, list[tuple[int, i
     return "".join(parts), spans
 
 
-def _spelled_groups(nodes: Iterable[Node], groups: list[tuple[str, ...]]) -> list[str]:
-    """The texts in and below `nodes`; those of each `<seg>` and `<w>` among
-    them that holds a variable go to `groups` as well."""
-    leaves: list[str] = []
-    for node in nodes:
-        if isinstance(node, Text):
-            leaves.append(node.text)
-            continue
-        inner = _spelled_groups(node.children, groups)
-        if node.tag in ("seg", "w") and any(map(VARIABLE.search, inner)):
-            groups.append(tuple(inner))
-        leaves += inner
-    return leaves
-
-
 @dataclass(frozen=True)
 class FillSites:
     """Where a body's variables lie, found once per body by `fill_sites`."""
@@ -495,23 +468,39 @@ class FillSites:
     # The texts of each <seg> and <w> that holds a variable, and of the whole
     # body if it holds one: `_walk_element` spells such an element by them.
     spelled: tuple[tuple[str, ...], ...]
+    found: tuple[str, ...]  # every variable in `held`, in document order, repeats included
 
 
 def fill_sites(body: SeemlDocument) -> FillSites:
-    """Where `body`'s variables lie, and what a word trigger reads of them."""
+    """Where `body`'s variables lie, and what a word trigger reads of them, in one walk."""
+    leaves: list[str] = []  # every text, in document order
+    held: list[str] = []
     spelled: list[tuple[str, ...]] = []
-    leaves = _spelled_groups(body.children, spelled)
-    held = tuple(leaf for leaf in leaves if VARIABLE.search(leaf))
-    paths = text_paths(body.children, VARIABLE.search)
-    return FillSites(paths, held, (*spelled, tuple(leaves)) if held else ())
+    found: list[str] = []
+
+    def walk(nodes: Sequence[Node]) -> Paths:
+        paths: list[tuple[int, Paths]] = []
+        for i, node in enumerate(nodes):
+            if isinstance(node, Text):
+                leaves.append(node.text)
+                if variables := VARIABLE.findall(node.text):
+                    paths.append((i, ()))
+                    held.append(node.text)
+                    found.extend(variables)
+            else:
+                start = len(leaves)
+                if below := walk(node.children):
+                    paths.append((i, below))
+                    if node.tag in ("seg", "w"):
+                        spelled.append(tuple(leaves[start:]))
+        return tuple(paths)
+
+    paths = walk(body.children)
+    return FillSites(paths, tuple(held), (*spelled, tuple(leaves)) if held else (), tuple(found))
 
 
 # A word trigger that begins and ends with a word character.
 _WORDLIKE = re.compile(r"\w(?:.*\w)?", re.DOTALL)
-
-
-def _any_fill(table: Mapping[str, str]) -> bool:
-    return True
 
 
 def fill_guard(sites: FillSites, directives: Sequence[Directive]) -> Optional[Callable[[Mapping[str, str]], bool]]:
@@ -547,10 +536,10 @@ def fill_guard(sites: FillSites, directives: Sequence[Directive]) -> Optional[Ca
         and not any(_spelling(group) in words for group in groups)
     ):
         return None
-    if not triggers:
-        return _any_fill
 
     def fits(table: Mapping[str, str]) -> bool:
+        if not triggers:  # only a word trigger reads text
+            return True
         filled = {leaf: _filled(leaf, table) for leaf in held}
         if any(_touched(text, spans, patterns) for text, spans in filled.values()):
             return False

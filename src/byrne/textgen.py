@@ -2,7 +2,7 @@
 
 Templates pair precondition patterns with a SEEML body, parsed once at load,
 whose ``seg`` elements double as interrupt markers; its variables are the runs
-of its text that fit `sexpr.VARIABLE`, and they fill in words only. When
+of its text that `seeml.fill_sites` finds, and they fill in words only. When
 several templates cover a fact, the least recently and least often used one
 wins, keeping the phrasing from looping.
 """
@@ -14,8 +14,8 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import ByrneError
 from .patterns import Binding, Candidates, Form, Keyed, match_all
-from .seeml import FillSites, Paths, SeemlDocument, fill_sites, substitute
-from .sexpr import VARIABLE, Sexpr, Symbol, to_text
+from .seeml import FillSites, SeemlDocument, fill_in, fill_sites
+from .sexpr import Sexpr, Symbol, to_text
 
 
 class InstantiationError(ByrneError):
@@ -34,8 +34,7 @@ class Template:
 
     def __post_init__(self) -> None:
         sites = fill_sites(self.body)
-        found = dict.fromkeys(Symbol(var) for text in sites.held for var in VARIABLE.findall(text))
-        object.__setattr__(self, "variables", tuple(found))
+        object.__setattr__(self, "variables", tuple(dict.fromkeys(map(Symbol, sites.found))))
         object.__setattr__(self, "sites", sites)
 
 
@@ -142,20 +141,12 @@ def fill(
     return tuple(texts)
 
 
-def fill_in(
-    doc: SeemlDocument, paths: Paths, variables: Iterable[Symbol], texts: Iterable[str]
-) -> SeemlDocument:
-    """`doc` with each of `variables` in the texts `paths` leads to replaced
-    by the matching one of `texts`, as literal text."""
-    table = dict(zip(variables, texts))
-    return substitute(doc, lambda text: VARIABLE.sub(lambda m: table[m.group(0)], text), paths)
-
-
 def instantiate(
     template: Template, binding: Binding, names: Mapping[str, str] | None = None
 ) -> SeemlDocument:
     """Substitute bound terms, as literal text, into the body's text."""
-    return fill_in(template.body, template.sites.paths, template.variables, fill(template, binding, names))
+    table = dict(zip(template.variables, fill(template, binding, names)))
+    return fill_in(template.body, template.sites.paths, table)
 
 
 def record_usage(history: UsageHistory, template_id: str, now: float) -> UsageHistory:

@@ -10,6 +10,11 @@ and `<seg>` closes, a second projects the spoken side as a tree, and the tree
 is then serialized. Like `seeml.verify_and_split`, it takes a document the loader can
 produce: every aural name is in the style.
 
+`fill_sites` is how byrne found where a body's variables lie before it did so
+in one walk: one walk gathers the texts and spells each `<seg>` and `<w>`
+that holds a variable, and a second finds the paths to the texts that hold one.
+It returns `seeml.FillSites`' `paths`, `held` and `spelled`.
+
 It also holds `serialize_seeml`, a document's canonical text, which byrne
 itself writes only inside `verify_and_split`, with the same escapes, and
 `strip_text`, a document's words, which only the tests read.
@@ -18,7 +23,7 @@ itself writes only inside `verify_and_split`, with the same escapes, and
 from __future__ import annotations
 
 import re
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from byrne.seeml import (
     CHILDLESS_TAGS,
@@ -30,6 +35,7 @@ from byrne.seeml import (
     FacsEvent,
     Node,
     OutputBundle,
+    Paths,
     SeemlDocument,
     Text,
     TimedWord,
@@ -44,12 +50,49 @@ from byrne.seeml import (
     element,
     texts,
 )
+from byrne.sexpr import VARIABLE
 from byrne.style import StyleFile
 
 
 def strip_text(doc: SeemlDocument) -> str:
     """The document's words and spaces, markup dropped."""
     return "".join(texts(doc.children))
+
+
+def text_paths(nodes: Sequence[Node], test: Callable[[str], object]) -> Paths:
+    """The paths to the texts in and below `nodes` for which `test` is true."""
+    found: list[tuple[int, Paths]] = []
+    for i, node in enumerate(nodes):
+        if isinstance(node, Text):
+            if test(node.text):
+                found.append((i, ()))
+        elif inner := text_paths(node.children, test):
+            found.append((i, inner))
+    return tuple(found)
+
+
+def _spelled_groups(nodes: Iterable[Node], groups: list[tuple[str, ...]]) -> list[str]:
+    """The texts in and below `nodes`; those of each `<seg>` and `<w>` among
+    them that holds a variable go to `groups` as well."""
+    leaves: list[str] = []
+    for node in nodes:
+        if isinstance(node, Text):
+            leaves.append(node.text)
+            continue
+        inner = _spelled_groups(node.children, groups)
+        if node.tag in ("seg", "w") and any(map(VARIABLE.search, inner)):
+            groups.append(tuple(inner))
+        leaves += inner
+    return leaves
+
+
+def fill_sites(body: SeemlDocument) -> tuple[Paths, tuple[str, ...], tuple[tuple[str, ...], ...]]:
+    """Where `body`'s variables lie, and what a word trigger reads of them."""
+    spelled: list[tuple[str, ...]] = []
+    leaves = _spelled_groups(body.children, spelled)
+    held = tuple(leaf for leaf in leaves if VARIABLE.search(leaf))
+    paths = text_paths(body.children, VARIABLE.search)
+    return paths, held, (*spelled, tuple(leaves)) if held else ()
 
 
 def _marked(node: Node, mark: Element) -> list[Node]:

@@ -523,6 +523,42 @@ def test_a_marked_pool_fires_again_under_other_identities_statics_or_rules():
     assert len(apply_rules(marked, empty, symbol, by_symbol, 2.0).structures) == 1
 
 
+# a caller may edit its rules list in place between firings: the mark and the
+# rule memory hold only for the profile's tuples, never for a list
+
+
+def _stirring(kind: str, decay: DecayFunction = DECAY) -> EmotionRule:
+    go = read_one("(go k: 1)")
+    return EmotionRule((go,), (EmotionSchema(kind, 5.0, NIL, go, decay),))
+
+
+def test_a_rule_appended_in_place_after_the_pool_decays_out_is_fired():
+    board = board_of(fact_of("(go k: 1)", 5.0))
+    statics: list = []
+    raw = [_stirring("happiness", DecayFunction("reciprocal"))]
+    rule_list = _keyed_rules(raw)
+    decayed = decay_pool(apply_rules(EmotionPool(), board, statics, rule_list, 1.0), 100.0)
+    assert decayed.structures == ()
+    raw.append(_stirring("interest"))
+    rule_list += _keyed_rules(raw[-1:])
+    got = apply_rules(decayed, board, statics, rule_list, 100.0)
+    assert [s.type for s in got.structures] == ["happiness", "interest"]
+    assert _pool_text(got) == _pool_text(oracle.apply_rules(decayed, board, [], raw, 100.0))
+
+
+def test_a_rule_replaced_in_place_is_fired_as_the_new_rule():
+    board = board_of(fact_of("(go k: 1)", 5.0))
+    statics: list = []
+    raw = [_stirring("happiness")]
+    rule_list = _keyed_rules(raw)
+    fired = apply_rules(EmotionPool(), board, statics, rule_list, 1.0)
+    raw[0] = _stirring("interest")
+    rule_list[0] = _keyed_rules(raw)[0]
+    got = apply_rules(fired, board, statics, rule_list, 2.0)
+    assert [s.type for s in got.structures] == ["happiness", "interest"]
+    assert _pool_text(got) == _pool_text(oracle.apply_rules(fired, board, [], raw, 2.0))
+
+
 def test_demo_replay_fires_rules_on_fewer_ticks_and_matches_the_goldens(demo_profile, tmp_path, monkeypatch):
     starts = []
 

@@ -41,14 +41,13 @@ from byrne.seeml import (
     element,
     elements,
     fill_guard,
+    fill_in,
     fill_sites,
     format_face_timeline,
     lip_sync,
     merge_tags,
     nesting,
     parse_seeml,
-    substitute,
-    text_paths,
     texts,
     verify_and_split,
     word_trigger,
@@ -57,6 +56,7 @@ from byrne.seeml import _identity, _mouth_runs
 from byrne.sexpr import VARIABLE
 from corpus import markup, random_document
 from oracle_seeml import serialize_seeml, strip_text
+from test_textgen import _BODIES
 
 # --- parse / serialize --------------------------------------------------------
 
@@ -548,7 +548,28 @@ def _fill_case(rng: Random) -> tuple[SeemlDocument, list[Directive]]:
 
 def _fill(doc: SeemlDocument, text: str) -> SeemlDocument:
     """`doc` with every variable, "?p" or one glued on to it such as "?pq", filled with `text`."""
-    return substitute(doc, lambda leaf: VARIABLE.sub(text, leaf), text_paths(doc.children, VARIABLE.search))
+    sites = fill_sites(doc)
+    return fill_in(doc, sites.paths, dict.fromkeys(sites.found, text))
+
+
+class TestFillSites:
+    @staticmethod
+    def _check(body: SeemlDocument) -> None:
+        sites = fill_sites(body)
+        assert (sites.paths, sites.held, sites.spelled) == oracle.fill_sites(body)
+        assert list(sites.found) == [var for text in sites.held for var in VARIABLE.findall(text)]
+
+    @given(st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=200, deadline=None)
+    def test_one_walk_finds_the_two_walks_sites_in_a_body_and_its_merged_tree_property(self, seed):
+        body, directives = _fill_case(Random(seed))
+        self._check(body)
+        self._check(merge_tags(apply_directives(body, directives)))
+
+    @given(_BODIES)
+    @settings(max_examples=200, deadline=None)
+    def test_one_walk_finds_the_two_walks_sites_in_a_template_body_property(self, body):
+        self._check(parse_seeml(body))
 
 
 class TestFillGuard:
