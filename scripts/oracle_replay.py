@@ -3,12 +3,14 @@
 with one fast path swapped for its reference in tests/, and fail unless both
 sides write the same files.
 
-    python scripts/oracle_replay.py {fold,render,log,affect,rules}
+    python scripts/oracle_replay.py {fold,render,verify,log,affect,rules}
 
 No digest is recorded at these seeds, so each fast path is checked against its
 reference on the replay itself:
 - fold: `seeml.apply_directives` against the per-directive fold in oracle_seeml;
 - render: `pipeline.render_key` against the full render in oracle_pipeline;
+- verify: `pipeline.render_key` against the full render in oracle_pipeline,
+  verified by the reference verifier in oracle_seeml, which projects the tree;
 - log: `facts.parse_game_log` against the full read of every line in oracle_facts;
 - affect: the decay and the activation that read each intensity once against
   the clamped decay and the pool scan in oracle_behaviors;
@@ -23,6 +25,7 @@ from __future__ import annotations
 import shutil
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -54,9 +57,11 @@ def _swaps() -> dict:
         _, raw_statics, raw_rules = raws[id(rules)]
         return oracle_patterns.apply_rules(pool, board, raw_statics, raw_rules, now)
 
+    verified = partial(oracle_pipeline.render_key, verify=oracle_seeml.verify_and_split)
     return {
         "fold": (("walk", "fold"), [(pipeline, "apply_directives", oracle_seeml.apply_directives)]),
         "render": (("pair", "full"), [(pipeline, "render_key", oracle_pipeline.render_key)]),
+        "verify": (("laid", "projected"), [(pipeline, "render_key", verified)]),
         "log": (("memo", "full"), [(pipeline, "parse_game_log", oracle_facts.parse_game_log)]),
         "affect": (
             ("once", "scan"),

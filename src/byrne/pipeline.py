@@ -35,8 +35,8 @@ from .facts import (
 )
 from .patterns import Binding
 from .profile import CharacterProfile, check_against_style, load_profile
-from .seeml import Directive, OutputBundle, Paths, SeemlDocument, apply_directives, fill_guard, fill_in
-from .seeml import fill_sites, format_face_timeline, merge_tags, verify_and_split
+from .seeml import Directive, Layout, OutputBundle, apply_directives, fill_guard, fill_sites
+from .seeml import format_face_timeline, layout, merge_tags, verify_and_split
 from .sexpr import atom
 from .style import StyleFile, load_style
 from .textgen import Template, UsageHistory, fill, instantiate, match_templates
@@ -81,9 +81,9 @@ class Memos:
 
     A render key is a template, its variables' texts and the directives. On a
     key's first use, `render_key` takes the tree of its (template, directives)
-    pair, the body walked and merged once with its variables still written as
-    `?p`, fills the key's texts into it and times the result. That equals the
-    full render, which instantiates the body before the walk, when no word
+    pair, the body walked, merged and laid out once with its variables still
+    written as `?p`, and times that layout with the key's texts in. That equals
+    the full render, which instantiates the body before the walk, when no word
     trigger can read a variable: `seeml.fill_guard` tests the conditions for
     that, and says why they suffice. Any other key is rendered in full, and so
     is every key of a pair whose merge ran a variable into a neighbouring text."""
@@ -104,10 +104,10 @@ class Memos:
 
 @dataclass
 class PairRender:
-    """A template and one directive tuple: the body is walked and merged on
-    the first key that fits, with its variables still written as `?p`, and
-    each key that fits fills its texts into that tree. Which keys fit, and
-    why that is exact, `seeml.fill_guard` says."""
+    """A template and one directive tuple: the body is walked, merged and laid
+    out on the first key that fits, with its variables still written as `?p`,
+    and each key that fits is timed from that layout with its texts in. Which
+    keys fit, and why that is exact, `seeml.fill_guard` says."""
 
     template: Template
     directives: tuple[Directive, ...]
@@ -116,33 +116,31 @@ class PairRender:
     # than the body: the merge, which joins the texts around an element it
     # drops, ran one into a neighbour.
     fits: Optional[Callable[[dict], bool]]
-    merged: Optional[SeemlDocument] = None
-    paths: Paths = ()  # to the merged tree's texts that hold a variable
+    laid: Optional[Layout] = None  # the merged tree, its variables' texts as fills
     bundles: dict = field(default_factory=dict)  # the variables' texts -> bundle
 
-    def fill(self, fills: tuple[str, ...]) -> Optional[SeemlDocument]:
-        """The merged tree with `fills` in, or None when that might differ from the full render."""
+    def render(self, fills: tuple[str, ...], style: StyleFile) -> Optional[OutputBundle]:
+        """The bundle of the merged tree with `fills` in, or None when that might differ from the full render."""
         table = dict(zip(self.template.variables, fills))
         if self.fits is None or not self.fits(table):
             return None
-        if self.merged is None:
-            self.merged = merge_tags(apply_directives(self.template.body, self.directives))
-            sites = fill_sites(self.merged)
+        if self.laid is None:
+            merged = merge_tags(apply_directives(self.template.body, self.directives))
+            sites = fill_sites(merged)
             if sites.found != self.template.sites.found:
                 self.fits = None
                 return None
-            self.paths = sites.paths
-        return fill_in(self.merged, self.paths, table)
+            self.laid = layout(merged, style, sites.paths)
+        return self.laid.bundle(table)
 
 
 def render_key(memos: Memos, pair: PairRender, binding: Binding, fills: tuple[str, ...]) -> OutputBundle:
-    """The bundle of one render key: its pair's tree with `fills` in when
-    that is exact, else the full render of the instantiated body."""
-    doc = pair.fill(fills)
-    if doc is None:
-        doc = instantiate(pair.template, binding, memos.profile.names)
-        doc = merge_tags(apply_directives(doc, pair.directives))
-    return verify_and_split(doc, memos.style)
+    """The bundle of one render key: its pair's layout timed with `fills` in
+    when that is exact, else the full render of the instantiated body."""
+    if (bundle := pair.render(fills, memos.style)) is not None:
+        return bundle
+    doc = instantiate(pair.template, binding, memos.profile.names)
+    return verify_and_split(merge_tags(apply_directives(doc, pair.directives)), memos.style)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import ByrneError
@@ -250,10 +250,11 @@ def parse_seeml(text: str) -> SeemlDocument:
     return document(top)
 
 
-def _tagged(tag: str, attrs: Iterable[tuple[str, str]], inner: str) -> str:
-    # canonical trees hold no empty text, so empty `inner` means no children
+@lru_cache(maxsize=1024)
+def _tag_texts(tag: str, attrs: tuple[tuple[str, str], ...]) -> tuple[str, str, str]:
+    """An element's open tag, its close tag, and its self-closed form."""
     attr_text = "".join(f' {k}="{_escape_attr(v)}"' for k, v in attrs)
-    return f"<{tag}{attr_text}>{inner}</{tag}>" if inner else f"<{tag}{attr_text}/>"
+    return f"<{tag}{attr_text}>", f"</{tag}>", f"<{tag}{attr_text}/>"
 
 
 def elements(nodes: Iterable[Node]) -> Iterable[Element]:
@@ -732,20 +733,23 @@ def _mouth_runs(word: str) -> tuple[str, ...]:
     return tuple(runs) or ("wide",)
 
 
+@lru_cache(maxsize=4096)
+def _mouth(word: str, duration_ms: float) -> tuple[tuple[float, str, float], ...]:
+    """The (offset, letter class, duration) of each mouth shape of `word` spoken for `duration_ms`."""
+    runs = _mouth_runs(word)[: max(1, int(duration_ms / MIN_VISEME_MS))]
+    dur = duration_ms / len(runs)
+    return tuple((i * dur, cls, dur) for i, cls in enumerate(runs))
+
+
 def lip_sync(
     words: Sequence[TimedWord], visemes: Mapping[str, str] = DEFAULT_VISEMES
 ) -> list[VisemeEvent]:
     """Cartoon-style mouth shapes from a letter-class scan, spread evenly per word;
     `visemes` maps every letter class to its mouth shape. Each distinct word is
-    scanned once."""
-    events: list[VisemeEvent] = []
-    for w in words:
-        runs = _mouth_runs(w.word)[: max(1, int(w.duration_ms / MIN_VISEME_MS))]
-        dur = w.duration_ms / len(runs)
-        events.extend(
-            VisemeEvent(w.onset_ms + i * dur, visemes[cls], dur) for i, cls in enumerate(runs)
-        )
-    return events
+    scanned once, and spread once per duration."""
+    return [
+        VisemeEvent(w.onset_ms + off, visemes[c], dur) for w in words for off, c, dur in _mouth(w.word, w.duration_ms)
+    ]
 
 
 def _timeline_key(ev: Union[FacsEvent, VisemeEvent]) -> tuple:
@@ -754,66 +758,129 @@ def _timeline_key(ev: Union[FacsEvent, VisemeEvent]) -> tuple:
     return (ev.onset_ms, 1, 0, ev.duration_ms, ev.viseme)
 
 
-def _unit(intensity: float) -> float:
-    # merged signed LEVELs can sum past either end of the scale
-    return min(1.0, max(0.0, intensity))
+# What `Layout.bundle` does, op by op: speak a run of words, speak a fill,
+# pause, open a facial span, close it, close a `<seg>`.
+_WORDS, _FILL, _BREAK, _OPEN, _CLOSE, _SEG = range(6)
+
+
+@dataclass(frozen=True)
+class Layout:
+    """A merged document laid out once for the verifier, with the texts at
+    some paths left as fills. `bundle` times and splits the document with a
+    table of fill texts in, without filling or walking the tree."""
+
+    # The speech script in pieces: a text, or a run that only fills speak in,
+    # as its open tag, close tag, self-closed form and fills (a bare fill's tags are empty).
+    script: tuple[Union[str, tuple[str, str, str, tuple[int, ...]]], ...]
+    # The ops in document order: a run of words carries each word's `_mouth`
+    # rows, a fill its index, and a span's close its (AU, intensity) pairs.
+    ops: tuple[tuple[int, object], ...]
+    fills: tuple[str, ...]  # each fill's text, its variables as written
+    style: "StyleFile"
+
+    def bundle(self, table: Mapping[str, str]) -> OutputBundle:
+        """The verifier's output for the document with each fill's variables
+        replaced by their texts in `table`, as literal text."""
+        filled = [VARIABLE.sub(lambda m: table[m.group(0)], text) for text in self.fills]
+        word_ms, visemes = 60000.0 / self.style.words_per_minute, self.style.visemes
+        mouths, opened, spans, seg_closes, cursor = [], [], [], [], 0.0  # spans as (start, end, pairs)
+        for op, arg in self.ops:
+            if op <= _FILL:
+                for rows in arg if op == _WORDS else [_mouth(token, word_ms) for token in filled[arg].split()]:
+                    mouths += [VisemeEvent(cursor + off, visemes[c], dur) for off, c, dur in rows]
+                    cursor += word_ms
+            elif op == _BREAK:
+                cursor += self.style.break_ms
+            elif op == _OPEN:
+                opened.append(cursor)
+            elif op == _CLOSE:
+                spans.append((opened.pop(), cursor, arg))
+            else:
+                seg_closes.append(cursor)
+        total = cursor
+
+        facs: list[FacsEvent] = []
+        for start, end, pairs in spans:
+            if end <= start:  # point gesture: give it a nominal span
+                end = start + GESTURE_MS
+                total = max(total, end)
+            duration = max(0.0, min(end, total) - start)
+            facs.extend(FacsEvent(start, au, level, duration) for au, level in pairs)
+
+        script = []
+        for piece in self.script:
+            if isinstance(piece, tuple):
+                inner = "".join(_escape_text(filled[i]) for i in piece[3])
+                piece = f"{piece[0]}{inner}{piece[1]}" if inner else piece[2]
+            script.append(piece)
+        timeline = sorted([*facs, *mouths], key=_timeline_key)
+        return OutputBundle("".join(script), tuple(timeline), total, tuple(sorted(seg_closes)))
+
+
+def layout(doc: SeemlDocument, style: "StyleFile", paths: Paths = ()) -> Layout:
+    """`doc` laid out for `Layout.bundle` in one walk, the texts `paths` leads to as fills: its
+    escapes, word splits, mouth shapes, tags and facial intensities are found here once."""
+    word_ms = 60000.0 / style.words_per_minute
+    ops: list[tuple[int, object]] = []
+    fills: list[str] = []
+    script: list = []  # the pieces of the elements on `paths`, in document order
+    faces: dict = {}  # a facial span's attributes -> its (AU, intensity) pairs
+
+    def lay(node: Node, at: Optional[Paths]) -> str:
+        """`node`'s script, or "" when `at`, its paths, leads to a fill: its pieces then go to `script`."""
+        if isinstance(node, Text):
+            if at is None:
+                ops.append((_WORDS, [_mouth(token, word_ms) for token in node.text.split()]))
+                return _escape_text(node.text)
+            ops.append((_FILL, len(fills)))
+            script.append(("", "", "", (len(fills),)))
+            fills.append(node.text)
+            return ""
+        if node.tag == "AURAL":
+            # the load checks every name against the style; a path is written as the style gives it
+            return _tag_texts("AUDIO", (("SRC", style.aural[node.attr("NAME")]),))[2]
+        facial = node.tag in ("EXPR", "AU")  # timed, and dropped from the script
+        if facial or node.tag == "BREAK":
+            ops.append((_OPEN if facial else _BREAK, None))
+        opening, closing, shut = ("", "", "") if facial else _tag_texts(node.tag, node.attrs)
+        if at is None:
+            inner = "".join([lay(child, None) for child in node.children])
+        else:
+            script.append(opening)
+            start, below = len(script), dict(at)
+            for i, child in enumerate(node.children):
+                if text := lay(child, below.get(i)):
+                    script.append(text)
+        if facial:
+            pairs = faces.get(node.attrs)
+            if pairs is None:
+                level = atom(node.attr("LEVEL", "1.0"))
+                # the style maps all six expression names; merged signed LEVELs can sum past either end of [0, 1]
+                weights = [(atom(node.attr("NUM")), 1.0)] if node.tag == "AU" else style.expressions[node.attr("NAME")]
+                pairs = faces[node.attrs] = tuple((au, min(1.0, max(0.0, weight * level))) for au, weight in weights)
+            ops.append((_CLOSE, pairs))
+        if node.tag == "seg":
+            ops.append((_SEG, None))
+        if at is None:  # an element that nothing speaks in closes itself
+            return f"{opening}{inner}{closing}" if inner else shut
+        if all(isinstance(piece, tuple) and not piece[2] for piece in islice(script, start, None)):
+            # only fills speak in it, and a fill may be empty
+            script[start - 1 :] = [(opening, closing, shut, tuple(i for piece in script[start:] for i in piece[3]))]
+        else:
+            script.append(closing)
+        return ""
+
+    script.append(lay(Element("SABLE", (), doc.children), paths or None))
+    # side by side texts are joined once here, not on every bundle
+    runs = groupby(filter(None, script), key=lambda piece: isinstance(piece, str))
+    pieces = tuple(piece for text, run in runs for piece in (["".join(run)] if text else run))
+    return Layout(pieces, tuple(ops), tuple(fills), style)
 
 
 def verify_and_split(doc: SeemlDocument, style: "StyleFile") -> OutputBundle:
     """Assign word timings, resolve facial markup through the style file, and
-    split the document into a speech script plus a facial/viseme timeline.
-
-    One walk times the words, records the facial spans and the `<seg>` closes,
-    and writes the spoken side: `EXPR`/`AU` dropped, `AURAL` resolved to `AUDIO`.
-    """
-    word_ms = 60000.0 / style.words_per_minute
-    words: list[TimedWord] = []
-    seg_closes: list[float] = []
-    spans: list[tuple[Element, float, float]] = []
-    cursor = 0.0
-
-    def speak(node: Node) -> str:
-        nonlocal cursor
-        if isinstance(node, Text):
-            for token in node.text.split():
-                words.append(TimedWord(token, cursor, word_ms))
-                cursor += word_ms
-            return _escape_text(node.text)
-        if node.tag == "AURAL":
-            # the load checks every name against the style; a path is written as the style gives it
-            return _tagged("AUDIO", (("SRC", style.aural[node.attr("NAME")]),), "")
-        if node.tag == "BREAK":
-            cursor += style.break_ms
-        start = cursor
-        inner = "".join(speak(child) for child in node.children)
-        if node.tag in ("EXPR", "AU"):
-            spans.append((node, start, cursor))
-            return inner
-        if node.tag == "seg":
-            seg_closes.append(cursor)
-        return _tagged(node.tag, node.attrs, inner)
-
-    script = _tagged("SABLE", (), "".join(speak(node) for node in doc.children))
-    total = cursor
-
-    facs: list[FacsEvent] = []
-    for el, start, end in spans:
-        if end <= start:  # point gesture: give it a nominal span
-            end = start + GESTURE_MS
-            total = max(total, end)
-        duration = max(0.0, min(end, total) - start)
-        level = atom(el.attr("LEVEL", "1.0"))
-        if el.tag == "AU":
-            facs.append(FacsEvent(start, atom(el.attr("NUM")), _unit(level), duration))
-        else:
-            # the markup admits only the six names, and the style maps all six
-            weights = style.expressions[el.attr("NAME")]
-            facs.extend(
-                FacsEvent(start, au, _unit(weight * level), duration) for au, weight in weights
-            )
-
-    timeline = sorted([*facs, *lip_sync(words, style.visemes)], key=_timeline_key)
-    return OutputBundle(script, tuple(timeline), total, tuple(sorted(seg_closes)))
+    split the document into a speech script plus a facial/viseme timeline."""
+    return layout(doc, style).bundle({})
 
 
 def format_face_timeline(bundle: OutputBundle) -> str:

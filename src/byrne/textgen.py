@@ -12,14 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
-from .errors import ByrneError
 from .patterns import Binding, Candidates, Form, Keyed, match_all
 from .seeml import FillSites, SeemlDocument, fill_in, fill_sites
 from .sexpr import Sexpr, Symbol, to_text
-
-
-class InstantiationError(ByrneError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -132,11 +127,11 @@ def fill(
     template: Template, binding: Binding, names: Mapping[str, str] | None = None
 ) -> tuple[str, ...]:
     """The literal text each of `template.variables` stands for under `binding`.
-    The instantiated body is a pure function of the template and these texts."""
+    The instantiated body is a pure function of the template and these texts.
+    `binding` binds every variable: the loader rejects a body variable that no
+    precondition holds, and `match_all` binds every precondition variable."""
     texts = []
     for var in template.variables:
-        if var not in binding:
-            raise InstantiationError(f"template '{template.id}': unbound variable {var}")
         texts.append(render_term(binding[var], names))
     return tuple(texts)
 

@@ -5,9 +5,10 @@ run of every-phrase and word directives once: every directive rebuilds the
 whole tree in turn. `lip_sync` scans every word's letters on every call.
 
 `verify_and_split` is how byrne verified and split a merged document before
-it did so in one walk: one walk times the words and records the facial spans
-and `<seg>` closes, a second projects the spoken side as a tree, and the tree
-is then serialized. Like `seeml.verify_and_split`, it takes a document the loader can
+it did so in one walk, and then by laying the document out and bundling the
+layout: one walk times the words and records the facial spans and `<seg>`
+closes, a second projects the spoken side as a tree, and the tree is then
+serialized. Like `seeml.verify_and_split`, it takes a document the loader can
 produce: every aural name is in the style.
 
 `fill_sites` is how byrne found where a body's variables lie before it did so
@@ -42,9 +43,8 @@ from byrne.seeml import (
     VisemeEvent,
     _escape_text,
     _letter_class,
-    _tagged,
+    _tag_texts,
     _timeline_key,
-    _unit,
     _with_children,
     document,
     element,
@@ -172,6 +172,16 @@ def lip_sync(
             VisemeEvent(w.onset_ms + i * dur, visemes[cls], dur) for i, cls in enumerate(runs)
         )
     return events
+
+
+def _tagged(tag: str, attrs: tuple[tuple[str, str], ...], inner: str) -> str:
+    # canonical trees hold no empty text, so empty `inner` means no children
+    opening, closing, shut = _tag_texts(tag, attrs)
+    return f"{opening}{inner}{closing}" if inner else shut
+
+
+def _unit(intensity: float) -> float:
+    return min(1.0, max(0.0, intensity))
 
 
 def serialize_seeml(doc: SeemlDocument) -> str:

@@ -15,7 +15,7 @@ from typing import Mapping
 from byrne.patterns import Binding
 from byrne.seeml import SeemlDocument, _escape_text, parse_seeml
 from byrne.sexpr import Symbol
-from byrne.textgen import InstantiationError, render_term
+from byrne.textgen import render_term
 
 _VAR_RE = re.compile(r"\?[A-Za-z][A-Za-z0-9_-]*")
 
@@ -24,9 +24,6 @@ def instantiate(
     template_id: str, body: str, binding: Binding, names: Mapping[str, str] | None = None
 ) -> SeemlDocument:
     def replace(m: re.Match[str]) -> str:
-        var = Symbol(m.group(0))
-        if var not in binding:
-            raise InstantiationError(f"template '{template_id}': unbound variable {var}")
-        return _escape_text(render_term(binding[var], names))
+        return _escape_text(render_term(binding[Symbol(m.group(0))], names))
 
     return parse_seeml(_VAR_RE.sub(replace, body))

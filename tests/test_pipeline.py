@@ -977,8 +977,9 @@ def test_instantiated_demo_documents_hold_only_plain_str(demo_profile, demo_styl
 
 
 def test_each_distinct_demo_input_renders_once_per_replay(tmp_path, monkeypatch):
+    # each render key is rendered by one `render_key` call, from its pair's layout or in full
     inputs = _record_inputs(monkeypatch)
-    renders = _record_calls(monkeypatch, "verify_and_split")
+    renders = _record_calls(monkeypatch, "render_key")
     names = sorted(p.name for p in GOLDEN.iterdir())
     for run in ("first", "second"):  # the second replay renders as many again
         inputs.clear()
@@ -994,7 +995,7 @@ def test_each_distinct_demo_input_renders_once_per_replay(tmp_path, monkeypatch)
 def test_each_distinct_bundle_is_formatted_once_per_replay(tmp_path, monkeypatch):
     # an utterance whose render key was rendered before shares its bundle, and so its .facs text
     faces = _record_calls(monkeypatch, "format_face_timeline")
-    renders = _record_calls(monkeypatch, "verify_and_split")
+    renders = _record_calls(monkeypatch, "render_key")
     out = tmp_path / "demo"
     assert run_replay(DEMO / "game.log", DEMO / "announcer.profile", DEMO / "announcer.style", out) == 0
     names = sorted(p.name for p in out.glob("*.facs"))
@@ -1081,7 +1082,7 @@ def test_each_demo_fact_is_matched_once_per_replay(demo_profile, demo_style, mon
 def test_a_fresh_state_renders_anew_under_the_same_style(demo_profile, demo_style):
     for _ in range(2):  # a memo that outlived its state would render less the second time
         with pytest.MonkeyPatch.context() as mp:
-            renders = _record_calls(mp, "verify_and_split")
+            renders = _record_calls(mp, "render_key")
             started = _started(mp, _demo_updates(), demo_profile, demo_style)
             assert len(renders) == len({key for key, _, _, _ in started}) < len(started)
 

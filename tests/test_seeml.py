@@ -44,6 +44,7 @@ from byrne.seeml import (
     fill_in,
     fill_sites,
     format_face_timeline,
+    layout,
     lip_sync,
     merge_tags,
     nesting,
@@ -52,11 +53,11 @@ from byrne.seeml import (
     verify_and_split,
     word_trigger,
 )
-from byrne.seeml import _identity, _mouth_runs
+from byrne.seeml import _identity, _mouth, _mouth_runs
 from byrne.sexpr import VARIABLE
 from corpus import markup, random_document
 from oracle_seeml import serialize_seeml, strip_text
-from test_textgen import _BODIES
+from test_textgen import _BODIES, _CHARS
 
 # --- parse / serialize --------------------------------------------------------
 
@@ -1079,6 +1080,80 @@ class TestVerifyAndSplit:
         assert verify_and_split(doc, minimal_style) == oracle.verify_and_split(doc, minimal_style)
 
 
+def _with_variables(doc: SeemlDocument, rng: Random) -> SeemlDocument:
+    """`doc` with a variable in some of its texts: as a word of its own, glued
+    to a word, or as the whole text, so that an element may speak only fills."""
+
+    def vary(node: Node) -> Node:
+        if isinstance(node, Element):
+            return Element(node.tag, node.attrs, tuple(map(vary, node.children)))
+        roll, var = rng.randrange(4), rng.choice(["?p", "?q"])
+        if roll == 0:
+            return node
+        if roll == 1:
+            return Text(var)
+        return Text(node.text.replace(" ", f" {var}" if roll == 2 else var, 1))
+
+    return document(map(vary, doc.children))
+
+
+class TestLayout:
+    @given(st.integers(min_value=0, max_value=10**9), _CHARS, _CHARS)
+    @settings(max_examples=200, deadline=None)
+    def test_a_layout_bundles_what_the_filled_tree_verifies_to_property(self, minimal_style, seed, one, other):
+        rng = Random(seed)
+        if rng.random() < 0.5:
+            body, directives = _fill_case(rng)
+        else:
+            body, directives = _with_variables(random_document(rng), rng), random_directives(rng, 6)
+        merged = merge_tags(apply_directives(body, directives))
+        sites = fill_sites(merged)
+        # a fill may hold the tree's own variables, which stay literal text
+        table = {var: rng.choice([*_FILLS, "?p ?q", one, other]) for var in sites.found}
+        filled = fill_in(merged, sites.paths, table)
+        bundle = layout(merged, minimal_style, sites.paths).bundle(table)
+        assert bundle == verify_and_split(filled, minimal_style) == oracle.verify_and_split(filled, minimal_style)
+
+    @pytest.mark.parametrize(
+        "body, fill, script",
+        [
+            # a static element that nothing speaks in
+            ('<seg><AU NUM="12"/></seg> go', None, "<seg/> go"),
+            # an element that only fills speak in, around and inside a facial span
+            ("<seg>?p</seg> go", "", "<seg/> go"),
+            ("<seg>?p</seg> go", "x", "<seg>x</seg> go"),
+            ('<seg><AU NUM="12">?p</AU>?p</seg> go', "", "<seg/> go"),
+            ('<seg><AU NUM="12">?p</AU>?p</seg> go', "x", "<seg>xx</seg> go"),
+            ('<seg><AU NUM="12"/>?p</seg> go', "", "<seg/> go"),
+            ("<seg><EMPH>?p</EMPH></seg> go", "", "<seg><EMPH/></seg> go"),
+        ],
+    )
+    def test_an_element_nothing_speaks_in_closes_itself(self, minimal_style, body, fill, script):
+        doc = parse_seeml(body)
+        sites = fill_sites(doc)
+        table = dict.fromkeys(sites.found, fill)
+        bundle = layout(doc, minimal_style, sites.paths).bundle(table)
+        assert bundle.speech_script == f"<SABLE>{script}</SABLE>"
+        assert bundle == verify_and_split(fill_in(doc, sites.paths, table), minimal_style)
+
+    def test_a_fill_is_literal_text(self, minimal_style):
+        # a fill's variables and markup characters are its own text: never
+        # filled again, and escaped as a text is
+        doc = parse_seeml("<seg>?p ?q go</seg>")
+        sites = fill_sites(doc)
+        table = {"?p": '?q &<>"', "?q": "x"}
+        bundle = layout(doc, minimal_style, sites.paths).bundle(table)
+        assert bundle.speech_script == '<SABLE><seg>?q &amp;&lt;&gt;" x go</seg></SABLE>'
+        assert len([ev for ev in bundle.timeline if ev.onset_ms == 0.0]) == 1  # "?q" is one word, and a wide mouth
+        assert bundle == verify_and_split(fill_in(doc, sites.paths, table), minimal_style)
+
+    def test_a_layout_with_no_fills_is_the_verifier(self, minimal_style):
+        doc = parse_seeml('<seg>a ?p</seg><AURAL NAME="cheer"/><BREAK/><EXPR NAME="fear">b</EXPR>')
+        laid = layout(doc, minimal_style)
+        assert laid.fills == () and laid.bundle({}) == verify_and_split(doc, minimal_style)
+        assert laid.script == ('<SABLE><seg>a ?p</seg><AUDIO SRC="sounds/cheer.wav"/><BREAK/>b</SABLE>',)
+
+
 class TestLipSync:
     def test_ball_letter_class_scan(self):
         # hand scan: b -> closure, a -> open vowel, ll -> wide (one run)
@@ -1131,6 +1206,7 @@ class TestLipSync:
         assert [ev.viseme for ev in lip_sync([TimedWord("MoB", 0.0, 300.0)])] == ["MM", "OW", "MM"]
 
     def test_each_distinct_word_is_scanned_once(self):
+        _mouth.cache_clear()  # a (word, duration) spread before would not scan its word again
         _mouth_runs.cache_clear()
         lip_sync([
             TimedWord("goal", 0.0, 300.0),

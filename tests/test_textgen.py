@@ -19,7 +19,6 @@ from byrne.seeml import SeemlError, parse_seeml
 from byrne.sexpr import Symbol, read_one
 from byrne.style import load_style
 from byrne.textgen import (
-    InstantiationError,
     Template,
     UsageHistory,
     fill,
@@ -182,10 +181,6 @@ class TestInstantiate:
         doc = instantiate(t, {Symbol("?where"): (10, 20)})
         assert strip_text(doc) == "moving to (10 20)"
 
-    def test_unbound_variable_raises(self):
-        with pytest.raises(InstantiationError, match=r"\?y"):
-            instantiate(PASS_TEMPLATE, {Symbol("?x"): Symbol("a1")})
-
     def test_stripped_output_has_no_variable_markers(self):
         rng = Random(4)
         syms = [Symbol(s) for s in ("a1", "b2", "kirk", "x-9")]
@@ -251,14 +246,15 @@ _TERMS = st.one_of(
 def _outcome(fn):
     try:
         return fn()
-    except (InstantiationError, SeemlError) as e:
+    except SeemlError as e:
         return type(e), str(e)
 
 
 class TestSubstitutionOnTheTree:
     @given(
         _BODIES,
-        st.dictionaries(st.sampled_from(_VARS).map(Symbol), _TERMS, min_size=2),
+        # a replay's binding binds every variable of the template (see `textgen.fill`)
+        st.fixed_dictionaries({Symbol(var): _TERMS for var in _VARS}),
         st.dictionaries(st.sampled_from(["a1", "b2", "&"]), _CHARS),
     )
     @settings(max_examples=300, deadline=None)
